@@ -15,4 +15,3 @@ except ImportError:  # extension not built
 from . import reference
 
 centralizer_masks = _impl.centralizer_masks
-weyl_closure = _impl.weyl_closure

@@ -1,5 +1,5 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
-"""Compiled kernels: torus sweeps and Weyl-group closure.
+"""Compiled kernel for torus sweeps.
 
 Contracts mirror ``reference.py`` exactly, including iteration order.
 """
@@ -67,36 +67,3 @@ def centralizer_masks(rows, m):
         free(v)
     return out
 
-
-def weyl_closure(gens, r, cap):
-    """See reference.weyl_closure."""
-    cdef int rr = r
-    cdef int nn = rr * rr
-    cdef int i, j, t
-    cdef long s
-    ident = tuple(1 if i == j else 0 for i in range(rr) for j in range(rr))
-    seen = {ident}
-    order = [ident]
-    frontier = [ident]
-    cdef long[64] buf
-    if nn > 64:
-        raise ValueError("rank too large for compiled closure")
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                for i in range(rr):
-                    for j in range(rr):
-                        s = 0
-                        for t in range(rr):
-                            s += (<long> a[i * rr + t]) * (<long> g[t * rr + j])
-                        buf[i * rr + j] = s
-                prod = tuple([buf[i] for i in range(nn)])
-                if prod not in seen:
-                    seen.add(prod)
-                    order.append(prod)
-                    nxt.append(prod)
-                    if len(order) > cap:
-                        raise OverflowError("closure exceeds cap")
-        frontier = nxt
-    return order

@@ -47,32 +47,3 @@ def centralizer_masks(rows, m):
             j -= 1
     return out
 
-
-def weyl_closure(gens, r, cap):
-    """BFS closure of r x r integer matrices under right multiplication.
-
-    ``gens`` are flat length-r*r tuples.  Returns the closure as a list of
-    flat tuples, identity first, in BFS discovery order.  Raises
-    OverflowError when the closure exceeds ``cap`` elements.
-    """
-    ident = tuple(1 if i == j else 0 for i in range(r) for j in range(r))
-    seen = {ident}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                prod = tuple(
-                    sum(a[i * r + t] * g[t * r + j] for t in range(r))
-                    for i in range(r)
-                    for j in range(r)
-                )
-                if prod not in seen:
-                    seen.add(prod)
-                    order.append(prod)
-                    nxt.append(prod)
-                    if len(order) > cap:
-                        raise OverflowError("closure exceeds cap")
-        frontier = nxt
-    return order

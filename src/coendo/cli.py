@@ -77,7 +77,38 @@ def load_config(args) -> dict:
         overrides["route"] = args.route
     if getattr(args, "threads", None):
         overrides["threads"] = args.threads
-    return _merge(cfg, overrides)
+    cfg = _merge(cfg, overrides)
+    caps = cfg["caps"]
+    if not isinstance(caps, dict):
+        raise ConfigError(f"caps must be an object, got {caps!r}")
+    for key, value in caps.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(
+                f"caps.{key} must be a positive integer, got {value!r}"
+            )
+    return cfg
+
+
+def load_counts(path: str) -> dict:
+    """Fiber point counts keyed by (stratum type, orbit representative)."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read counts: {exc}") from exc
+    rows = raw.get("rows") if isinstance(raw, dict) else None
+    if not isinstance(rows, list):
+        raise ConfigError("counts file needs a 'rows' list")
+    counts = {}
+    for row in rows:
+        try:
+            counts[(row["stratum_type"], tuple(row["orbit_rep"]))] = row["count"]
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(
+                f"counts rows need 'stratum_type', 'orbit_rep' and 'count': "
+                f"{row!r}"
+            ) from exc
+    return counts
 
 
 def config_hash(cfg: dict) -> str:
@@ -144,22 +175,13 @@ class Context:
         self.weyl_cap = caps.get("weyl", rootsys.DEFAULT_WEYL_CAP)
         self.point_cap = caps.get("points", 1_000_000)
         self.orbit_cap = caps.get("orbits", 1_000_000)
-        self._weyl = None
         self._poset = None
-
-    @property
-    def weyl(self):
-        if self._weyl is None:
-            self._weyl = rootsys.weyl_generate(
-                self.datum.root_system, self.weyl_cap
-            )
-        return self._weyl
 
     @property
     def poset(self):
         if self._poset is None:
             self._poset = coendoscopy.strata_poset(
-                self.datum, self.q, self.route, weyl=self.weyl,
+                self.datum, self.q, self.route,
                 point_cap=self.point_cap, weyl_cap=self.weyl_cap,
             )
         return self._poset
@@ -230,19 +252,14 @@ def cmd_coeffs(ctx: Context) -> dict:
 
 def cmd_predict(ctx: Context, counts_path: str | None, approx: bool) -> dict:
     report = ctx.envelope("predict")
+    if approx or counts_path is None:
+        counts = predictions.LEADING_TERM_APPROX
+    else:
+        counts = load_counts(counts_path)
     table = coefficients.n_table(
         ctx.datum, ctx.q, ctx.spec, ctx.poset, ctx.convention,
         orbit_cap=ctx.orbit_cap,
     )
-    if approx or counts_path is None:
-        counts = predictions.LEADING_TERM_APPROX
-    else:
-        with open(counts_path) as fh:
-            raw = json.load(fh)
-        counts = {
-            (row["stratum_type"], tuple(row["orbit_rep"])): row["count"]
-            for row in raw["rows"]
-        }
     pred = predictions.assemble_prediction(
         ctx.datum, ctx.q, ctx.curve, table, counts
     )

@@ -51,32 +51,6 @@ WHOLE_GROUP = "WHOLE_GROUP"
 # subset machinery
 
 
-def _node_reflection_perms(rs: RootSystem):
-    """Root-index permutations of the simple reflections (cached on rs)."""
-    perms = getattr(rs, "_node_perms", None)
-    if perms is None:
-        perms = []
-        for j in range(rs.rank):
-            coroot = il.matvec(rs.cartan, tuple(int(t == j) for t in range(rs.rank)))
-            simple = tuple(int(t == j) for t in range(rs.rank))
-            perm = []
-            for rt in rs.roots:
-                pair = sum(a * b for a, b in zip(rt.coeffs, coroot))
-                new = tuple(c - pair * s for c, s in zip(rt.coeffs, simple))
-                perm.append(rs.index_of[new])
-            perms.append(tuple(perm))
-        rs._node_perms = perms
-    return perms
-
-
-def _reflect_root(rs: RootSystem, mirror: int, root: int) -> int:
-    rt = rs.roots[root]
-    mr = rs.roots[mirror]
-    pair = sum(a * b for a, b in zip(rt.coeffs, mr.coroot_ambient))
-    new = tuple(c - pair * b for c, b in zip(rt.coeffs, mr.coeffs))
-    return rs.index_of[new]
-
-
 def subsystem_from_base(rs: RootSystem, base_indices) -> Subsystem:
     """Closed subsystem generated by a simple system, by reflection closure."""
     seen = set(base_indices)
@@ -85,7 +59,7 @@ def subsystem_from_base(rs: RootSystem, base_indices) -> Subsystem:
         new = []
         for i in frontier:
             for b in base_indices:
-                j = _reflect_root(rs, b, i)
+                j = rs.reflection_perm(b)[i]
                 if j not in seen:
                     seen.add(j)
                     new.append(j)
@@ -96,7 +70,7 @@ def subsystem_from_base(rs: RootSystem, base_indices) -> Subsystem:
 
 def orbit_of_subset(rs: RootSystem, indices) -> list[frozenset]:
     """W-orbit of a root subset, via the simple-reflection permutations."""
-    perms = _node_reflection_perms(rs)
+    perms = rs.simple_reflection_perms
     start = frozenset(indices)
     seen = {start}
     frontier = [start]
@@ -383,12 +357,14 @@ class StrataPoset:
     """
 
     def __init__(self, datum: GroupDatum, q: int, route: str,
-                 strata: list[Stratum], weyl: WeylGroup, warnings=()):
+                 strata: list[Stratum], weyl: WeylGroup | None = None,
+                 warnings=(), weyl_cap: int = DEFAULT_WEYL_CAP):
         self.datum = datum
         self.q = q
         self.route = route
         self.strata = list(strata)
-        self.weyl = weyl
+        self._weyl = weyl
+        self.weyl_cap = weyl_cap
         self.warnings = tuple(warnings)
         n = len(strata)
         sets = [st.subsystem.indices for st in strata]
@@ -401,6 +377,13 @@ class StrataPoset:
 
     def __len__(self):
         return len(self.strata)
+
+    @property
+    def weyl(self) -> WeylGroup:
+        """W, enumerated on first use: building the strata never needs it."""
+        if self._weyl is None:
+            self._weyl = weyl_generate(self.datum.root_system, self.weyl_cap)
+        return self._weyl
 
     def below(self, j: int) -> list[int]:
         return [i for i in range(len(self.strata)) if self.leq[i][j]]
@@ -443,10 +426,7 @@ class StrataPoset:
         cached = self._wiota.get(i)
         if cached is None:
             sub = self.strata[i].subsystem
-            gens = [
-                self.weyl.index[self.datum.root_system.reflection_matrix(t)]
-                for t in sub.positive_indices
-            ]
+            gens = [self.weyl.reflection(t) for t in sub.positive_indices]
             cached = self.weyl.subgroup_closure(gens)
             self._wiota[i] = cached
         return cached
@@ -508,20 +488,21 @@ def strata_poset(
     point_cap: int = DEFAULT_POINT_CAP,
     weyl_cap: int = DEFAULT_WEYL_CAP,
 ) -> StrataPoset:
-    """Build the realized elliptic strata poset at q by either route."""
-    rs = datum.root_system
-    if weyl is None:
-        weyl = weyl_generate(rs, weyl_cap)
+    """Build the realized elliptic strata poset at q by either route.
+
+    ``weyl`` may be passed in to share one enumeration of W; otherwise the
+    poset enumerates W (under ``weyl_cap``) only when a stage needs it.
+    """
     if route == "enumerate":
-        poset = _strata_by_enumeration(datum, q, weyl, point_cap)
+        poset = _strata_by_enumeration(datum, q, weyl, weyl_cap, point_cap)
     elif route == "classify":
-        poset = _strata_by_classification(datum, q, weyl)
+        poset = _strata_by_classification(datum, q, weyl, weyl_cap)
     else:
         raise ValueError(f"unknown route {route!r}")
     return poset
 
 
-def _strata_by_enumeration(datum, q, weyl, point_cap) -> StrataPoset:
+def _strata_by_enumeration(datum, q, weyl, weyl_cap, point_cap) -> StrataPoset:
     rs = datum.root_system
     r = rs.rank
     masks, pos = centralizer_masks_for(datum, q, cap=point_cap)
@@ -540,14 +521,15 @@ def _strata_by_enumeration(datum, q, weyl, point_cap) -> StrataPoset:
         z = subgroup_points(datum, q, sub)
         strata.append(Stratum(sub, z, len(pts), pts))
         elliptic_masks[sub.key] = mask
-    poset = StrataPoset(datum, q, "enumerate", _sort_strata(strata), weyl)
+    poset = StrataPoset(datum, q, "enumerate", _sort_strata(strata), weyl,
+                        weyl_cap=weyl_cap)
     poset._masks = masks
     poset._positive = pos
     poset._mask_of = elliptic_masks
     return poset
 
 
-def _strata_by_classification(datum, q, weyl) -> StrataPoset:
+def _strata_by_classification(datum, q, weyl, weyl_cap) -> StrataPoset:
     rs = datum.root_system
     cands = equal_rank_subsystems(rs)
     n = len(cands)
@@ -575,7 +557,7 @@ def _strata_by_classification(datum, q, weyl) -> StrataPoset:
                 "recovered by inversion remain exact"
             )
     return StrataPoset(datum, q, "classify", _sort_strata(strata), weyl,
-                       warnings)
+                       warnings, weyl_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
-from . import _kernels, intlinalg as il
+from . import intlinalg as il
 from .intlinalg import Matrix, Vector
 
 DEFAULT_WEYL_CAP = 1_000_000
@@ -213,11 +214,14 @@ class RootSystem:
             rt.coroot_ambient = il.matvec(self.cartan, rt.coroot)
         self.roots = tuple(roots)
         self.index_of = {rt.coeffs: rt.index for rt in roots}
-        self._coroot_index = {rt.coroot_ambient: rt.index for rt in roots}
+        self.simple_indices = tuple(
+            self.index_of[tuple(int(t == j) for t in range(r))] for j in range(r)
+        )
         self.positive_indices = tuple(rt.index for rt in roots if rt.positive)
         self.negate = tuple(
             self.index_of[tuple(-x for x in rt.coeffs)] for rt in roots
         )
+        self._reflection_perms: dict[int, tuple[int, ...]] = {}
 
     @property
     def num_roots(self) -> int:
@@ -236,15 +240,25 @@ class RootSystem:
         c = self.roots[root_index].coeffs
         return sum(a * b for a, b in zip(c, vector))
 
-    def reflection_matrix(self, root_index: int) -> Matrix:
-        """Ambient matrix of the reflection in the given root."""
-        rt = self.roots[root_index]
-        d = rt.coroot_ambient
-        c = rt.coeffs
-        r = self.rank
-        return il.mat(
-            [[(i == j) - d[i] * c[j] for j in range(r)] for i in range(r)]
-        )
+    def reflection_perm(self, root_index: int) -> tuple[int, ...]:
+        """Root-index permutation of the reflection in the given root."""
+        cached = self._reflection_perms.get(root_index)
+        if cached is None:
+            mirror = self.roots[root_index]
+            out = []
+            for rt in self.roots:
+                pair = sum(a * b for a, b in zip(rt.coeffs, mirror.coroot_ambient))
+                out.append(self.index_of[
+                    tuple(c - pair * m for c, m in zip(rt.coeffs, mirror.coeffs))
+                ])
+            cached = tuple(out)
+            self._reflection_perms[root_index] = cached
+        return cached
+
+    @property
+    def simple_reflection_perms(self) -> tuple[tuple[int, ...], ...]:
+        """Root-index permutations of the simple reflections, in node order."""
+        return tuple(self.reflection_perm(s) for s in self.simple_indices)
 
     def __repr__(self):
         return "x".join(map(repr, self.simple_factors))
@@ -294,43 +308,59 @@ def weyl_order(rs: RootSystem) -> int:
 
 
 class WeylGroup:
-    """A fully enumerated Weyl group acting on the ambient coweight space."""
+    """A fully enumerated Weyl group.
 
-    def __init__(self, rs: RootSystem, elements: list[Matrix]):
+    Element i is stored as its permutation ``perms[i]`` of the root indices
+    (w sends root k to root ``perms[i][k]``); W acts faithfully on the
+    roots, so products, inverses and lengths need no matrices.  Integer
+    matrices on the ambient coweight space are built on demand by
+    :meth:`matrix`.
+    """
+
+    def __init__(self, rs: RootSystem, perms, lengths):
         self.rs = rs
-        self.elements = tuple(elements)
-        self.index = {m: i for i, m in enumerate(elements)}
-        self.order = len(elements)
-        self._perms: dict[int, tuple[int, ...]] = {}
+        self.perms = tuple(perms)
+        self.index = {p: i for i, p in enumerate(self.perms)}
+        self.order = len(self.perms)
+        self._lengths = tuple(lengths)
         self._inv: dict[int, int] = {}
+        self._cosets: dict[tuple[int, ...], list] = {}
 
     def mul(self, i: int, j: int) -> int:
-        return self.index[il.matmul(self.elements[i], self.elements[j])]
+        """Index of w_i w_j; its permutation is perms[i] o perms[j]."""
+        return self.index[itemgetter(*self.perms[j])(self.perms[i])]
 
     def inv(self, i: int) -> int:
         cached = self._inv.get(i)
         if cached is None:
-            cached = self.index[il.int_inverse(self.elements[i])]
+            out = [0] * self.rs.num_roots
+            for k, x in enumerate(self.perms[i]):
+                out[x] = k
+            cached = self.index[tuple(out)]
             self._inv[i] = cached
         return cached
 
     def root_perm(self, i: int) -> tuple[int, ...]:
-        """Index permutation of the roots under element i (via coroots)."""
-        cached = self._perms.get(i)
-        if cached is None:
-            m = self.elements[i]
-            out = tuple(
-                self.rs._coroot_index[il.matvec(m, rt.coroot_ambient)]
-                for rt in self.rs.roots
-            )
-            self._perms[i] = out
-            cached = out
-        return cached
+        """Index permutation of the roots under element i."""
+        return self.perms[i]
 
     def length(self, i: int) -> int:
-        perm = self.root_perm(i)
-        pos = set(self.rs.positive_indices)
-        return sum(1 for j in self.rs.positive_indices if perm[j] not in pos)
+        """Coxeter length: the number of positive roots sent to negative
+        ones, equal to the BFS depth at which the element was enumerated."""
+        return self._lengths[i]
+
+    def matrix(self, i: int) -> Matrix:
+        """Integer matrix of element i on the ambient coweight space.
+
+        Row j is the functional alpha_j o w^-1, i.e. the coefficients of
+        the root w^-1(alpha_j).
+        """
+        back = self.perms[self.inv(i)]
+        return tuple(self.rs.roots[back[s]].coeffs for s in self.rs.simple_indices)
+
+    def reflection(self, root_index: int) -> int:
+        """Element index of the reflection in the given root."""
+        return self.index[self.rs.reflection_perm(root_index)]
 
     def subgroup_closure(self, generators) -> tuple[int, ...]:
         """Closure of the given element indices, as a sorted index tuple."""
@@ -351,40 +381,56 @@ class WeylGroup:
         """Right cosets H\\W as (canonical representative, members) pairs.
 
         The representative is the member of minimal length (ties broken by
-        element index); pairs are listed by representative index.
+        element index); pairs are listed by representative index.  The
+        decomposition is computed once per subgroup.
         """
-        sub = list(subgroup)
-        seen = [False] * self.order
-        out = []
-        for w in range(self.order):
-            if seen[w]:
-                continue
-            members = sorted({self.mul(h, w) for h in sub})
-            for x in members:
-                seen[x] = True
-            rep = min(members, key=lambda x: (self.length(x), x))
-            out.append((rep, tuple(members)))
-        out.sort(key=lambda pair: pair[0])
-        return out
+        sub = tuple(subgroup)
+        cached = self._cosets.get(sub)
+        if cached is None:
+            seen = [False] * self.order
+            cached = []
+            for w in range(self.order):
+                if seen[w]:
+                    continue
+                members = sorted({self.mul(h, w) for h in sub})
+                for x in members:
+                    seen[x] = True
+                rep = min(members, key=lambda x: (self.length(x), x))
+                cached.append((rep, tuple(members)))
+            cached.sort(key=lambda pair: pair[0])
+            self._cosets[sub] = cached
+        return list(cached)
 
 
 def weyl_generate(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
-    """Enumerate W by closure of the simple reflections, identity first."""
+    """Enumerate W by BFS closure of the simple reflections, identity first.
+
+    Each frontier is right-multiplied by the simple reflections in node
+    order, so frontier d holds exactly the elements of length d.
+    """
     order = weyl_order(rs)
     if order > cap:
         raise CapExceeded(f"|W| = {order} exceeds cap {cap}", order=order)
-    r = rs.rank
-    gens = []
-    for j in range(r):
-        m = [[int(i == t) for t in range(r)] for i in range(r)]
-        for i in range(r):
-            m[i][j] -= rs.cartan[i][j]
-        gens.append(tuple(x for row in m for x in row))
-    flat = _kernels.weyl_closure(gens, r, cap)
-    elements = [
-        il.mat([f[i * r:(i + 1) * r] for i in range(r)]) for f in flat
-    ]
-    group = WeylGroup(rs, elements)
+    # itemgetter(*g)(a) is the composite a o g as a tuple (num_roots >= 2)
+    gens = [itemgetter(*g) for g in rs.simple_reflection_perms]
+    ident = tuple(range(rs.num_roots))
+    seen = {ident}
+    perms = [ident]
+    lengths = [0]
+    frontier = [ident]
+    while frontier:
+        depth = lengths[-1] + 1
+        new = []
+        for a in frontier:
+            for g in gens:
+                prod = g(a)
+                if prod not in seen:
+                    seen.add(prod)
+                    new.append(prod)
+        perms += new
+        lengths += [depth] * len(new)
+        frontier = new
+    group = WeylGroup(rs, perms, lengths)
     if group.order != order:
         raise AssertionError(
             f"enumerated order {group.order} != degree product {order}"
@@ -577,7 +623,7 @@ class GroupDatum:
         cached = self.weyl_on_cochar.get(i)
         if cached is None:
             b = self.cochar.basis
-            m = il.matmul(weyl.elements[i], b)
+            m = il.matmul(weyl.matrix(i), b)
             binv = self.cochar.basis_inverse
             rows = [
                 [sum(binv[a][t] * m[t][c] for t in range(len(b))) for c in range(len(b))]
@@ -592,8 +638,15 @@ class GroupDatum:
 
 
 def characteristic_of(q: int) -> int:
-    """The prime p with q = p^e; rejects non prime powers."""
-    for p in range(2, q + 1):
+    """The prime p with q = p^e; rejects non prime powers.
+
+    Trial division stops at sqrt(q): a q with no divisor up to there is
+    prime.
+    """
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = 2
+    while p * p <= q:
         if q % p == 0:
             n = q
             while n % p == 0:
@@ -601,7 +654,8 @@ def characteristic_of(q: int) -> int:
             if n != 1:
                 raise ValueError(f"{q} is not a prime power")
             return p
-    raise ValueError(f"{q} is not a prime power")
+        p += 1
+    return q
 
 
 def make_datum(factors, lattice="sc", p: int = 5) -> GroupDatum:

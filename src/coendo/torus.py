@@ -273,10 +273,7 @@ def weyl_stabilizer(datum: GroupDatum, weyl: WeylGroup, point: TorusPoint):
         if all(x % m == 0 for x in il.add(il.matvec(w, v), il.neg(v))):
             stab.append(i)
     sub = centralizer_subsystem(datum, point)
-    gens = [
-        weyl.index[datum.root_system.reflection_matrix(i)]
-        for i in sub.positive_indices
-    ]
+    gens = [weyl.reflection(i) for i in sub.positive_indices]
     refl = weyl.subgroup_closure(gens)
     return tuple(stab), refl
 

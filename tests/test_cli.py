@@ -228,3 +228,57 @@ def test_convention_flag_in_report(capsys):
          "mixed-inverse"], capsys)
     assert code == 0
     assert json.loads(out)["convention"] == "mixed-inverse"
+
+
+def without_hash(text):
+    return {k: v for k, v in json.loads(text).items() if k != "config_hash"}
+
+
+def test_strata_never_enumerates_weyl(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"caps": {"weyl": 1}}))
+    for route in ("enumerate", "classify"):
+        args = ["strata", "--type", "B2", "--q", "5", "--route", route]
+        code, capped, err = run(args + ["--config", str(cfg)], capsys)
+        assert code == 0, err
+        code, uncapped, _ = run(args, capsys)
+        assert code == 0
+        assert without_hash(capped) == without_hash(uncapped)
+    code, _, err = run(["coeffs", "--type", "B2", "--q", "5",
+                        "--config", str(cfg)], capsys)
+    assert code == 1
+    assert "|W| = 8 exceeds cap 1" in err
+
+
+def test_classify_large_prime_q(capsys):
+    code, out, _ = run(
+        ["classify", "--type", "B2", "--q", "1000000007"], capsys)
+    assert code == 0
+    assert json.loads(out)["q"] == 1000000007
+
+
+def test_bad_caps_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for caps, key in [({"weyl": "x"}, "caps.weyl"),
+                      ({"points": True}, "caps.points"),
+                      ({"orbits": 0}, "caps.orbits"),
+                      ({"weyl": 2.5}, "caps.weyl"),
+                      (7, "caps")]:
+        cfg.write_text(json.dumps({"caps": caps}))
+        code, _, err = run(["coeffs", "--type", "A1", "--q", "5",
+                            "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("config error:") and key in err
+        assert err.count("\n") == 1
+
+
+def test_counts_without_rows_exits_2(tmp_path, capsys):
+    counts = tmp_path / "counts.json"
+    for raw in [{}, {"rows": {"A1": 3}}, [], {"rows": [{"count": 3}]}]:
+        counts.write_text(json.dumps(raw))
+        code, _, err = run(
+            ["predict", "--type", "A1", "--q", "5", "--counts", str(counts)],
+            capsys)
+        assert code == 2
+        assert err.startswith("config error:") and "rows" in err
+        assert err.count("\n") == 1

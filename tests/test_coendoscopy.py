@@ -111,7 +111,7 @@ def test_equal_rank_subsystems_structure():
 def test_equal_rank_subsystems_weyl_stable():
     rs = R.build_root_system(["B3"])
     subs = {s.indices for s in C.equal_rank_subsystems(rs)}
-    perms = C._node_reflection_perms(rs)
+    perms = rs.simple_reflection_perms
     for s in subs:
         for perm in perms:
             assert frozenset(perm[i] for i in s) in subs

@@ -49,42 +49,6 @@ def test_centralizer_masks_row_limit():
         reference.centralizer_masks([(1,)] * 65, 3)
 
 
-def simple_reflection_gens(name):
-    from coendo import rootsys as R
-
-    rs = R.build_root_system([name])
-    r = rs.rank
-    gens = []
-    for j in range(r):
-        m = [[int(i == t) for t in range(r)] for i in range(r)]
-        for i in range(r):
-            m[i][j] -= rs.cartan[i][j]
-        gens.append(tuple(x for row in m for x in row))
-    return gens, r
-
-
-def test_weyl_closure_backends_agree():
-    fast = maybe_fast()
-    for name, order in [("B2", 8), ("A2", 6), ("B3", 48), ("G2", 12)]:
-        gens, r = simple_reflection_gens(name)
-        a = reference.weyl_closure(gens, r, 10**6)
-        b = fast.weyl_closure(gens, r, 10**6)
-        assert a == b
-        assert len(a) == order
-        assert a[0] == tuple(
-            1 if i == j else 0 for i in range(r) for j in range(r)
-        )
-
-
-def test_weyl_closure_cap():
-    gens, r = simple_reflection_gens("B2")
-    with pytest.raises(OverflowError):
-        reference.weyl_closure(gens, r, 3)
-    fast = maybe_fast()
-    with pytest.raises(OverflowError):
-        fast.weyl_closure(gens, r, 3)
-
-
 def test_package_selected_backend_consistent():
     from coendo import KERNEL_BACKEND
 

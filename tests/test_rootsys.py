@@ -1,7 +1,10 @@
+import functools
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coendo import intlinalg as il
 from coendo import rootsys as R
@@ -163,7 +166,8 @@ def test_weyl_generate_orders():
 def test_weyl_group_structure():
     rs = R.build_root_system(["B2"])
     w = R.weyl_generate(rs)
-    assert w.elements[0] == il.identity(2)
+    assert w.matrix(0) == il.identity(2)
+    assert w.perms[0] == tuple(range(rs.num_roots))
     for i in range(w.order):
         perm = w.root_perm(i)
         assert sorted(perm) == list(range(rs.num_roots))
@@ -177,6 +181,91 @@ def test_weyl_cap_reports_exact_order():
     with pytest.raises(R.CapExceeded) as info:
         R.weyl_generate(rs, cap=1000)
     assert info.value.order == 2903040
+
+
+def matrix_bfs_closure(rs):
+    """Reference enumeration of W as ambient matrices: BFS frontier by
+    frontier, each element right-multiplied by the simple reflections
+    s_j = I - (column j of C) e_j^T in node order, identity first."""
+    r = rs.rank
+    gens = [
+        il.mat([[int(i == t) - (t == j) * rs.cartan[i][j] for t in range(r)]
+                for i in range(r)])
+        for j in range(r)
+    ]
+    seen = {il.identity(r)}
+    order = [il.identity(r)]
+    frontier = [il.identity(r)]
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                prod = il.matmul(a, g)
+                if prod not in seen:
+                    seen.add(prod)
+                    order.append(prod)
+                    new.append(prod)
+        frontier = new
+    return order
+
+
+@pytest.mark.parametrize("name", ["B2", "B3", "G2"])
+def test_weyl_enumeration_order_matches_matrix_bfs(name):
+    rs = R.build_root_system([name])
+    w = R.weyl_generate(rs)
+    assert [w.matrix(i) for i in range(w.order)] == matrix_bfs_closure(rs)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_weyl(factors):
+    return R.weyl_generate(R.build_root_system(list(factors)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_weyl_permutation_representation(data):
+    factors = data.draw(st.sampled_from(
+        [("B3",), ("G2",), ("A2", "A1"), ("F4",)]))
+    w = cached_weyl(factors)
+    rs = w.rs
+    i = data.draw(st.integers(0, w.order - 1))
+    j = data.draw(st.integers(0, w.order - 1))
+    mi = w.matrix(i)
+    assert w.matrix(w.mul(i, j)) == il.matmul(mi, w.matrix(j))
+    assert w.mul(i, w.inv(i)) == 0
+    positive = set(rs.positive_indices)
+    by_coroot = {rt.coroot_ambient: rt.index for rt in rs.roots}
+    images = [by_coroot[il.matvec(mi, rt.coroot_ambient)] for rt in rs.roots]
+    assert w.root_perm(i) == tuple(images)
+    assert w.length(i) == sum(
+        1 for k in rs.positive_indices if images[k] not in positive)
+
+
+def test_weyl_reflection_lookup():
+    rs = R.build_root_system(["B3"])
+    w = R.weyl_generate(rs)
+    for t in range(rs.num_roots):
+        s = w.reflection(t)
+        assert w.mul(s, s) == 0
+        assert w.root_perm(s)[t] == rs.negate[t]
+    assert [w.reflection(s) for s in rs.simple_indices] == [1, 2, 3]
+
+
+def test_characteristic_of_large_prime_is_fast():
+    t0 = time.time()
+    assert R.characteristic_of(1000000007) == 1000000007
+    assert time.time() - t0 < 1.0
+
+
+@pytest.mark.parametrize("q,p", [(2**10, 2), (3**7, 3), (2, 2), (25, 5)])
+def test_characteristic_of_prime_powers(q, p):
+    assert R.characteristic_of(q) == p
+
+
+@pytest.mark.parametrize("q", [6, 12, 1, 0, 1000000007 * 2])
+def test_characteristic_of_rejects_non_prime_powers(q):
+    with pytest.raises(ValueError):
+        R.characteristic_of(q)
 
 
 QUOTIENTS = [
@@ -285,7 +374,9 @@ def test_deterministic_construction():
     assert [rt.coeffs for rt in a.roots] == [rt.coeffs for rt in b.roots]
     wa = R.weyl_generate(a)
     wb = R.weyl_generate(b)
-    assert wa.elements == wb.elements
+    assert wa.perms == wb.perms
+    assert [wa.matrix(i) for i in range(wa.order)] == \
+        [wb.matrix(i) for i in range(wb.order)]
 
 
 def test_table_reproduction_runtime():
