@@ -3,7 +3,7 @@
 A single JSON config file describes the group, field, curve and character
 data; scalar flags override config fields.  Every report embeds the hash
 of the effective config and the sign convention, is emitted with sorted
-keys, and is byte-identical across runs and thread counts.
+keys, and is byte-identical across runs.
 
 Exit codes: 0 success, 1 computation error, 2 config error, 3 oracle
 failure.
@@ -31,7 +31,6 @@ DEFAULT_CONFIG = {
     "route": "enumerate",
     "caps": {"weyl": rootsys.DEFAULT_WEYL_CAP, "points": 1_000_000,
              "orbits": 1_000_000},
-    "threads": 1,
 }
 
 
@@ -57,6 +56,10 @@ def load_config(args) -> dict:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(
+                f"config must be a JSON object, got {type(file_cfg).__name__}"
+            )
         cfg = _merge(cfg, file_cfg)
     overrides = {}
     if getattr(args, "type", None):
@@ -75,13 +78,11 @@ def load_config(args) -> dict:
         overrides["convention"] = args.convention
     if getattr(args, "route", None):
         overrides["route"] = args.route
-    if getattr(args, "threads", None):
-        overrides["threads"] = args.threads
     cfg = _merge(cfg, overrides)
-    caps = cfg["caps"]
-    if not isinstance(caps, dict):
-        raise ConfigError(f"caps must be an object, got {caps!r}")
-    for key, value in caps.items():
+    for key in ("group", "curve", "caps"):
+        if not isinstance(cfg[key], dict):
+            raise ConfigError(f"{key} must be an object, got {cfg[key]!r}")
+    for key, value in cfg["caps"].items():
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ConfigError(
                 f"caps.{key} must be a positive integer, got {value!r}"
@@ -135,9 +136,16 @@ class Context:
                 f"config p = {declared} is not the characteristic of q = {q}"
             )
         self.q = q
+        factors = group.get("factors")
+        if not (isinstance(factors, list)
+                and all(isinstance(f, str) for f in factors)):
+            raise ConfigError(
+                f'group.factors must be a list of type names such as ["B2"], '
+                f"got {factors!r}"
+            )
         try:
             self.datum = rootsys.make_datum(
-                group["factors"], group.get("lattice", "sc"), self.p
+                factors, group.get("lattice", "sc"), self.p
             )
         except (rootsys.IllegalType, rootsys.NotASublattice,
                 rootsys.BadCharacteristic, ValueError) as exc:
@@ -149,11 +157,14 @@ class Context:
         if self.route not in ("enumerate", "classify"):
             raise ConfigError(f"unknown route {self.route!r}")
         curve = cfg["curve"]
+        genus = curve.get("genus")
+        if type(genus) is not int:
+            raise ConfigError(f"curve.genus must be an integer, got {genus!r}")
         try:
             self.curve = predictions.CurveData(
-                curve["genus"], curve["place_degrees"]
+                genus, curve["place_degrees"]
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid curve data: {exc}") from exc
         rank = self.datum.root_system.rank
         chars = cfg.get("characters")
@@ -164,7 +175,7 @@ class Context:
                 )
             else:
                 self.spec = coefficients.CharacterSpec.from_record(chars, rank)
-        except (KeyError, ValueError, NotImplementedError) as exc:
+        except (KeyError, TypeError, ValueError, NotImplementedError) as exc:
             raise ConfigError(f"invalid character spec: {exc}") from exc
         if self.spec.num_places != self.curve.num_places:
             raise ConfigError(
@@ -357,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--route", choices=["enumerate", "classify"])
         p.add_argument("--format", choices=["json", "csv", "text"],
                        default="json")
-        p.add_argument("--threads", type=int, help="worker bound (results are "
-                       "deterministic and order-independent)")
         p.add_argument("--out", help="output file (default stdout)")
 
     for name in ("classify", "strata", "coeffs"):

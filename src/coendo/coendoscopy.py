@@ -18,6 +18,7 @@ cross-validation of the whole artifact.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 
@@ -506,26 +507,27 @@ def _strata_by_enumeration(datum, q, weyl, weyl_cap, point_cap) -> StrataPoset:
     rs = datum.root_system
     r = rs.rank
     masks, pos = centralizer_masks_for(datum, q, cap=point_cap)
-    groups: dict[int, list[int]] = {}
-    for idx, mask in enumerate(masks):
-        groups.setdefault(mask, []).append(idx)
-    strata = []
-    elliptic_masks = {}
-    for mask, point_idx in sorted(groups.items()):
+    subsystems = {}
+    for mask in sorted(set(masks)):
         indices = [pos[b] for b in range(len(pos)) if mask >> b & 1]
         indices += [rs.negate[i] for i in indices]
         sub = Subsystem(rs, indices)
-        if sub.rank != r:
-            continue
-        pts = tuple(point_from_index(q, r, i).residues for i in point_idx)
+        if sub.rank == r:
+            subsystems[mask] = sub
+    # elliptic points are few: collect indices for their masks only
+    groups: dict[int, list[int]] = {mask: [] for mask in subsystems}
+    for idx in itertools.compress(range(len(masks)),
+                                  map(subsystems.__contains__, masks)):
+        groups[masks[idx]].append(idx)
+    strata = []
+    for mask, sub in subsystems.items():
+        pts = tuple(point_from_index(q, r, i).residues for i in groups[mask])
         z = subgroup_points(datum, q, sub)
         strata.append(Stratum(sub, z, len(pts), pts))
-        elliptic_masks[sub.key] = mask
     poset = StrataPoset(datum, q, "enumerate", _sort_strata(strata), weyl,
                         weyl_cap=weyl_cap)
     poset._masks = masks
-    poset._positive = pos
-    poset._mask_of = elliptic_masks
+    poset._mask_of = {sub.key: mask for mask, sub in subsystems.items()}
     return poset
 
 
@@ -593,40 +595,46 @@ class Verdict:
 
 
 def reeder_partition_check(poset: StrataPoset) -> Verdict:
-    """Exact check of Z_i(F_q) = disjoint union of S_j over j <= i."""
+    """Exact check of Z_i(F_q) = disjoint union of S_j over j <= i.
+
+    |Z_i| is counted afresh from the swept masks: a point lies in Z_i iff
+    its mask contains that of stratum i.  The points of the strata below
+    i are then checked one by one against the same masks.
+    """
     inst = f"{poset.datum.root_system}@q={poset.q}"
     if poset.route != "enumerate":
         return Verdict("reeder_partition", inst, False,
                        witness="requires an enumerate-route poset")
     masks = poset._masks
+    mask_counts = Counter(masks)
     r = poset.datum.root_system.rank
     for i, st in enumerate(poset.strata):
         mask_i = poset._mask_of[st.key]
-        zset = {idx for idx, mk in enumerate(masks) if mk & mask_i == mask_i}
-        if len(zset) != st.z_order:
+        direct = sum(count for mk, count in mask_counts.items()
+                     if mk & mask_i == mask_i)
+        if direct != st.z_order:
             return Verdict(
                 "reeder_partition", inst, False,
-                witness={"stratum": st.signature, "direct": len(zset),
+                witness={"stratum": st.signature, "direct": direct,
                          "group_order": st.z_order},
             )
         covered: set[int] = set()
-        total = 0
         for j in poset.below(i):
-            pts = poset.strata[j].s_points
             idxs = {
-                _index_of_point(poset.q, r, p) for p in pts
+                _index_of_point(poset.q, r, p)
+                for p in poset.strata[j].s_points
             }
             if covered & idxs:
                 return Verdict("reeder_partition", inst, False,
                                witness={"stratum": st.signature,
                                         "overlap_with": poset.strata[j].signature})
             covered |= idxs
-            total += len(idxs)
-        if covered != zset:
+        inside = sum(1 for idx in covered if masks[idx] & mask_i == mask_i)
+        if inside != direct or inside != len(covered):
             return Verdict("reeder_partition", inst, False,
                            witness={"stratum": st.signature,
-                                    "missing": len(zset - covered),
-                                    "extra": len(covered - zset)})
+                                    "missing": direct - inside,
+                                    "extra": len(covered) - inside})
     return Verdict("reeder_partition", inst, True,
                    details={"strata": len(poset.strata)})
 

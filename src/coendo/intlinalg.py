@@ -8,6 +8,7 @@ sympy's integer-matrix kernel.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -89,19 +90,23 @@ def det(a) -> Fraction:
 
 
 def rank(rows) -> int:
-    """Rank over the rationals."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Rank over the rationals, by fraction-free integer elimination."""
+    m = [[int(x) for x in row] for row in rows]
     r = 0
     ncols = len(m[0]) if m else 0
     for j in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][j] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][j]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        for i in range(len(m)):
-            if i != r and m[i][j]:
-                f = m[i][j] / m[r][j]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        top = m[r]
+        a = top[j]
+        for i in range(r + 1, len(m)):
+            b = m[i][j]
+            if b:
+                row = [a * x - b * y for x, y in zip(m[i], top)]
+                g = math.gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         r += 1
         if r == len(m):
             break

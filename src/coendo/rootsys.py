@@ -666,6 +666,15 @@ def make_datum(factors, lattice="sc", p: int = 5) -> GroupDatum:
     elif lattice == "ad":
         lat = Lattice("ad", il.identity(rs.rank))
     else:
+        n = rs.rank
+        if not (isinstance(lattice, (list, tuple)) and len(lattice) == n
+                and all(isinstance(row, (list, tuple)) and len(row) == n
+                        and all(type(x) is int for x in row)
+                        for row in lattice)):
+            raise ValueError(
+                f'lattice must be "sc", "ad" or a {n} x {n} integer matrix, '
+                f"got {lattice!r}"
+            )
         lat = Lattice("custom", il.mat(lattice))
     return GroupDatum(rs, lat, p)
 

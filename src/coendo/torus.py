@@ -10,9 +10,10 @@ same machinery runs over any extension field.
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property
 
-from . import _kernels, intlinalg as il
+from . import intlinalg as il
 from .rootsys import (
     CapExceeded,
     FiniteAbelianGroup,
@@ -314,14 +315,53 @@ def subgroup_points(datum: GroupDatum, q: int, sub: Subsystem) -> FiniteAbelianG
     return abelian_from_cyclic(gens, orders, modulus=m)
 
 
+# Byte offset, within a native 8-byte word, of bits 8g..8g+7.
+_PLANE_OFFSET = tuple(range(8) if sys.byteorder == "little" else range(7, -1, -1))
+
+
+def centralizer_masks(rows, m):
+    """Vanishing bitmasks of the given functionals over all points of (Z/m)^r.
+
+    ``rows`` is a k x r integer matrix (k <= 64).  Points v run through
+    (Z/m)^r with the last coordinate varying fastest; entry ``idx`` of the
+    result has bit i set iff rows[i]·v == 0 mod m.
+
+    No Python code runs per point.  Row i becomes a byte string over all
+    points holding ``1 << (i % 8)`` where it vanishes, built coordinate by
+    coordinate from the last one: ``ind[d]`` is that string over the
+    coordinates j.. given the residue d of the dot product with the ones
+    before j, and it is the join of the m strings ``ind[(d + a_j·x) % m]``.
+    Each group of 8 rows is OR-ed into one byte plane, and plane g fills
+    byte g of every native 8-byte word of a single buffer.
+    """
+    k = len(rows)
+    if k > 64:
+        raise ValueError("at most 64 rows supported")
+    r = len(rows[0])
+    n = m**r
+    buf = bytearray(8 * n)
+    for g in range(0, k, 8):
+        plane = 0
+        for i in range(g, min(g + 8, k)):
+            ind = [bytes([1 << (i % 8)])] + [b"\0"] * (m - 1)
+            for j in range(r - 1, -1, -1):
+                steps = [rows[i][j] * x % m for x in range(m)]
+                # ind[(d + s) % m] for s in steps, as a gather from a rotation
+                ind = [b"".join(map((ind[d:] + ind[:d]).__getitem__, steps))
+                       for d in (range(m) if j else (0,))]
+            plane |= int.from_bytes(ind[0], "little")
+        buf[_PLANE_OFFSET[g // 8]::8] = plane.to_bytes(n, "little")
+    return memoryview(buf).cast("Q").tolist()
+
+
 def centralizer_masks_for(datum: GroupDatum, q: int, cap: int = DEFAULT_POINT_CAP,
                           chunk: int = 64):
     """Vanishing masks over the positive roots for every point of T(F_q).
 
     Returns (masks, positive_root_indices).  Entry idx corresponds to
     ``point_from_index(q, r, idx)``; bit b of a mask is set iff the root
-    ``positive_root_indices[b]`` kills that point.  Masks wider than the
-    kernel word (or ``chunk``) are assembled from several kernel passes.
+    ``positive_root_indices[b]`` kills that point.  Masks wider than 64
+    bits (or ``chunk``) are assembled from several sweeps.
     """
     rs = datum.root_system
     m = q - 1
@@ -332,12 +372,8 @@ def centralizer_masks_for(datum: GroupDatum, q: int, cap: int = DEFAULT_POINT_CA
     funcs = datum.root_functionals
     rows = [funcs[i] for i in pos]
     chunk = min(chunk, 64)
-    masks = None
-    for lo in range(0, len(rows), chunk):
-        part = _kernels.centralizer_masks(rows[lo:lo + chunk], m)
-        if masks is None:
-            masks = list(part)
-        else:
-            for idx in range(total):
-                masks[idx] |= int(part[idx]) << lo
+    masks = centralizer_masks(rows[:chunk], m)
+    for lo in range(chunk, len(rows), chunk):
+        part = centralizer_masks(rows[lo:lo + chunk], m)
+        masks = [mask | hi << lo for mask, hi in zip(masks, part)]
     return masks, pos

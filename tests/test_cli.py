@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from coendo import cli
 
 
@@ -157,15 +159,12 @@ def test_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_threads_flag_does_not_change_output(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert cli.main(["coeffs", "--type", "B2", "--q", "5", "--threads", "1",
-                     "--out", str(a)]) == 0
-    assert cli.main(["coeffs", "--type", "B2", "--q", "5", "--threads", "4",
-                     "--out", str(b)]) == 0
-    ja, jb = json.loads(a.read_text()), json.loads(b.read_text())
-    ja.pop("config_hash"), jb.pop("config_hash")
-    assert ja == jb
+def test_threads_flag_removed(capsys):
+    # there is no worker pool, so there is no thread-count flag
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["coeffs", "--type", "B2", "--q", "5", "--threads", "4"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_verify_small_manifest(tmp_path, capsys):
@@ -281,4 +280,25 @@ def test_counts_without_rows_exits_2(tmp_path, capsys):
             capsys)
         assert code == 2
         assert err.startswith("config error:") and "rows" in err
+        assert err.count("\n") == 1
+
+
+def test_config_shapes_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for raw, key in [({"group": "B2"}, "group"),
+                     ([{"q": 5}], "JSON object"),
+                     ({"curve": {"genus": "x"}}, "curve.genus"),
+                     ({"curve": [1]}, "curve"),
+                     ({"characters": {"places": 3}}, "character spec"),
+                     ({"characters": 3}, "character spec"),
+                     ({"group": {"factors": "B2"}}, "group.factors"),
+                     ({"group": {"factors": ["B2"], "lattice": [[1, 0], [0]]}},
+                      "lattice"),
+                     ({"group": {"factors": ["B2"], "lattice": [[1, 0]]}},
+                      "lattice"),
+                     ({"group": {"factors": ["B2"], "lattice": 5}}, "lattice")]:
+        cfg.write_text(json.dumps(raw))
+        code, _, err = run(["coeffs", "--config", str(cfg)], capsys)
+        assert code == 2, raw
+        assert err.startswith("config error:") and key in err, err
         assert err.count("\n") == 1

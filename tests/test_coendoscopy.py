@@ -228,6 +228,41 @@ def test_reeder_partition_grid():
         assert verdict.passed, verdict.witness
 
 
+def test_reeder_partition_witnesses():
+    # each corruption of an enumerate-route poset trips its own check
+    def corrupted(change):
+        poset = C.strata_poset(datum_for("B2", "sc", 5), 5, "enumerate")
+        assert [s.signature for s in poset.strata] == ["B2", "A1xA1"]
+        change(poset, *poset.strata)
+        verdict = C.reeder_partition_check(poset)
+        assert not verdict.passed
+        return verdict.witness
+
+    def set_z(poset, b2, a1a1):
+        b2.z_order = 3
+
+    def drop_point(poset, b2, a1a1):
+        a1a1.s_points = a1a1.s_points[1:]
+
+    def add_outside_point(poset, b2, a1a1):
+        mask = poset._mask_of[a1a1.key]
+        idx = next(i for i, mk in enumerate(poset._masks) if mk & mask != mask)
+        outside = T.point_from_index(5, 2, idx)
+        a1a1.s_points += (outside.residues,)
+
+    def repeat_lower_point(poset, b2, a1a1):
+        a1a1.s_points = (b2.s_points[0],) + a1a1.s_points[1:]
+
+    assert corrupted(set_z) == {"stratum": "B2", "direct": 2,
+                                "group_order": 3}
+    assert corrupted(drop_point) == {"stratum": "A1xA1", "missing": 1,
+                                     "extra": 0}
+    assert corrupted(add_outside_point) == {"stratum": "A1xA1", "missing": 0,
+                                            "extra": 1}
+    assert corrupted(repeat_lower_point) == {"stratum": "A1xA1",
+                                             "overlap_with": "A1xA1"}
+
+
 def test_reeder_needs_points():
     datum = datum_for("A1", "sc", 5)
     poset = C.strata_poset(datum, 5, "classify")

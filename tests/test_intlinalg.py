@@ -2,6 +2,10 @@ import random
 
 from fractions import Fraction
 
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from coendo import intlinalg as il
 
 
@@ -95,3 +99,14 @@ def test_rank():
     assert il.rank([[1, 2], [2, 4]]) == 1
     assert il.rank([[1, 0], [0, 1]]) == 2
     assert il.rank([[0, 0]]) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+                min_size=1, max_size=5),
+       st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                min_size=3, max_size=3))
+def test_rank_matches_sympy(left, right):
+    # products of random factors give rank-deficient matrices as well
+    for rows in (left, il.matmul(left, right)):
+        assert il.rank(rows) == sympy.Matrix(rows).rank()

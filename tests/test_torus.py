@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coendo import rootsys as R
 from coendo import torus as T
@@ -192,6 +195,55 @@ def test_masks_match_direct_computation():
         for b, i in enumerate(pos):
             vanishes = sum(a * b_ for a, b_ in zip(funcs[i], v)) % m == 0
             assert bool(mask >> b & 1) == vanishes
+
+
+def test_kernel_backend_is_python():
+    import coendo
+
+    assert coendo.KERNEL_BACKEND == "python"
+
+
+def test_centralizer_masks_small():
+    # single row (2) mod 4: vanishes at v = 0 and 2
+    assert T.centralizer_masks([(2,)], 4) == [1, 0, 1, 0]
+    # ordering: last coordinate fastest
+    out = T.centralizer_masks([(1, 0), (0, 1)], 3)
+    assert len(out) == 9
+    assert out[0] == 0b11  # v = (0,0)
+    assert out[1] == 0b01  # v = (0,1): first row still vanishes
+    assert out[3] == 0b10  # v = (1,0)
+
+
+def test_centralizer_masks_row_limit():
+    with pytest.raises(ValueError):
+        T.centralizer_masks([(1,)] * 65, 3)
+
+
+@st.composite
+def sweep_cases(draw):
+    r = draw(st.integers(1, 4))
+    m = draw(st.sampled_from(
+        [1, 2, 3, 4, 6, 12] + ([256, 257] if r <= 2 else [])))
+    # keep the per-point check below to about 50,000 dot products
+    k = draw(st.integers(1, max(1, min(64, 50_000 // m**r))))
+    entry = st.integers(-3 * m - 5, 3 * m + 5)
+    rows = draw(st.lists(st.tuples(*[entry] * r), min_size=k, max_size=k))
+    return rows, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_cases())
+def test_centralizer_masks_match_dot_products(case):
+    rows, m = case
+    r = len(rows[0])
+    out = T.centralizer_masks(rows, m)
+    assert len(out) == m**r
+    want = [
+        sum(1 << i for i, row in enumerate(rows)
+            if sum(a * x for a, x in zip(row, v)) % m == 0)
+        for v in itertools.product(range(m), repeat=r)
+    ]
+    assert out == want
 
 
 def test_masks_chunked_assembly():
