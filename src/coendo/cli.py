@@ -34,6 +34,16 @@ DEFAULT_CONFIG = {
 }
 
 
+# Keys a config file may set inside each object-valued section: those of
+# DEFAULT_CONFIG, and group.p, which is checked against the characteristic
+# of q.
+_SECTION_KEYS = {
+    "group": {"factors", "lattice", "p"},
+    "curve": set(DEFAULT_CONFIG["curve"]),
+    "caps": set(DEFAULT_CONFIG["caps"]),
+}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -54,12 +64,18 @@ def load_config(args) -> dict:
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(
                 f"config must be a JSON object, got {type(file_cfg).__name__}"
             )
+        unknown = [key for key in file_cfg if key not in DEFAULT_CONFIG]
+        unknown += [f"{key}.{sub}" for key, allowed in _SECTION_KEYS.items()
+                    if isinstance(file_cfg.get(key), dict)
+                    for sub in file_cfg[key] if sub not in allowed]
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         cfg = _merge(cfg, file_cfg)
     overrides = {}
     if getattr(args, "type", None):
@@ -71,9 +87,14 @@ def load_config(args) -> dict:
     if getattr(args, "genus", None) is not None:
         overrides["curve"] = {"genus": args.genus}
     if getattr(args, "degrees", None):
-        overrides.setdefault("curve", {})["place_degrees"] = [
-            int(x) for x in args.degrees.split(",")
-        ]
+        try:
+            degrees = [int(x) for x in args.degrees.split(",")]
+        except ValueError as exc:
+            raise ConfigError(
+                f"--degrees must be comma-separated integers, got "
+                f"{args.degrees!r}"
+            ) from exc
+        overrides.setdefault("curve", {})["place_degrees"] = degrees
     if getattr(args, "convention", None):
         overrides["convention"] = args.convention
     if getattr(args, "route", None):
@@ -95,7 +116,7 @@ def load_counts(path: str) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read counts: {exc}") from exc
     rows = raw.get("rows") if isinstance(raw, dict) else None
     if not isinstance(rows, list):
@@ -112,6 +133,33 @@ def load_counts(path: str) -> dict:
     return counts
 
 
+def load_manifest(path: str) -> list[dict]:
+    """The instances of a verify manifest file, each a known check."""
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read manifest: {exc}") from exc
+    if not isinstance(manifest, list):
+        raise ConfigError(
+            f"manifest must be a JSON list, got {type(manifest).__name__}"
+        )
+    for inst in manifest:
+        check = inst.get("check") if isinstance(inst, dict) else None
+        if not isinstance(check, str) or check not in oracle.MANIFEST_CHECKS:
+            raise ConfigError(
+                f"manifest entries need a 'check' out of "
+                f"{', '.join(oracle.MANIFEST_CHECKS)}: {inst!r}"
+            )
+        missing = [key for key in oracle.MANIFEST_CHECKS[check]
+                   if key not in inst]
+        if missing:
+            raise ConfigError(
+                f"manifest entry {inst!r} lacks {', '.join(missing)}"
+            )
+    return manifest
+
+
 def config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -126,7 +174,7 @@ class Context:
         if not isinstance(q, int) or q < 3:
             raise ConfigError(f"q must be a prime power >= 3, got {q!r}")
         try:
-            self.p = coendoscopy._char_of(q)
+            self.p = rootsys.characteristic_of(q)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         group = cfg["group"]
@@ -288,8 +336,7 @@ def cmd_verify(manifest_path: str) -> dict:
     if manifest_path == "default":
         manifest = oracle.default_manifest()
     else:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+        manifest = load_manifest(manifest_path)
     verdicts = oracle.run_manifest(manifest)
     return {
         "format_version": FORMAT_VERSION,

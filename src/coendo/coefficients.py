@@ -331,13 +331,6 @@ class NTable:
     def total_abs(self) -> int:
         return sum(row.n_abs_sum for row in self.rows)
 
-    def minimal_rows(self) -> list[NTableRow]:
-        full = len(self.datum.root_system.roots)
-        return [
-            row for row in self.rows
-            if len(row.stratum.subsystem.indices) == full
-        ]
-
     def to_records(self):
         return [row.to_record() for row in self.rows]
 

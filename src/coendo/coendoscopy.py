@@ -43,8 +43,6 @@ from .torus import (
     subgroup_points,
 )
 
-_char_of = characteristic_of
-
 WHOLE_GROUP = "WHOLE_GROUP"
 
 
@@ -470,11 +468,6 @@ def _mobius(leq) -> dict[tuple[int, int], int]:
     return table
 
 
-def mobius(poset: StrataPoset) -> dict[tuple[int, int], int]:
-    """Möbius function of the strata poset (also stored on the poset)."""
-    return poset.mobius_table
-
-
 def _sort_strata(strata: list[Stratum]) -> list[Stratum]:
     return sorted(
         strata, key=lambda st: (-len(st.subsystem.indices), st.key)
@@ -685,7 +678,7 @@ def rationality_tables_check(t: SimpleType, q: int) -> tuple[Verdict, Verdict]:
     the geometric center."""
     from .rootsys import geometric_center_order, make_datum
 
-    p = _char_of(q)
+    p = characteristic_of(q)
     datum = make_datum([f"{t.family}{t.rank}"], "sc", p)
     inst = f"{t}@q={q}"
     classes = classify(datum, q)

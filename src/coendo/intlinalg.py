@@ -2,8 +2,9 @@
 
 Matrices are tuples of row tuples (immutable, hashable); vectors are
 tuples.  Everything is exact: integer arithmetic where possible,
-``fractions.Fraction`` elsewhere.  Smith normal forms are delegated to
-sympy's integer-matrix kernel.
+``fractions.Fraction`` elsewhere.  Smith normal forms come from
+elementary row and column operations on integer matrices, which is quick
+at the sizes used here (at most 8 x 8).
 """
 
 from __future__ import annotations
@@ -11,10 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Sequence
-
-from sympy.polys.domains import ZZ
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -53,10 +50,6 @@ def add(u, v):
 
 def neg(u):
     return tuple(-x for x in u)
-
-
-def scale(c, u):
-    return tuple(c * x for x in u)
 
 
 def columns(a: Matrix) -> list[Vector]:
@@ -154,23 +147,82 @@ def solve_int(a, y) -> Vector | None:
     return tuple(int(c) for c in x)
 
 
-def _to_domain(a) -> DomainMatrix:
-    rows = [[ZZ(int(x)) for x in row] for row in a]
-    return DomainMatrix(rows, (len(a), len(a[0])), ZZ)
-
-
 def snf_transform(a) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form with transforms: returns (d, u, v) with u·a·v = d."""
-    d, u, v = smith_normal_decomp(_to_domain(a))
-    return (
-        mat([[int(x) for x in row] for row in d.to_list()]),
-        mat([[int(x) for x in row] for row in u.to_list()]),
-        mat([[int(x) for x in row] for row in v.to_list()]),
-    )
+    """Smith normal form with transforms: returns (d, u, v) with u·a·v = d.
+
+    ``a`` is any k x r integer matrix; u (k x k) and v (r x r) are
+    unimodular.  d is diagonal, and its nonzero entries come first, are
+    positive and form a divisibility chain d_1 | d_2 | ....
+
+    At step t the entry of smallest nonzero absolute value in the block
+    d[t:][t:] becomes the pivot.  Its column and row are cleared by floor
+    division; a nonzero remainder is smaller than the pivot and becomes the
+    next one.  Once both are clear, a row holding an entry the pivot does
+    not divide is added to the pivot row, so the next clearing leaves a
+    smaller remainder.  The pivot strictly shrinks each time, so this ends,
+    with a pivot dividing the whole remaining block.
+    """
+    k = len(a)
+    r = len(a[0]) if k else 0
+    d = [[int(x) for x in row] for row in a]
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    # vt holds the columns of v, so column operations are row operations.
+    vt = [[int(i == j) for j in range(r)] for i in range(r)]
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        vt[i], vt[j] = vt[j], vt[i]
+
+    def add_row(i, j, c):
+        """row i += c · row j"""
+        d[i] = [x + c * y for x, y in zip(d[i], d[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+
+    def add_col(i, j, c):
+        """column i += c · column j"""
+        for row in d:
+            row[i] += c * row[j]
+        vt[i] = [x + c * y for x, y in zip(vt[i], vt[j])]
+
+    for t in range(min(k, r)):
+        block = [(abs(d[i][j]), i, j) for i in range(t, k) for j in range(t, r)
+                 if d[i][j]]
+        if not block:
+            break
+        _, i, j = min(block)
+        swap_rows(t, i)
+        swap_cols(t, j)
+        while True:
+            p = d[t][t]
+            for i in range(t + 1, k):
+                if d[i][t]:
+                    add_row(i, t, -(d[i][t] // p))
+            for j in range(t + 1, r):
+                if d[t][j]:
+                    add_col(j, t, -(d[t][j] // p))
+            rest = [(abs(d[i][t]), 0, i) for i in range(t + 1, k) if d[i][t]]
+            rest += [(abs(d[t][j]), 1, j) for j in range(t + 1, r) if d[t][j]]
+            if rest:
+                _, is_col, i = min(rest)
+                (swap_cols if is_col else swap_rows)(t, i)
+                continue
+            bad = next((i for i in range(t + 1, k)
+                        if any(x % p for x in d[i][t + 1:])), None)
+            if bad is None:
+                break
+            add_row(t, bad, 1)
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+    return mat(d), mat(u), transpose(mat(vt))
 
 
 def invariant_factors(a) -> list[int]:
-    """Nonzero diagonal of the Smith form, made positive, divisibility chain."""
+    """Nonzero diagonal of the Smith form: positive, a divisibility chain."""
     d, _, _ = snf_transform(a)
-    out = [abs(d[i][i]) for i in range(min(len(d), len(d[0]))) if d[i][i] != 0]
-    return out
+    return [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i]]

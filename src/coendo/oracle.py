@@ -15,6 +15,7 @@ import random
 from .rootsys import (
     GroupDatum,
     SimpleType,
+    characteristic_of,
     geometric_center_order,
     make_datum,
     very_good_check,
@@ -25,7 +26,6 @@ from .torus import DEFAULT_POINT_CAP, subgroup_points
 from .coendoscopy import (
     StrataPoset,
     Verdict,
-    _char_of,
     borel_de_siebenthal,
     canonical_subset,
     car_divisor,
@@ -43,8 +43,6 @@ from .coefficients import (
     stratum_sum,
     total_character,
 )
-
-OracleVerdict = Verdict
 
 DEFAULT_QS = (5, 7, 9, 13, 25)
 
@@ -283,7 +281,7 @@ def bds_cross_check(t: SimpleType | str, q: int | None = None,
         if q is None:
             return Verdict("bds_cross", f"{t}", False,
                            witness="no admissible q in the default grid")
-    p = _char_of(q)
+    p = characteristic_of(q)
     datum = make_datum([repr(t)], "sc", p)
     weyl = weyl_generate(datum.root_system)
     poset = strata_poset(datum, q, "enumerate", weyl=weyl, point_cap=point_cap)
@@ -344,7 +342,7 @@ def admissible_q(t: SimpleType, q: int, point_cap: int = DEFAULT_POINT_CAP,
                  weyl_cap: int = 1_000_000) -> bool:
     """Very good characteristic, table divisibility, and both caps."""
     try:
-        p = _char_of(q)
+        p = characteristic_of(q)
     except ValueError:
         return False
     if not very_good_check(p, [t]):
@@ -417,15 +415,27 @@ def default_manifest() -> list[dict]:
     return manifest
 
 
+# The keys run_instance reads from a manifest entry of each check, besides
+# "check" (bds_cross also takes an optional "q").
+MANIFEST_CHECKS = {
+    "brute_strata": ("factors", "lattice", "q"),
+    "bds_cross": ("type",),
+    "field_extension": ("factors", "lattice", "q", "seed", "n"),
+    "cyclotomic_grid": ("factors", "lattice", "q", "samples", "seed"),
+}
+
+
 def run_instance(inst: dict) -> Verdict:
     check = inst["check"]
     if check == "brute_strata":
-        datum = make_datum(inst["factors"], inst["lattice"], _char_of(inst["q"]))
+        datum = make_datum(inst["factors"], inst["lattice"],
+                           characteristic_of(inst["q"]))
         return brute_strata_check(datum, inst["q"])
     if check == "bds_cross":
         return bds_cross_check(inst["type"], inst.get("q"))
     if check == "field_extension":
-        datum = make_datum(inst["factors"], inst["lattice"], _char_of(inst["q"]))
+        datum = make_datum(inst["factors"], inst["lattice"],
+                           characteristic_of(inst["q"]))
         rng = random.Random(inst["seed"])
         spec = random_spec(datum.root_system.rank, 2, rng)
         return field_extension_check(datum, spec, inst["q"], inst["n"])
@@ -437,7 +447,7 @@ def run_instance(inst: dict) -> Verdict:
 def cyclotomic_grid_check(inst: dict) -> Verdict:
     """Randomized characters: Möbius-route sums against cyclotomic sums."""
     q = inst["q"]
-    datum = make_datum(inst["factors"], inst["lattice"], _char_of(q))
+    datum = make_datum(inst["factors"], inst["lattice"], characteristic_of(q))
     weyl = weyl_generate(datum.root_system)
     poset = strata_poset(datum, q, "enumerate", weyl=weyl)
     rng = random.Random(inst["seed"])

@@ -520,7 +520,7 @@ def abelian_from_cyclic(generators, orders, modulus=None) -> FiniteAbelianGroup:
     new_gens = []
     new_orders = []
     for j in range(len(pairs)):
-        order = abs(d[j][j])
+        order = d[j][j]
         if order <= 1:
             continue
         g = tuple(
@@ -550,7 +550,7 @@ def lattice_quotient(big: Lattice, small: Lattice) -> FiniteAbelianGroup:
     invariants = []
     generators = []
     for j in range(n):
-        dj = abs(d[j][j])
+        dj = d[j][j]
         if dj > 1:
             invariants.append(dj)
             generators.append(tuple(row[j] for row in new_basis))
@@ -607,16 +607,13 @@ class GroupDatum:
         verdict = very_good_check(p, rs.simple_factors)
         if not verdict:
             raise BadCharacteristic("; ".join(verdict.reasons))
+        self.weyl_on_cochar: dict[int, Matrix] = {}
 
     @cached_property
     def root_functionals(self) -> tuple[Vector, ...]:
         """Every root as an integer functional on X_* coordinates."""
         b = self.cochar.basis
         return tuple(il.vecmat(rt.coeffs, b) for rt in self.root_system.roots)
-
-    @cached_property
-    def weyl_on_cochar(self) -> dict:
-        return {}
 
     def weyl_matrix_x(self, weyl: WeylGroup, i: int) -> Matrix:
         """Matrix of element i in the X_* basis (integer)."""

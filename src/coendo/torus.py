@@ -305,7 +305,7 @@ def subgroup_points(datum: GroupDatum, q: int, sub: Subsystem) -> FiniteAbelianG
     gens = []
     orders = []
     for j in range(r):
-        dj = abs(d[j][j]) if j < k else 0
+        dj = d[j][j] if j < k else 0
         order = math.gcd(dj, m) if dj else m
         if order > 1:
             mult = m // order

@@ -94,7 +94,7 @@ def _grid():
         t = R.SimpleType.parse(name)
         for q in O.DEFAULT_QS:
             if O.admissible_q(t, q):
-                datum = R.make_datum([name], "sc", C._char_of(q))
+                datum = R.make_datum([name], "sc", R.characteristic_of(q))
                 weyl = R.weyl_generate(datum.root_system)
                 poset = C.strata_poset(datum, q, "enumerate", weyl=weyl)
                 GRID_POSETS[(name, q)] = (datum, weyl, poset)
@@ -154,7 +154,7 @@ def test_criterion_5_coefficient_correctness():
     failures = []
     for name, lat in COEFF_GROUPS:
         for q in COEFF_QS:
-            datum = R.make_datum([name], lat, C._char_of(q))
+            datum = R.make_datum([name], lat, R.characteristic_of(q))
             weyl = R.weyl_generate(datum.root_system)
             poset = C.strata_poset(datum, q, "enumerate", weyl=weyl)
             rank = datum.root_system.rank
@@ -185,7 +185,7 @@ def test_criterion_6_minimal_stratum_value():
     failures = []
     for name, lat in COEFF_GROUPS:
         for q in COEFF_QS:
-            datum = R.make_datum([name], lat, C._char_of(q))
+            datum = R.make_datum([name], lat, R.characteristic_of(q))
             weyl = R.weyl_generate(datum.root_system)
             poset = C.strata_poset(datum, q, "classify", weyl=weyl)
             i0 = poset.minimal_index
@@ -214,7 +214,7 @@ def test_criterion_7_bound():
     failures = []
     for name, lat in COEFF_GROUPS:
         for q in COEFF_QS:
-            datum = R.make_datum([name], lat, C._char_of(q))
+            datum = R.make_datum([name], lat, R.characteristic_of(q))
             weyl = R.weyl_generate(datum.root_system)
             poset = C.strata_poset(datum, q, "classify", weyl=weyl)
             for nf in (1, 2):
@@ -237,7 +237,7 @@ def test_criterion_8_field_extension():
     for inst in O.FIELD_EXTENSION_INSTANCES:
         for n in (2, 3):
             datum = R.make_datum(inst["factors"], inst["lattice"],
-                                 C._char_of(inst["q"]))
+                                 R.characteristic_of(inst["q"]))
             rng = random.Random(inst["seed"] + n)
             spec = O.random_spec(datum.root_system.rank, 2, rng)
             v = O.field_extension_check(datum, spec, inst["q"], n)

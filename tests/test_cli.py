@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -302,3 +306,73 @@ def test_config_shapes_exit_2(tmp_path, capsys):
         assert code == 2, raw
         assert err.startswith("config error:") and key in err, err
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content,key", [
+    (None, "No such file"),
+    (b"[1", "cannot read manifest"),
+    (b"\xff\xfe", "cannot read manifest"),
+    (b'{"a": 1}', "JSON list"),
+    (b"[3]", "'check'"),
+    (b'[{"check": "nope"}]', "'check'"),
+    (b'[{"check": ["brute_strata"]}]', "'check'"),
+    (b'[{"check": "brute_strata", "q": 5}]', "lacks factors, lattice"),
+], ids=["missing", "malformed", "not-utf8", "object", "entry-not-object",
+        "unknown-check", "unhashable-check", "missing-keys"])
+def test_bad_manifest_exits_2(tmp_path, capsys, content, key):
+    manifest = tmp_path / "m.json"
+    if content is not None:
+        manifest.write_bytes(content)
+    code, out, err = run(["verify", "--manifest", str(manifest)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and key in err, err
+    assert err.count("\n") == 1
+
+
+def test_non_integer_degrees_exit_2(capsys):
+    code, _, err = run(["coeffs", "--type", "B2", "--q", "5",
+                        "--degrees", "a,b"], capsys)
+    assert code == 2
+    assert err.startswith("config error: --degrees") and err.count("\n") == 1
+
+
+def test_unknown_config_keys_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for raw, key in [({"threads": 4}, "threads"),
+                     ({"group": {"factors": ["B2"], "lattic": "ad"}},
+                      "group.lattic"),
+                     ({"curve": {"genus": 1, "degrees": [1, 1]}},
+                      "curve.degrees"),
+                     ({"caps": {"wyl": 10}}, "caps.wyl")]:
+        cfg.write_text(json.dumps(raw))
+        code, _, err = run(["coeffs", "--config", str(cfg)], capsys)
+        assert code == 2, raw
+        assert err.startswith("config error: unknown config keys") \
+            and key in err, err
+        assert err.count("\n") == 1
+
+
+def test_non_utf8_config_and_counts_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    for argv, key in [(["coeffs", "--config", str(bad)], "cannot read config"),
+                      (["predict", "--type", "A1", "--counts", str(bad)],
+                       "cannot read counts")]:
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith(f"config error: {key}") and err.count("\n") == 1
+
+
+def test_sympy_not_imported_at_runtime():
+    # sympy is a test-only reference: importing the CLI and running a
+    # command must not load it
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys\n"
+            "import coendo.cli\n"
+            "assert coendo.cli.main(['coeffs', '--type', 'B2', '--q', '5',"
+            " '--out', sys.argv[1]]) == 0\n"
+            "print('sympy' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code, os.devnull], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

@@ -10,7 +10,7 @@ from coendo import torus as T
 
 
 def setup_group(name, lat, q):
-    datum = R.make_datum([name], lat, C._char_of(q))
+    datum = R.make_datum([name], lat, R.characteristic_of(q))
     weyl = R.weyl_generate(datum.root_system)
     poset = C.strata_poset(datum, q, "enumerate", weyl=weyl)
     return datum, weyl, poset

@@ -6,7 +6,7 @@ from coendo import torus as T
 
 
 def datum_for(name, lat, q):
-    return R.make_datum([name], lat, C._char_of(q))
+    return R.make_datum([name], lat, R.characteristic_of(q))
 
 
 def test_bds_g2():

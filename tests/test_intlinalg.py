@@ -5,6 +5,7 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import invariant_factors
 
 from coendo import intlinalg as il
 
@@ -110,3 +111,38 @@ def test_rank_matches_sympy(left, right):
     # products of random factors give rank-deficient matrices as well
     for rows in (left, il.matmul(left, right)):
         assert il.rank(rows) == sympy.Matrix(rows).rank()
+
+
+@st.composite
+def int_matrices(draw):
+    """k x r integer matrices, 1 <= k, r <= 6, some rows zero.
+
+    Small entries give rank-deficient matrices and long divisibility
+    chains; large ones stress the growth of the transforms.
+    """
+    k = draw(st.integers(1, 6))
+    r = draw(st.integers(1, 6))
+    bound = draw(st.sampled_from([3, 10**9]))
+    rows = draw(st.lists(st.lists(st.integers(-bound, bound),
+                                  min_size=r, max_size=r),
+                         min_size=k, max_size=k))
+    zero = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    return il.mat([[0] * r if z else row for row, z in zip(rows, zero)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_snf_transform_properties(a):
+    k, r = len(a), len(a[0])
+    d, u, v = il.snf_transform(a)
+    assert il.matmul(il.matmul(u, a), v) == d
+    assert abs(il.det(u)) == 1 and abs(il.det(v)) == 1
+    assert all(d[i][j] == 0 for i in range(k) for j in range(r) if i != j)
+    diag = [d[i][i] for i in range(min(k, r))]
+    nonzero = [x for x in diag if x]
+    assert diag[:len(nonzero)] == nonzero
+    assert all(x > 0 for x in nonzero)
+    assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
+    expected = [abs(int(x)) for x in
+                invariant_factors(sympy.Matrix(a), domain=sympy.ZZ) if x]
+    assert nonzero == expected

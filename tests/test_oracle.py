@@ -40,7 +40,7 @@ def test_direct_stratum_sum_matches_sizes():
 def test_brute_strata_check_grid():
     for name, lat, q in [("A1", "sc", 5), ("A2", "sc", 7), ("B2", "sc", 5),
                          ("B2", "ad", 5), ("G2", "ad", 7), ("B3", "sc", 9)]:
-        datum = R.make_datum([name], lat, C._char_of(q))
+        datum = R.make_datum([name], lat, R.characteristic_of(q))
         verdict = O.brute_strata_check(datum, q)
         assert verdict.passed, (verdict.instance, verdict.witness)
 
@@ -88,7 +88,7 @@ def test_field_extension_precondition_reported():
 def test_field_extension_randomized():
     rng = random.Random(31)
     for name, lat, q in [("B2", "sc", 5), ("G2", "ad", 7)]:
-        datum = R.make_datum([name], lat, C._char_of(q))
+        datum = R.make_datum([name], lat, R.characteristic_of(q))
         weyl = R.weyl_generate(datum.root_system)
         for _ in range(5):
             spec = O.random_spec(2, rng.randint(1, 2), rng)

@@ -107,7 +107,7 @@ def test_component_count():
 
 
 def _table(name, lat, q, spec=None):
-    datum = R.make_datum([name], lat, C._char_of(q))
+    datum = R.make_datum([name], lat, R.characteristic_of(q))
     poset = C.strata_poset(datum, q, "enumerate")
     if spec is None:
         spec = K.CharacterSpec.trivial(datum.root_system.rank, 1)

@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coendo import intlinalg as il
@@ -306,6 +306,26 @@ def test_lattice_quotient_basis_independent():
         big2 = R.Lattice("big2", il.matmul(big.basis, u))
         small2 = R.Lattice("small2", il.matmul(small.basis, v))
         assert R.lattice_quotient(big2, small2).invariants == base
+
+
+def square_matrices(n, bound):
+    return st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(square_matrices(n, 3), square_matrices(n, 6))))
+def test_lattice_quotient_order_is_index(mats):
+    basis, m = (il.mat(x) for x in mats)
+    assume(il.det(basis) != 0 and il.det(m) != 0)
+    big = R.Lattice("big", basis)
+    small = R.Lattice("small", il.matmul(basis, m))
+    group = R.lattice_quotient(big, small)
+    assert group.order == abs(il.det(m))
+    for d, g in zip(group.invariants, group.generators):
+        assert big.contains(g)
+        assert small.contains(tuple(d * x for x in g))
 
 
 def test_pi1_orders():

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coendo import intlinalg as il
 from coendo import rootsys as R
 from coendo import torus as T
+from test_intlinalg import random_unimodular
 
 
 def full_subsystem(datum):
@@ -124,6 +126,51 @@ def test_subgroup_points_match_enumeration():
             for g in group.generators:
                 for i in sub.indices:
                     assert sum(a * b for a, b in zip(funcs[i], g)) % m == 0
+
+
+@st.composite
+def intermediate_data(draw):
+    """A datum whose X_* lies between the coroot and coweight lattices.
+
+    X_* is generated by the coroots and up to two coweights; its basis is
+    read off a Smith form of the generators and then changed at random.
+    """
+    name = draw(st.sampled_from(["A1", "A2", "A3", "B2", "C3", "G2",
+                                 "A1,A1", "A2,A1"]))
+    q = draw(st.sampled_from([5, 7, 13]))
+    rs = R.build_root_system(name.split(","))
+    r = rs.rank
+    extra = draw(st.lists(st.lists(st.integers(-2, 2), min_size=r, max_size=r),
+                          max_size=2))
+    gens = il.from_columns(il.columns(rs.cartan) + [tuple(x) for x in extra])
+    d, u, _ = il.snf_transform(gens)
+    basis = il.matmul(il.int_inverse(u), [row[:r] for row in d])
+    basis = il.matmul(basis, random_unimodular(draw(st.randoms()), r))
+    return R.GroupDatum(rs, R.Lattice("custom", basis), R.characteristic_of(q)), q
+
+
+@settings(max_examples=60, deadline=None)
+@given(intermediate_data(), st.data())
+def test_subgroup_points_match_enumeration_on_random_lattices(datum_q, data):
+    datum, q = datum_q
+    m = q - 1
+    r = datum.root_system.rank
+    funcs = datum.root_functionals
+    residues = data.draw(st.tuples(*[st.integers(0, m - 1)] * r))
+    sub = T.centralizer_subsystem(datum, T.TorusPoint(q, residues))
+    group = T.subgroup_points(datum, q, sub)
+    direct = {
+        p.residues for p in T.enumerate_points(datum, q)
+        if all(sum(a * b for a, b in zip(funcs[i], p.residues)) % m == 0
+               for i in sub.indices)
+    }
+    span = {
+        tuple(sum(c * g[t] for c, g in zip(cs, group.generators)) % m
+              for t in range(r))
+        for cs in itertools.product(*(range(d) for d in group.invariants))
+    }
+    assert group.order == len(direct)
+    assert span == direct
 
 
 def C_of(q):
