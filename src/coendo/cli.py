@@ -48,6 +48,10 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _merge(base, override):
     out = dict(base)
     for key, value in override.items():
@@ -104,7 +108,7 @@ def load_config(args) -> dict:
         if not isinstance(cfg[key], dict):
             raise ConfigError(f"{key} must be an object, got {cfg[key]!r}")
     for key, value in cfg["caps"].items():
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        if not _is_int(value) or value < 1:
             raise ConfigError(
                 f"caps.{key} must be a positive integer, got {value!r}"
             )
@@ -157,7 +161,52 @@ def load_manifest(path: str) -> list[dict]:
             raise ConfigError(
                 f"manifest entry {inst!r} lacks {', '.join(missing)}"
             )
+        _check_manifest_values(inst)
     return manifest
+
+
+def _check_manifest_values(inst: dict) -> None:
+    """Reject the values of a manifest entry that its check cannot run on.
+
+    The group datum itself is built only for an explicit lattice matrix:
+    for "sc" and "ad" the type names and the characteristic decide.
+    """
+    def fail(message):
+        raise ConfigError(f"manifest entry {inst!r}: {message}")
+
+    for key in ("n", "samples"):
+        if key in inst and not (_is_int(inst[key]) and inst[key] >= 1):
+            fail(f"{key} must be a positive integer")
+    if "seed" in inst and not _is_int(inst["seed"]):
+        fail("seed must be an integer")
+    q = inst.get("q")
+    p = None
+    if q is not None or inst["check"] != "bds_cross":
+        if not (_is_int(q) and q >= 3):
+            fail("q must be a prime power >= 3")
+        try:
+            p = rootsys.characteristic_of(q)
+        except ValueError as exc:
+            fail(str(exc))
+    if inst["check"] == "bds_cross":
+        factors, lattice = [inst["type"]], "sc"
+        if not isinstance(inst["type"], str):
+            fail('type must be a type name such as "B2"')
+    else:
+        factors, lattice = inst["factors"], inst["lattice"]
+        if not (isinstance(factors, list) and factors
+                and all(isinstance(f, str) for f in factors)):
+            fail('factors must be a list of type names such as ["B2"]')
+    try:
+        types = [rootsys.SimpleType.parse(f) for f in factors]
+        if p is not None and lattice not in ("sc", "ad"):
+            rootsys.make_datum(factors, lattice, p)
+    except ValueError as exc:
+        fail(str(exc))
+    if p is not None:
+        verdict = rootsys.very_good_check(p, types)
+        if not verdict:
+            fail("; ".join(verdict.reasons))
 
 
 def config_hash(cfg: dict) -> str:

@@ -198,6 +198,42 @@ def coset_representatives(poset: StrataPoset, stratum_index: int,
     return [rep for rep, _ in poset.weyl.cosets(subgroup)]
 
 
+def _infinity_terms(datum: GroupDatum, poset: StrataPoset,
+                    stratum_index: int, spec: CharacterSpec,
+                    convention: str) -> list[tuple[int, ...]]:
+    """The w.lambda_inf term of total_character, with its sign, for each
+    canonical C_W(iota)\\W representative w in order."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    sign = -1 if convention == "uniform-inverse" else 1
+    cw = poset.cw_indices(stratum_index)
+    return [
+        tuple(sign * x for x in
+              act_character(datum, poset.weyl, w, spec.infinity.lam))
+        for w in coset_representatives(poset, stratum_index, cw)
+    ]
+
+
+def _finite_term(datum: GroupDatum, weyl: WeylGroup, spec: CharacterSpec,
+                 reps) -> list[int]:
+    """-sum_v gamma_v.lambda_v, the part of total_character free of w."""
+    lam = [0] * datum.root_system.rank
+    for g, place in zip(reps, spec.finite):
+        moved = act_character(datum, weyl, g, place.lam)
+        lam = [a - b for a, b in zip(lam, moved)]
+    return lam
+
+
+def _row_sum(poset: StrataPoset, stratum_index: int, finite,
+             infinity_terms) -> int:
+    """Sum of the stratum sums of finite + t over the infinity terms t."""
+    return sum(
+        stratum_sum(tuple(a + b for a, b in zip(finite, t)), poset,
+                    stratum_index)
+        for t in infinity_terms
+    )
+
+
 def n_coefficient(
     datum: GroupDatum,
     poset: StrataPoset,
@@ -207,14 +243,13 @@ def n_coefficient(
     convention: str = "uniform-inverse",
 ) -> int:
     """The integer coefficient of one (stratum, coset tuple) row: the sum
-    over canonical C_W(iota)\\W representatives of the stratum sums."""
-    cw = poset.cw_indices(stratum_index)
-    reps = coset_representatives(poset, stratum_index, cw)
-    total = 0
-    for w in reps:
-        lam = total_character(datum, poset.weyl, spec, gamma, w, convention)
-        total += stratum_sum(lam, poset, stratum_index)
-    return total
+    over canonical C_W(iota)\\W representatives w of the stratum sums of
+    total_character(gamma, w)."""
+    return _row_sum(
+        poset, stratum_index,
+        _finite_term(datum, poset.weyl, spec, gamma.reps),
+        _infinity_terms(datum, poset, stratum_index, spec, convention),
+    )
 
 
 def _coset_rep_map(weyl: WeylGroup, subgroup):
@@ -229,7 +264,11 @@ def _coset_rep_map(weyl: WeylGroup, subgroup):
 def _tuple_orbits(poset: StrataPoset, stratum_index: int,
                   num_finite_places: int, cap: int):
     """Orbits of C_W(iota) by simultaneous conjugation on coset tuples,
-    as (lex-least representative tuple, sorted member list) pairs."""
+    as (lex-least representative tuple, sorted member list) pairs.
+
+    An orbit of a group is an orbit of any generating set, so the search
+    moves tuples by the generators of C_W(iota) only.
+    """
     weyl = poset.weyl
     wiota = poset.wiota_indices(stratum_index)
     reps, to_rep = _coset_rep_map(weyl, wiota)
@@ -239,9 +278,9 @@ def _tuple_orbits(poset: StrataPoset, stratum_index: int,
             f"{len(reps)}^{num_finite_places} coset tuples exceed cap {cap}",
             order=total,
         )
-    cw = poset.cw_indices(stratum_index)
+    gens = poset.cw_generators(stratum_index)
     conj = {}
-    for c in cw:
+    for c in gens:
         cinv = weyl.inv(c)
         conj[c] = {g: to_rep[weyl.mul(weyl.mul(cinv, g), c)] for g in reps}
     seen = set()
@@ -253,7 +292,7 @@ def _tuple_orbits(poset: StrataPoset, stratum_index: int,
         frontier = [tup]
         while frontier:
             cur = frontier.pop()
-            for c in cw:
+            for c in gens:
                 img = tuple(conj[c][g] for g in cur)
                 if img not in orbit:
                     orbit.add(img)
@@ -347,9 +386,12 @@ def n_table(
     rows = []
     nf = len(spec.finite)
     for si in poset.class_representatives():
+        infinity_terms = _infinity_terms(datum, poset, si, spec, convention)
         for rep, members in _tuple_orbits(poset, si, nf, orbit_cap):
             values = [
-                n_coefficient(datum, poset, si, GammaTuple(t), spec, convention)
+                _row_sum(poset, si,
+                         _finite_term(datum, poset.weyl, spec, t),
+                         infinity_terms)
                 for t in members
             ]
             rows.append(

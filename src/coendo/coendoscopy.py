@@ -21,6 +21,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 from . import intlinalg as il
 from .rootsys import (
@@ -371,6 +372,9 @@ class StrataPoset:
             [sets[j] <= sets[i] for j in range(n)] for i in range(n)
         ]
         self.mobius_table = _mobius(self.leq)
+        self._below = [
+            tuple(i for i in range(n) if self.leq[i][j]) for j in range(n)
+        ]
         self._cw: dict[int, tuple[int, ...]] = {}
         self._wiota: dict[int, tuple[int, ...]] = {}
 
@@ -384,8 +388,8 @@ class StrataPoset:
             self._weyl = weyl_generate(self.datum.root_system, self.weyl_cap)
         return self._weyl
 
-    def below(self, j: int) -> list[int]:
-        return [i for i in range(len(self.strata)) if self.leq[i][j]]
+    def below(self, j: int) -> tuple[int, ...]:
+        return self._below[j]
 
     @property
     def minimal_index(self) -> int:
@@ -410,22 +414,42 @@ class StrataPoset:
         """C_W(iota): Weyl elements stabilizing the subsystem subset."""
         cached = self._cw.get(i)
         if cached is None:
-            target = self.strata[i].subsystem.indices
-            out = []
-            for w in range(self.weyl.order):
-                perm = self.weyl.root_perm(w)
-                if all(perm[t] in target for t in target):
-                    out.append(w)
-            cached = tuple(out)
+            sub = self.strata[i].subsystem
+            # a full-rank subsystem has >= 2 roots, so images is a tuple
+            images = itemgetter(*sub.key)
+            cached = tuple(
+                w for w, perm in enumerate(self.weyl.perms)
+                if sub.indices.issuperset(images(perm))
+            )
             self._cw[i] = cached
         return cached
 
+    def cw_generators(self, i: int) -> tuple[int, ...]:
+        """Generators of C_W(iota) = W_iota x| Stab(Delta_iota).
+
+        For c in C_W(iota), c(Delta_iota) is a simple system of the
+        subsystem, and W_iota acts transitively on those, so c is a
+        product of an element of W_iota and one that maps Delta_iota to
+        itself.  The reflections in Delta_iota generate W_iota; the
+        elements of the second kind are few, and all but the identity
+        (index 0) are listed.
+        """
+        base = self.strata[i].subsystem.base_indices
+        base_set = set(base)
+        weyl = self.weyl
+        diagram = [
+            c for c in self.cw_indices(i)
+            if c and all(weyl.perms[c][t] in base_set for t in base)
+        ]
+        return tuple([weyl.reflection(t) for t in base] + diagram)
+
     def wiota_indices(self, i: int) -> tuple[int, ...]:
-        """W_iota: subgroup generated by the subsystem's reflections."""
+        """W_iota: subgroup generated by the reflections in the base of
+        the subsystem, which generate the reflections in all its roots."""
         cached = self._wiota.get(i)
         if cached is None:
             sub = self.strata[i].subsystem
-            gens = [self.weyl.reflection(t) for t in sub.positive_indices]
+            gens = [self.weyl.reflection(t) for t in sub.base_indices]
             cached = self.weyl.subgroup_closure(gens)
             self._wiota[i] = cached
         return cached

@@ -201,11 +201,12 @@ def brute_strata_check(datum: GroupDatum, q: int, weyl=None,
     (c) every stratum is closed, negation-stable, of full rank, and its
         first point's directly recomputed centralizer matches;
     (d) the classify-route poset is identical to the enumerated one.
+
+    None of these needs W: a ``weyl`` passed in is only handed on to the
+    posets, which enumerate W on first use otherwise.
     """
     rs = datum.root_system
     inst = f"{rs}@q={q}({datum.cochar.name})"
-    if weyl is None:
-        weyl = weyl_generate(rs)
     poset = strata_poset(datum, q, "enumerate", weyl=weyl, point_cap=point_cap)
 
     # (a) maximal proper strata vs rational classes, as canonical subsets
@@ -283,8 +284,7 @@ def bds_cross_check(t: SimpleType | str, q: int | None = None,
                            witness="no admissible q in the default grid")
     p = characteristic_of(q)
     datum = make_datum([repr(t)], "sc", p)
-    weyl = weyl_generate(datum.root_system)
-    poset = strata_poset(datum, q, "enumerate", weyl=weyl, point_cap=point_cap)
+    poset = strata_poset(datum, q, "enumerate", point_cap=point_cap)
     enumerated = {
         poset.strata[i].signature for i in _maximal_proper_strata(poset)
     }
@@ -448,8 +448,7 @@ def cyclotomic_grid_check(inst: dict) -> Verdict:
     """Randomized characters: Möbius-route sums against cyclotomic sums."""
     q = inst["q"]
     datum = make_datum(inst["factors"], inst["lattice"], characteristic_of(q))
-    weyl = weyl_generate(datum.root_system)
-    poset = strata_poset(datum, q, "enumerate", weyl=weyl)
+    poset = strata_poset(datum, q, "enumerate")
     rng = random.Random(inst["seed"])
     rank = datum.root_system.rank
     name = f"{datum.root_system}@q={q}"

@@ -615,18 +615,21 @@ class GroupDatum:
         b = self.cochar.basis
         return tuple(il.vecmat(rt.coeffs, b) for rt in self.root_system.roots)
 
+    @cached_property
+    def cochar_adjugate(self) -> tuple[Matrix, int]:
+        """(adj B, det B) for the X_* basis B, so that B^-1 = adj B / det B."""
+        d = int(il.det(self.cochar.basis))
+        adj = il.mat([[x * d for x in row] for row in self.cochar.basis_inverse])
+        return adj, d
+
     def weyl_matrix_x(self, weyl: WeylGroup, i: int) -> Matrix:
-        """Matrix of element i in the X_* basis (integer)."""
+        """Matrix B^-1 M B of element i in the X_* basis B, from its integer
+        matrix M on the coweight space: adj(B) M B // det(B), exactly."""
         cached = self.weyl_on_cochar.get(i)
         if cached is None:
-            b = self.cochar.basis
-            m = il.matmul(weyl.matrix(i), b)
-            binv = self.cochar.basis_inverse
-            rows = [
-                [sum(binv[a][t] * m[t][c] for t in range(len(b))) for c in range(len(b))]
-                for a in range(len(b))
-            ]
-            cached = il.mat([[int(x) for x in row] for row in rows])
+            adj, d = self.cochar_adjugate
+            m = il.matmul(adj, il.matmul(weyl.matrix(i), self.cochar.basis))
+            cached = tuple(tuple(x // d for x in row) for row in m)
             self.weyl_on_cochar[i] = cached
         return cached
 

@@ -274,7 +274,7 @@ def weyl_stabilizer(datum: GroupDatum, weyl: WeylGroup, point: TorusPoint):
         if all(x % m == 0 for x in il.add(il.matvec(w, v), il.neg(v))):
             stab.append(i)
     sub = centralizer_subsystem(datum, point)
-    gens = [weyl.reflection(i) for i in sub.positive_indices]
+    gens = [weyl.reflection(i) for i in sub.base_indices]
     refl = weyl.subgroup_closure(gens)
     return tuple(stab), refl
 

@@ -329,6 +329,53 @@ def test_bad_manifest_exits_2(tmp_path, capsys, content, key):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("entry,key", [
+    ({"check": "brute_strata", "factors": ["A1"], "lattice": "sc", "q": "x"},
+     "q must be"),
+    ({"check": "field_extension", "factors": ["A1"], "lattice": "sc", "q": 5,
+      "n": "2", "seed": 1}, "n must be"),
+    ({"check": "cyclotomic_grid", "factors": ["B2"], "lattice": "sc", "q": 5,
+      "samples": "3", "seed": 1}, "samples must be"),
+    ({"check": "bds_cross", "type": 5}, "type must be"),
+    ({"check": "brute_strata", "factors": ["A1"], "lattice": "sc", "q": 6},
+     "not a prime power"),
+    ({"check": "brute_strata", "factors": "A1", "lattice": "sc", "q": 5},
+     "factors must be"),
+    ({"check": "field_extension", "factors": ["A1"], "lattice": "sc", "q": 5,
+      "n": 2, "seed": "x"}, "seed must be"),
+    ({"check": "bds_cross", "type": "X2", "q": 5}, "unknown family"),
+    ({"check": "brute_strata", "factors": ["B2"], "lattice": "sc", "q": 8},
+     "p = 2"),
+    ({"check": "brute_strata", "factors": ["B2"], "lattice": [[1, 0], [0]],
+      "q": 5}, "lattice must be"),
+    ({"check": "brute_strata", "factors": ["B2"], "lattice": [[1, 0], [0, 3]],
+      "q": 5}, "not contained"),
+], ids=["q-not-int", "n-str", "samples-str", "type-int", "q-not-prime-power",
+        "factors-str", "seed-str", "type-unknown", "bad-characteristic",
+        "lattice-ragged", "lattice-not-sublattice"])
+def test_bad_manifest_values_exit_2(tmp_path, capsys, entry, key):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([entry]))
+    code, out, err = run(["verify", "--manifest", str(manifest)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: manifest entry") and key in err, err
+    assert err.count("\n") == 1
+
+
+def test_manifest_values_accepted(tmp_path, capsys):
+    # bds_cross may leave q out or null; an explicit lattice matrix is built
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([
+        {"check": "bds_cross", "type": "B2"},
+        {"check": "bds_cross", "type": "B2", "q": None},
+        {"check": "brute_strata", "factors": ["B2"],
+         "lattice": [[1, 1], [0, 1]], "q": 5},
+    ]))
+    code, out, err = run(["verify", "--manifest", str(manifest)], capsys)
+    assert code == 0, err
+    assert json.loads(out)["instances"] == 3
+
+
 def test_non_integer_degrees_exit_2(capsys):
     code, _, err = run(["coeffs", "--type", "B2", "--q", "5",
                         "--degrees", "a,b"], capsys)

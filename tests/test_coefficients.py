@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -222,3 +223,82 @@ def test_bound_dominates_tables():
             spec = O.random_spec(datum.root_system.rank, 2, rng)
             table = K.n_table(datum, q, spec, poset)
             assert table.total_abs <= bound
+
+
+# Reference versions of the Weyl work in the coefficient layer, written the
+# direct way: W_iota closed over the reflections in all its positive roots,
+# and C_W(iota) acting by every one of its elements.
+
+def reference_wiota(poset, si):
+    weyl = poset.weyl
+    gens = [weyl.reflection(t)
+            for t in poset.strata[si].subsystem.positive_indices]
+    return weyl.subgroup_closure(gens)
+
+
+def reference_orbits(poset, si, num_finite):
+    weyl = poset.weyl
+    cosets = weyl.cosets(reference_wiota(poset, si))
+    to_rep = {x: rep for rep, members in cosets for x in members}
+    reps = [rep for rep, _ in cosets]
+    cw = poset.cw_indices(si)
+    out = []
+    seen = set()
+    for tup in itertools.product(reps, repeat=num_finite):
+        if tup in seen:
+            continue
+        orbit = {
+            tuple(to_rep[weyl.mul(weyl.mul(weyl.inv(c), g), c)] for g in tup)
+            for c in cw
+        }
+        seen |= orbit
+        out.append((min(orbit), sorted(orbit)))
+    return sorted(out)
+
+
+EQUIVALENCE_GRID = [
+    (["A2"], "sc", 7), (["B2"], "sc", 5), (["B3"], "sc", 5),
+    (["C3"], "ad", 9), (["G2"], "ad", 7), (["A2", "A1"], "ad", 7),
+]
+
+
+@pytest.mark.parametrize("factors,lat,q", EQUIVALENCE_GRID,
+                         ids=["A2", "B2", "B3", "C3", "G2", "A2xA1"])
+def test_orbits_and_wiota_match_reference(factors, lat, q):
+    datum = R.make_datum(factors, lat, R.characteristic_of(q))
+    poset = C.strata_poset(datum, q, "classify")
+    weyl = poset.weyl
+    for si in range(len(poset)):
+        assert poset.wiota_indices(si) == reference_wiota(poset, si)
+        cw = poset.cw_indices(si)
+        assert weyl.subgroup_closure(poset.cw_generators(si)) == cw
+        for nf in (1, 2):
+            ref = reference_orbits(poset, si, nf)
+            assert K._tuple_orbits(poset, si, nf, K.DEFAULT_ORBIT_CAP) == ref
+            assert K.orbit_decomposition(poset, si, nf) == [
+                (K.GammaTuple(rep), len(members)) for rep, members in ref
+            ]
+
+
+@pytest.mark.parametrize("factors,lat,q", EQUIVALENCE_GRID,
+                         ids=["A2", "B2", "B3", "C3", "G2", "A2xA1"])
+def test_n_table_rows_match_per_row_routes(factors, lat, q):
+    datum = R.make_datum(factors, lat, R.characteristic_of(q))
+    poset = C.strata_poset(datum, q, "enumerate")
+    rng = random.Random(q * 31 + len(factors))
+    rank = datum.root_system.rank
+    for nf in (1, 2):
+        spec = O.random_spec(rank, nf, rng, bound=q)
+        for conv in K.CONVENTIONS:
+            table = K.n_table(datum, q, spec, poset, conv)
+            for row in table.rows:
+                si = row.stratum_index
+                args = (datum, poset, si, row.orbit_rep, spec, conv)
+                assert row.n == K.n_coefficient(*args)
+                assert row.n == O.direct_n_coefficient(*args)
+                members = dict(K._tuple_orbits(
+                    poset, si, nf, K.DEFAULT_ORBIT_CAP))[row.orbit_rep.reps]
+                values = [K.n_coefficient(datum, poset, si, K.GammaTuple(t),
+                                          spec, conv) for t in members]
+                assert row.n_sum == sum(values)
+                assert row.n_abs_sum == sum(map(abs, values))

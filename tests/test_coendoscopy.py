@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coendo import coendoscopy as C
 from coendo import rootsys as R
@@ -204,9 +206,8 @@ def test_b2_poset_shape():
     assert poset.mobius_table[(0, 0)] == poset.mobius_table[(1, 1)] == 1
 
 
-def test_mobius_defining_identity():
-    datum = datum_for("F4", "sc", 13)
-    poset = C.strata_poset(datum, 13, "classify")
+def assert_mobius_identity(poset):
+    """sum of mu(i, k) over i <= k <= j is 1 if i == j and 0 otherwise."""
     mob = poset.mobius_table
     n = len(poset)
     for i in range(n):
@@ -218,6 +219,27 @@ def test_mobius_defining_identity():
                 if poset.leq[i][k] and poset.leq[k][j]
             )
             assert total == (1 if i == j else 0)
+
+
+def test_mobius_defining_identity():
+    datum = datum_for("F4", "sc", 13)
+    assert_mobius_identity(C.strata_poset(datum, 13, "classify"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["A1", "A2", "B2", "G2", "A1,A1", "A2,A1", "B3", "C3"]),
+       st.sampled_from(["sc", "ad"]), st.sampled_from([4, 5, 7, 8, 9, 13]))
+def test_mobius_defining_identity_random(name, lat, q):
+    factors = name.split(",")
+    p = R.characteristic_of(q)
+    assume(R.very_good_check(p, R.build_root_system(factors).simple_factors))
+    datum = R.make_datum(factors, lat, p)
+    for route in ("enumerate", "classify"):
+        poset = C.strata_poset(datum, q, route)
+        assert all(poset.below(j) == tuple(i for i in range(len(poset))
+                                           if poset.leq[i][j])
+                   for j in range(len(poset)))
+        assert_mobius_identity(poset)
 
 
 def test_reeder_partition_grid():

@@ -45,6 +45,21 @@ def test_brute_strata_check_grid():
         assert verdict.passed, (verdict.instance, verdict.witness)
 
 
+def test_strata_oracles_never_enumerate_weyl(monkeypatch):
+    # strata, Reeder, classify and stratum sums never read poset.weyl
+    def refuse(*args, **kwargs):
+        raise AssertionError("W was enumerated")
+
+    for module in (R, C, O):
+        monkeypatch.setattr(module, "weyl_generate", refuse)
+    datum = R.make_datum(["B2"], "sc", 5)
+    assert O.brute_strata_check(datum, 5).passed
+    assert O.bds_cross_check("G2", 7).passed
+    assert O.cyclotomic_grid_check(
+        {"factors": ["G2"], "lattice": "ad", "q": 7, "samples": 5,
+         "seed": 12}).passed
+
+
 def test_bds_cross_examples():
     assert O.bds_cross_check("B2", 5).details["types"] == ["A1xA1"]
     assert O.bds_cross_check("A3", 5).details["types"] == []

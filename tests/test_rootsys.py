@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from coendo import intlinalg as il
 from coendo import rootsys as R
+from test_torus import intermediate_data
 
 ALL_SIMPLE = (
     [f"A{r}" for r in range(1, 9)]
@@ -239,6 +240,31 @@ def test_weyl_permutation_representation(data):
     assert w.root_perm(i) == tuple(images)
     assert w.length(i) == sum(
         1 for k in rs.positive_indices if images[k] not in positive)
+
+
+@st.composite
+def cochar_data(draw):
+    """A datum with X_* the coroot lattice, the coweight lattice, or a
+    random lattice between them in a random basis."""
+    kind = draw(st.sampled_from(["sc", "ad", "intermediate"]))
+    if kind == "intermediate":
+        return draw(intermediate_data())[0]
+    name = draw(st.sampled_from(["A1", "A2", "A3", "B2", "C3", "G2", "A2,A1"]))
+    return R.make_datum(name.split(","), kind, 7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cochar_data(), st.data())
+def test_weyl_matrix_x_matches_rational_conjugation(datum, data):
+    weyl = R.weyl_generate(datum.root_system)
+    b = datum.cochar.basis
+    adj, d = datum.cochar_adjugate
+    assert il.matmul(adj, b) == tuple(tuple(d * x for x in row)
+                                      for row in il.identity(len(b)))
+    i = data.draw(st.integers(0, weyl.order - 1))
+    got = datum.weyl_matrix_x(weyl, i)
+    assert all(type(x) is int for row in got for x in row)
+    assert got == il.matmul(il.inverse(b), il.matmul(weyl.matrix(i), b))
 
 
 def test_weyl_reflection_lookup():

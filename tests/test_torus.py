@@ -92,6 +92,23 @@ def test_pi0_divides_weyl_order():
         assert w.order % T.pi0_order(sp4, w, p) == 0
 
 
+@pytest.mark.parametrize("factors,lat,q", [
+    (["B2"], "sc", 5), (["G2"], "ad", 7), (["B3"], "ad", 5),
+    (["A2", "A1"], "sc", 7),
+], ids=["B2", "G2", "B3", "A2xA1"])
+def test_weyl_stabilizer_reflection_part_matches_all_reflections(
+        factors, lat, q):
+    # W_s^0 from the base reflections equals the closure over the
+    # reflections in every positive root of the centralizer
+    datum = R.make_datum(factors, lat, R.characteristic_of(q))
+    w = R.weyl_generate(datum.root_system)
+    for p in T.enumerate_points(datum, q):
+        sub = T.centralizer_subsystem(datum, p)
+        ref = w.subgroup_closure(
+            [w.reflection(i) for i in sub.positive_indices])
+        assert T.weyl_stabilizer(datum, w, p)[1] == ref
+
+
 def test_subgroup_points_center_examples():
     sl2 = R.make_datum(["A1"], "sc", 5)
     assert T.subgroup_points(sl2, 5, full_subsystem(sl2)).invariants == (2,)
