@@ -35,12 +35,13 @@ DEFAULT_CONFIG = {
 
 
 # Keys a config file may set inside each object-valued section: those of
-# DEFAULT_CONFIG, and group.p, which is checked against the characteristic
-# of q.
+# DEFAULT_CONFIG, group.p, which is checked against the characteristic
+# of q, and characters.places.
 _SECTION_KEYS = {
     "group": {"factors", "lattice", "p"},
     "curve": set(DEFAULT_CONFIG["curve"]),
     "caps": set(DEFAULT_CONFIG["caps"]),
+    "characters": {"places"},
 }
 
 
@@ -50,6 +51,10 @@ class ConfigError(ValueError):
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
 
 
 def _merge(base, override):
@@ -257,11 +262,15 @@ class Context:
         genus = curve.get("genus")
         if type(genus) is not int:
             raise ConfigError(f"curve.genus must be an integer, got {genus!r}")
-        try:
-            self.curve = predictions.CurveData(
-                genus, curve["place_degrees"]
+        degrees = curve["place_degrees"]
+        if not _is_int_list(degrees):
+            raise ConfigError(
+                f"curve.place_degrees must be a list of integers, got "
+                f"{degrees!r}"
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        try:
+            self.curve = predictions.CurveData(genus, degrees)
+        except ValueError as exc:
             raise ConfigError(f"invalid curve data: {exc}") from exc
         rank = self.datum.root_system.rank
         chars = cfg.get("characters")
@@ -271,6 +280,12 @@ class Context:
                     rank, max(self.curve.num_places - 1, 0)
                 )
             else:
+                for place in chars["places"]:
+                    if not _is_int_list(place["lambda"]):
+                        raise ValueError(
+                            f"lambda must be a list of integers, got "
+                            f"{place['lambda']!r}"
+                        )
                 self.spec = coefficients.CharacterSpec.from_record(chars, rank)
         except (KeyError, TypeError, ValueError, NotImplementedError) as exc:
             raise ConfigError(f"invalid character spec: {exc}") from exc

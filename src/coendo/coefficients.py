@@ -28,7 +28,7 @@ from .rootsys import (
     geometric_center_order,
     weyl_order,
 )
-from .coendoscopy import StrataPoset, Stratum, canonical_subset, \
+from .coendoscopy import StrataPoset, Stratum, class_keys, \
     equal_rank_subsystems
 from .torus import Subsystem, subgroup_points
 
@@ -192,12 +192,6 @@ def stratum_sum(lam, poset: StrataPoset, stratum_index: int) -> int:
     return acc
 
 
-def coset_representatives(poset: StrataPoset, stratum_index: int,
-                          subgroup: tuple[int, ...]) -> list[int]:
-    """Canonical (minimal length) representatives of subgroup\\W."""
-    return [rep for rep, _ in poset.weyl.cosets(subgroup)]
-
-
 def _infinity_terms(datum: GroupDatum, poset: StrataPoset,
                     stratum_index: int, spec: CharacterSpec,
                     convention: str) -> list[tuple[int, ...]]:
@@ -210,7 +204,7 @@ def _infinity_terms(datum: GroupDatum, poset: StrataPoset,
     return [
         tuple(sign * x for x in
               act_character(datum, poset.weyl, w, spec.infinity.lam))
-        for w in coset_representatives(poset, stratum_index, cw)
+        for w, _ in poset.weyl.cosets(cw)
     ]
 
 
@@ -275,7 +269,8 @@ def _tuple_orbits(poset: StrataPoset, stratum_index: int,
     total = len(reps) ** num_finite_places
     if total > cap:
         raise CapExceeded(
-            f"{len(reps)}^{num_finite_places} coset tuples exceed cap {cap}",
+            f"{len(reps)}^{num_finite_places} coset tuples exceed cap {cap} "
+            "(caps.orbits)",
             order=total,
         )
     gens = poset.cw_generators(stratum_index)
@@ -331,7 +326,9 @@ class NTableRow:
         self.n_abs_sum = n_abs_sum
 
     def key(self):
-        return (self.stratum.canonical_key, self.orbit_rep.reps)
+        # rows exist for class representatives only, whose key is the
+        # class key
+        return (self.stratum.key, self.orbit_rep.reps)
 
     def to_record(self):
         return {
@@ -409,13 +406,11 @@ def bound_constant(datum: GroupDatum, num_places: int) -> int:
     |W|^|S| |W_iota|^|S| |Z_iota(geometric)| summed up."""
     rs = datum.root_system
     w_order = weyl_order(rs)
-    seen = set()
+    subs = equal_rank_subsystems(rs)
     total = 0
-    for sub in equal_rank_subsystems(rs):
-        canon = canonical_subset(rs, sub.indices)
-        if canon in seen:
+    for sub, key in zip(subs, class_keys(rs, [s.indices for s in subs])):
+        if sub.key != key:
             continue
-        seen.add(canon)
         z_geo = geometric_center_order(datum, sub)
         total += (w_order ** num_places) * (sub.weyl_order ** num_places) * z_geo
     return total

@@ -38,7 +38,6 @@ from .rootsys import (
 from .torus import (
     DEFAULT_POINT_CAP,
     Subsystem,
-    TorusPoint,
     centralizer_masks_for,
     point_from_index,
     subgroup_points,
@@ -91,6 +90,17 @@ def canonical_subset(rs: RootSystem, indices) -> tuple[int, ...]:
     return tuple(sorted(orbit_of_subset(rs, indices)[0]))
 
 
+def class_keys(rs: RootSystem, sets) -> list[tuple[int, ...]]:
+    """canonical_subset of each frozenset, one orbit search per W-class:
+    every member of a searched orbit is keyed at once."""
+    keys = {}
+    for s in sets:
+        if s not in keys:
+            orbit = orbit_of_subset(rs, s)
+            keys.update(dict.fromkeys(orbit, tuple(sorted(orbit[0]))))
+    return [keys[s] for s in sets]
+
+
 # ---------------------------------------------------------------------------
 # Borel-de Siebenthal classification
 
@@ -134,14 +144,6 @@ class CoendoscopicClass:
     @property
     def signature(self) -> str:
         return self.subsystem.signature
-
-    def torus_point(self, datum: GroupDatum, q: int) -> TorusPoint | None:
-        """The representative as a point of T(F_q), if it is rational."""
-        ambient = [x * (q - 1) for x in self.representative_point]
-        coords = datum.cochar.coordinates(ambient)
-        if any(x.denominator != 1 for x in coords):
-            return None
-        return TorusPoint(q, tuple(int(x) for x in coords))
 
     def __repr__(self):
         tag = "G" if self.is_whole_group else str(self.deleted_node)
@@ -286,27 +288,20 @@ def equal_rank_subsystems(rs: RootSystem) -> list[Subsystem]:
     """Every full-rank closed subsystem, as explicit root subsets.
 
     Closure of the whole system under prime-node deletion steps and the
-    Weyl action; cached on the root system.
+    Weyl action, one orbit search per W-class; cached on the root system.
     """
     cached = getattr(rs, "_equal_rank_subs", None)
     if cached is not None:
         return cached
-    full = frozenset(range(len(rs.roots)))
-    seen_canon = set()
-    worklist = [canonical_subset(rs, full)]
-    while worklist:
-        key = worklist.pop()
-        if key in seen_canon:
-            continue
-        seen_canon.add(key)
-        sub = Subsystem(rs, key)
-        for nxt in _prime_steps(rs, sub):
-            ckey = canonical_subset(rs, nxt)
-            if ckey not in seen_canon:
-                worklist.append(ckey)
     subsets = set()
-    for key in seen_canon:
-        subsets.update(orbit_of_subset(rs, key))
+    worklist = [frozenset(range(len(rs.roots)))]
+    while worklist:
+        s = worklist.pop()
+        if s in subsets:
+            continue
+        orbit = orbit_of_subset(rs, s)
+        subsets.update(orbit)
+        worklist += _prime_steps(rs, Subsystem(rs, orbit[0]))
     out = [Subsystem(rs, s) for s in sorted(subsets, key=lambda s: tuple(sorted(s)))]
     rs._equal_rank_subs = out
     return out
@@ -327,10 +322,6 @@ class Stratum:
         self.s_size = s_size
         self.s_points = s_points
 
-    @cached_property
-    def canonical_key(self) -> tuple[int, ...]:
-        return canonical_subset(self.subsystem.rs, self.subsystem.indices)
-
     @property
     def key(self) -> tuple[int, ...]:
         return self.subsystem.key
@@ -338,10 +329,6 @@ class Stratum:
     @property
     def signature(self) -> str:
         return self.subsystem.signature
-
-    @property
-    def w_iota_order(self) -> int:
-        return self.subsystem.weyl_order
 
     def __repr__(self):
         return (
@@ -368,6 +355,8 @@ class StrataPoset:
         self.warnings = tuple(warnings)
         n = len(strata)
         sets = [st.subsystem.indices for st in strata]
+        # canonical_subset of each stratum: the lex-least member of its W-class
+        self.class_keys = class_keys(datum.root_system, sets)
         self.leq = [
             [sets[j] <= sets[i] for j in range(n)] for i in range(n)
         ]
@@ -401,13 +390,8 @@ class StrataPoset:
     def class_representatives(self) -> list[int]:
         """Strata that are the lex-least subset in their W-orbit."""
         return [
-            i for i, st in enumerate(self.strata) if st.key == st.canonical_key
-        ]
-
-    def orbit_indices(self, rep: int) -> list[int]:
-        ck = self.strata[rep].canonical_key
-        return [
-            i for i, st in enumerate(self.strata) if st.canonical_key == ck
+            i for i, (st, key) in enumerate(zip(self.strata, self.class_keys))
+            if st.key == key
         ]
 
     def cw_indices(self, i: int) -> tuple[int, ...]:
@@ -462,9 +446,9 @@ class StrataPoset:
                 "z_invariants": list(st.z_group.invariants),
                 "z_order": st.z_order,
                 "s_size": st.s_size,
-                "canonical": st.key == st.canonical_key,
+                "canonical": st.key == key,
             }
-            for st in self.strata
+            for st, key in zip(self.strata, self.class_keys)
         ]
 
 

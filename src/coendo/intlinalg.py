@@ -133,20 +133,6 @@ def int_inverse(a) -> Matrix:
     return mat([[int(x) for x in row] for row in inv])
 
 
-def solve(a, y) -> tuple[Fraction, ...]:
-    """Solve a·x = y exactly for square nonsingular a."""
-    inv = inverse(a)
-    return tuple(sum(row[j] * y[j] for j in range(len(y))) for row in inv)
-
-
-def solve_int(a, y) -> Vector | None:
-    """Integer solution of a·x = y, or None if the exact solution is not integral."""
-    x = solve(a, y)
-    if any(c.denominator != 1 for c in x):
-        return None
-    return tuple(int(c) for c in x)
-
-
 def snf_transform(a) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form with transforms: returns (d, u, v) with u·a·v = d.
 

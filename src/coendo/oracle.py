@@ -38,7 +38,6 @@ from .coefficients import (
     CharacterSpec,
     GammaTuple,
     PlaceData,
-    coset_representatives,
     n_table,
     stratum_sum,
     total_character,
@@ -157,7 +156,7 @@ def direct_n_coefficient(
 ) -> int | None:
     """The row coefficient by explicit point summation (no Möbius step)."""
     cw = poset.cw_indices(stratum_index)
-    reps = coset_representatives(poset, stratum_index, cw)
+    reps = [rep for rep, _ in poset.weyl.cosets(cw)]
     m = poset.q - 1
     hist: dict[int, int] = {}
     st = poset.strata[stratum_index]
@@ -209,10 +208,9 @@ def brute_strata_check(datum: GroupDatum, q: int, weyl=None,
     inst = f"{rs}@q={q}({datum.cochar.name})"
     poset = strata_poset(datum, q, "enumerate", weyl=weyl, point_cap=point_cap)
 
-    # (a) maximal proper strata vs rational classes, as canonical subsets
-    maximal = {
-        poset.strata[i].canonical_key for i in _maximal_proper_strata(poset)
-    }
+    # (a) maximal proper strata vs rational classes, as canonical subsets:
+    # the poset's class keys against a fresh orbit search per class
+    maximal = {poset.class_keys[i] for i in _maximal_proper_strata(poset)}
     rational = {
         canonical_subset(rs, cl.subsystem.indices)
         for cl in classify(datum, q)

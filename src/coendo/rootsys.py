@@ -340,10 +340,6 @@ class WeylGroup:
             self._inv[i] = cached
         return cached
 
-    def root_perm(self, i: int) -> tuple[int, ...]:
-        """Index permutation of the roots under element i."""
-        return self.perms[i]
-
     def length(self, i: int) -> int:
         """Coxeter length: the number of positive roots sent to negative
         ones, equal to the BFS depth at which the element was enumerated."""
@@ -410,7 +406,8 @@ def weyl_generate(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
     """
     order = weyl_order(rs)
     if order > cap:
-        raise CapExceeded(f"|W| = {order} exceeds cap {cap}", order=order)
+        raise CapExceeded(f"|W| = {order} exceeds cap {cap} (caps.weyl)",
+                          order=order)
     # itemgetter(*g)(a) is the composite a o g as a tuple (num_roots >= 2)
     gens = [itemgetter(*g) for g in rs.simple_reflection_perms]
     ident = tuple(range(rs.num_roots))

@@ -70,7 +70,9 @@ def enumerate_points(datum: GroupDatum, q: int, cap: int = DEFAULT_POINT_CAP):
     r = datum.root_system.rank
     total = (q - 1) ** r
     if total > cap:
-        raise CapExceeded(f"|T(F_q)| = {total} exceeds cap {cap}", order=total)
+        raise CapExceeded(
+            f"|T(F_q)| = {total} exceeds cap {cap} (caps.points)", order=total
+        )
     for idx in range(total):
         yield point_from_index(q, r, idx)
 
@@ -367,7 +369,9 @@ def centralizer_masks_for(datum: GroupDatum, q: int, cap: int = DEFAULT_POINT_CA
     m = q - 1
     total = m ** rs.rank
     if total > cap:
-        raise CapExceeded(f"|T(F_q)| = {total} exceeds cap {cap}", order=total)
+        raise CapExceeded(
+            f"|T(F_q)| = {total} exceeds cap {cap} (caps.points)", order=total
+        )
     pos = rs.positive_indices
     funcs = datum.root_functionals
     rows = [funcs[i] for i in pos]

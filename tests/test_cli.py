@@ -423,3 +423,47 @@ def test_sympy_not_imported_at_runtime():
     done = subprocess.run([sys.executable, "-c", code, os.devnull], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
+
+
+A1_PLACES = [{"tag": "inf", "lambda": [0]}, {"tag": "v1", "lambda": [1]}]
+
+
+@pytest.mark.parametrize("raw,key", [
+    ({"characters": {"places": [{"tag": "inf", "lambda": [1.7]},
+                                A1_PLACES[1]]}}, "lambda"),
+    ({"characters": {"places": [{"tag": "inf", "lambda": [True]},
+                                A1_PLACES[1]]}}, "lambda"),
+    ({"characters": {"places": [{"tag": "inf", "lambda": "1"},
+                                A1_PLACES[1]]}}, "lambda"),
+    ({"curve": {"genus": 1, "place_degrees": "11"}}, "curve.place_degrees"),
+    ({"curve": {"genus": 1, "place_degrees": [1.9, 1]}},
+     "curve.place_degrees"),
+    ({"characters": {"places": A1_PLACES, "extra": 1}}, "characters.extra"),
+], ids=["float-lambda", "bool-lambda", "string-lambda", "string-degrees",
+        "float-degrees", "extra-characters-key"])
+def test_non_integer_character_and_degree_values_exit_2(tmp_path, capsys,
+                                                        raw, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    code, out, err = run(["coeffs", "--type", "A1", "--q", "5",
+                          "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and key in err, err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,caps,message", [
+    (["coeffs", "--type", "B2"], {"weyl": 1},
+     "|W| = 8 exceeds cap 1 (caps.weyl)"),
+    (["strata", "--type", "B2", "--route", "enumerate"], {"points": 10},
+     "|T(F_q)| = 16 exceeds cap 10 (caps.points)"),
+    (["coeffs", "--type", "B2"], {"orbits": 1},
+     "2^1 coset tuples exceed cap 1 (caps.orbits)"),
+], ids=["weyl", "points", "orbits"])
+def test_cap_errors_name_their_config_key(tmp_path, capsys, argv, caps,
+                                          message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"caps": caps}))
+    code, out, err = run(argv + ["--q", "5", "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"

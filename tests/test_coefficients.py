@@ -302,3 +302,22 @@ def test_n_table_rows_match_per_row_routes(factors, lat, q):
                                           spec, conv) for t in members]
                 assert row.n_sum == sum(values)
                 assert row.n_abs_sum == sum(map(abs, values))
+
+
+@pytest.mark.parametrize("lattice", ["sc", "ad"])
+@pytest.mark.parametrize("factors", [
+    ["A2"], ["B2"], ["G2"], ["B3"], ["C3"], ["D4"], ["F4"], ["A2", "A1"],
+    ["A1", "A1", "A1"]], ids=lambda f: ",".join(f))
+def test_bound_constant_sums_one_term_per_class(factors, lattice):
+    datum = R.make_datum(factors, lattice, 7)
+    rs = datum.root_system
+    w_order = R.weyl_order(rs)
+    seen = set()
+    total = 0
+    for sub in C.equal_rank_subsystems(rs):
+        canon = C.canonical_subset(rs, sub.indices)
+        if canon not in seen:
+            seen.add(canon)
+            total += (w_order * sub.weyl_order) ** 3 \
+                * R.geometric_center_order(datum, sub)
+    assert K.bound_constant(datum, 3) == total

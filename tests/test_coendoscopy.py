@@ -76,7 +76,10 @@ def test_class_representative_point_recovers_subsystem():
         for cl in C.classify(datum, q):
             if cl.is_whole_group or not cl.rational_over_fq:
                 continue
-            pt = cl.torus_point(datum, q)
+            ambient = [x * (q - 1) for x in cl.representative_point]
+            coords = datum.cochar.coordinates(ambient)
+            assert all(x.denominator == 1 for x in coords)
+            pt = T.TorusPoint(q, tuple(int(x) for x in coords))
             sub = T.centralizer_subsystem(datum, pt)
             assert sub.indices == cl.subsystem.indices
             assert T.is_elliptic(datum, pt)
@@ -299,7 +302,7 @@ def test_stratum_invariants():
         cw = poset.cw_indices(i)
         wiota = poset.wiota_indices(i)
         assert set(wiota) <= set(cw)
-        assert len(wiota) == st.w_iota_order
+        assert len(wiota) == st.subsystem.weyl_order
         assert poset.weyl.order % len(cw) == 0
 
 
@@ -309,7 +312,8 @@ def test_canonical_class_representatives():
     reps = poset.class_representatives()
     # G2, A2, and one representative of the three A1xA1 strata
     assert len(reps) == 3
-    orbit_sizes = sorted(len(poset.orbit_indices(i)) for i in reps)
+    orbit_sizes = sorted(poset.class_keys.count(poset.class_keys[i])
+                         for i in reps)
     assert orbit_sizes == [1, 1, 3]
 
 
@@ -341,3 +345,68 @@ def test_rationality_table_values():
     assert C.car2_divisor(R.SimpleType.parse("A5")) == 6
     assert C.car2_divisor(R.SimpleType.parse("E8")) == 90
     assert C.car2_divisor(R.SimpleType.parse("D6")) == 8
+
+
+# Types for the class-key tests: A2 to F4 and two products.
+CLASS_KEY_TYPES = [["A2"], ["B2"], ["G2"], ["B3"], ["C3"], ["D4"], ["F4"],
+                   ["A2", "A1"], ["A1", "A1", "A1"]]
+CLASS_KEY_IDS = [",".join(f) for f in CLASS_KEY_TYPES]
+
+
+@pytest.mark.parametrize("route", ["enumerate", "classify"])
+@pytest.mark.parametrize("lattice", ["sc", "ad"])
+@pytest.mark.parametrize("factors", CLASS_KEY_TYPES, ids=CLASS_KEY_IDS)
+def test_class_keys_match_orbit_search(factors, lattice, route):
+    for q in (7, 13):
+        datum = R.make_datum(factors, lattice, R.characteristic_of(q))
+        rs = datum.root_system
+        poset = C.strata_poset(datum, q, route)
+        canon = [C.canonical_subset(rs, st.subsystem.indices)
+                 for st in poset.strata]
+        assert poset.class_keys == canon
+        canonical = [st.key == c for st, c in zip(poset.strata, canon)]
+        assert poset.class_representatives() == [
+            i for i, flag in enumerate(canonical) if flag]
+        assert [row["canonical"] for row in poset.summary()] == canonical
+
+
+def _worklist_by_canonical_keys(rs):
+    """Full-rank closed subsystems by the worklist of canonical keys that
+    runs one orbit search per prime step, then one per class."""
+    seen = set()
+    worklist = [C.canonical_subset(rs, range(len(rs.roots)))]
+    while worklist:
+        key = worklist.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        for nxt in C._prime_steps(rs, T.Subsystem(rs, key)):
+            worklist.append(C.canonical_subset(rs, nxt))
+    subsets = set()
+    for key in seen:
+        subsets.update(C.orbit_of_subset(rs, key))
+    return sorted(tuple(sorted(s)) for s in subsets)
+
+
+@pytest.mark.parametrize("factors", CLASS_KEY_TYPES, ids=CLASS_KEY_IDS)
+def test_equal_rank_subsystems_match_canonical_worklist(factors):
+    rs = R.build_root_system(factors)
+    assert [sub.key for sub in C.equal_rank_subsystems(rs)] == \
+        _worklist_by_canonical_keys(rs)
+
+
+def test_enumerate_route_searches_each_class_once(monkeypatch):
+    calls = []
+    search = C.orbit_of_subset
+
+    def counting(rs, indices):
+        calls.append(indices)
+        return search(rs, indices)
+
+    monkeypatch.setattr(C, "orbit_of_subset", counting)
+    for factors, lattice, q in [(["F4"], "sc", 13), (["G2"], "ad", 7),
+                                (["B3"], "sc", 13)]:
+        calls.clear()
+        datum = R.make_datum(factors, lattice, R.characteristic_of(q))
+        poset = C.strata_poset(datum, q, "enumerate")
+        assert len(calls) == len(set(poset.class_keys)) < len(poset.strata)

@@ -170,7 +170,7 @@ def test_weyl_group_structure():
     assert w.matrix(0) == il.identity(2)
     assert w.perms[0] == tuple(range(rs.num_roots))
     for i in range(w.order):
-        perm = w.root_perm(i)
+        perm = w.perms[i]
         assert sorted(perm) == list(range(rs.num_roots))
         assert w.mul(i, w.inv(i)) == 0
     lengths = sorted(w.length(i) for i in range(w.order))
@@ -237,7 +237,7 @@ def test_weyl_permutation_representation(data):
     positive = set(rs.positive_indices)
     by_coroot = {rt.coroot_ambient: rt.index for rt in rs.roots}
     images = [by_coroot[il.matvec(mi, rt.coroot_ambient)] for rt in rs.roots]
-    assert w.root_perm(i) == tuple(images)
+    assert w.perms[i] == tuple(images)
     assert w.length(i) == sum(
         1 for k in rs.positive_indices if images[k] not in positive)
 
@@ -273,7 +273,7 @@ def test_weyl_reflection_lookup():
     for t in range(rs.num_roots):
         s = w.reflection(t)
         assert w.mul(s, s) == 0
-        assert w.root_perm(s)[t] == rs.negate[t]
+        assert w.perms[s][t] == rs.negate[t]
     assert [w.reflection(s) for s in rs.simple_indices] == [1, 2, 3]
 
 

@@ -208,7 +208,7 @@ def test_centralizer_w_equivariance():
         mat = datum.weyl_matrix_x(w, wi)
         moved = T.TorusPoint(5, il.matvec(mat, p.residues))
         left = T.centralizer_subsystem(datum, moved).indices
-        perm = w.root_perm(wi)
+        perm = w.perms[wi]
         right = frozenset(perm[i] for i in
                           T.centralizer_subsystem(datum, p).indices)
         assert left == right
