@@ -18,7 +18,7 @@ import io
 import json
 import sys
 
-from . import coendoscopy, coefficients, oracle, predictions, rootsys
+from . import coendoscopy, coefficients, oracle, predictions, rootsys, torus
 
 FORMAT_VERSION = "1"
 
@@ -29,8 +29,9 @@ DEFAULT_CONFIG = {
     "characters": None,
     "convention": "uniform-inverse",
     "route": "enumerate",
-    "caps": {"weyl": rootsys.DEFAULT_WEYL_CAP, "points": 1_000_000,
-             "orbits": 1_000_000},
+    "caps": {"weyl": rootsys.DEFAULT_WEYL_CAP,
+             "points": torus.DEFAULT_POINT_CAP,
+             "orbits": coefficients.DEFAULT_ORBIT_CAP},
 }
 
 
@@ -214,6 +215,21 @@ def _check_manifest_values(inst: dict) -> None:
             fail("; ".join(verdict.reasons))
 
 
+def _check_place(place) -> None:
+    """A place is an object with exactly a string tag and an integer lambda."""
+    if not (isinstance(place, dict) and set(place) == {"tag", "lambda"}):
+        raise ValueError(
+            f'a place must be an object with keys "tag" and "lambda", got '
+            f"{place!r}"
+        )
+    if not isinstance(place["tag"], str):
+        raise ValueError(f"tag must be a string, got {place['tag']!r}")
+    if not _is_int_list(place["lambda"]):
+        raise ValueError(
+            f"lambda must be a list of integers, got {place['lambda']!r}"
+        )
+
+
 def config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -233,6 +249,8 @@ class Context:
             raise ConfigError(str(exc)) from exc
         group = cfg["group"]
         declared = group.get("p")
+        if declared is not None and not _is_int(declared):
+            raise ConfigError(f"group.p must be an integer, got {declared!r}")
         if declared is not None and declared != self.p:
             raise ConfigError(
                 f"config p = {declared} is not the characteristic of q = {q}"
@@ -281,13 +299,9 @@ class Context:
                 )
             else:
                 for place in chars["places"]:
-                    if not _is_int_list(place["lambda"]):
-                        raise ValueError(
-                            f"lambda must be a list of integers, got "
-                            f"{place['lambda']!r}"
-                        )
+                    _check_place(place)
                 self.spec = coefficients.CharacterSpec.from_record(chars, rank)
-        except (KeyError, TypeError, ValueError, NotImplementedError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid character spec: {exc}") from exc
         if self.spec.num_places != self.curve.num_places:
             raise ConfigError(
@@ -295,9 +309,9 @@ class Context:
                 f"curve has {self.curve.num_places}"
             )
         caps = cfg["caps"]
-        self.weyl_cap = caps.get("weyl", rootsys.DEFAULT_WEYL_CAP)
-        self.point_cap = caps.get("points", 1_000_000)
-        self.orbit_cap = caps.get("orbits", 1_000_000)
+        self.weyl_cap = caps["weyl"]
+        self.point_cap = caps["points"]
+        self.orbit_cap = caps["orbits"]
         self._poset = None
 
     @property
@@ -523,8 +537,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (rootsys.CapExceeded, coefficients.MissingCount,
-            NotImplementedError, OSError, ValueError) as exc:
+    except (rootsys.CapExceeded, coefficients.MissingCount, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = buffer.getvalue()

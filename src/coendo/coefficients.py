@@ -45,13 +45,9 @@ class MissingCount(KeyError):
 class PlaceData:
     """One place: a tag ('inf' or a finite-place name) and a character."""
 
-    def __init__(self, tag: str, lam, torus: str = "split"):
+    def __init__(self, tag: str, lam):
         self.tag = tag
         self.lam = tuple(int(x) for x in lam)
-        if torus != "split":
-            # H^1(kappa_v, W)-twisted coset spaces would plug in here.
-            raise NotImplementedError("only split local tori are supported")
-        self.torus = torus
 
     @property
     def is_infinity(self) -> bool:
@@ -77,10 +73,7 @@ class CharacterSpec:
 
     @classmethod
     def from_record(cls, record, rank: int | None = None) -> "CharacterSpec":
-        places = [
-            PlaceData(p["tag"], p["lambda"], p.get("torus", "split"))
-            for p in record["places"]
-        ]
+        places = [PlaceData(p["tag"], p["lambda"]) for p in record["places"]]
         if rank is not None:
             for p in places:
                 if len(p.lam) != rank:
@@ -131,36 +124,16 @@ def central_product_test(spec: CharacterSpec, datum: GroupDatum, q: int) -> bool
     return character_trivial_on(tuple(total), center, q - 1)
 
 
-class GammaTuple:
-    """Minimal-length W_iota coset representatives, one per finite place."""
-
-    __slots__ = ("reps",)
-
-    def __init__(self, reps):
-        self.reps = tuple(reps)
-
-    def __eq__(self, other):
-        return isinstance(other, GammaTuple) and self.reps == other.reps
-
-    def __lt__(self, other):
-        return self.reps < other.reps
-
-    def __hash__(self):
-        return hash(self.reps)
-
-    def __repr__(self):
-        return f"GammaTuple{self.reps}"
-
-
 def total_character(
     datum: GroupDatum,
     weyl: WeylGroup,
     spec: CharacterSpec,
-    gamma: GammaTuple,
+    gamma: tuple[int, ...],
     w: int,
     convention: str = "uniform-inverse",
 ):
-    """The combined character evaluated against torsion points.
+    """The combined character evaluated against torsion points; ``gamma``
+    holds one minimal-length W_iota coset representative per finite place.
 
     uniform-inverse:  Lambda = -sum_v gamma_v.lambda_v - w.lambda_inf
     mixed-inverse:      Lambda = -sum_v gamma_v.lambda_v + w.lambda_inf
@@ -169,7 +142,7 @@ def total_character(
         raise ValueError(f"unknown convention {convention!r}")
     rank = datum.root_system.rank
     lam = [0] * rank
-    for g, place in zip(gamma.reps, spec.finite):
+    for g, place in zip(gamma, spec.finite):
         moved = act_character(datum, weyl, g, place.lam)
         lam = [a - b for a, b in zip(lam, moved)]
     inf = act_character(datum, weyl, w, spec.infinity.lam)
@@ -232,7 +205,7 @@ def n_coefficient(
     datum: GroupDatum,
     poset: StrataPoset,
     stratum_index: int,
-    gamma: GammaTuple,
+    gamma: tuple[int, ...],
     spec: CharacterSpec,
     convention: str = "uniform-inverse",
 ) -> int:
@@ -241,7 +214,7 @@ def n_coefficient(
     total_character(gamma, w)."""
     return _row_sum(
         poset, stratum_index,
-        _finite_term(datum, poset.weyl, spec, gamma.reps),
+        _finite_term(datum, poset.weyl, spec, gamma),
         _infinity_terms(datum, poset, stratum_index, spec, convention),
     )
 
@@ -298,24 +271,8 @@ def _tuple_orbits(poset: StrataPoset, stratum_index: int,
     return out
 
 
-def orbit_decomposition(
-    poset: StrataPoset,
-    stratum_index: int,
-    num_finite_places: int,
-    cap: int = DEFAULT_ORBIT_CAP,
-) -> list[tuple[GammaTuple, int]]:
-    """Orbits of C_W(iota) acting by simultaneous conjugation on tuples of
-    W_iota\\W cosets; returns (lex-least representative, orbit size) pairs."""
-    return [
-        (GammaTuple(rep), len(members))
-        for rep, members in _tuple_orbits(
-            poset, stratum_index, num_finite_places, cap
-        )
-    ]
-
-
 class NTableRow:
-    def __init__(self, stratum_index: int, stratum: Stratum, orbit_rep: GammaTuple,
+    def __init__(self, stratum_index: int, stratum: Stratum, orbit_rep: tuple,
                  orbit_size: int, n: int, n_sum: int, n_abs_sum: int):
         self.stratum_index = stratum_index
         self.stratum = stratum
@@ -328,12 +285,12 @@ class NTableRow:
     def key(self):
         # rows exist for class representatives only, whose key is the
         # class key
-        return (self.stratum.key, self.orbit_rep.reps)
+        return (self.stratum.key, self.orbit_rep)
 
     def to_record(self):
         return {
             "stratum_type": self.stratum.signature,
-            "orbit_rep": list(self.orbit_rep.reps),
+            "orbit_rep": list(self.orbit_rep),
             "orbit_size": self.orbit_size,
             "n": self.n,
             "n_sum": self.n_sum,
@@ -341,7 +298,7 @@ class NTableRow:
 
     def __repr__(self):
         return (
-            f"NTableRow({self.stratum.signature}, rep={self.orbit_rep.reps}, "
+            f"NTableRow({self.stratum.signature}, rep={self.orbit_rep}, "
             f"size={self.orbit_size}, n={self.n})"
         )
 
@@ -393,11 +350,11 @@ def n_table(
             ]
             rows.append(
                 NTableRow(
-                    si, poset.strata[si], GammaTuple(rep), len(members),
+                    si, poset.strata[si], rep, len(members),
                     values[0], sum(values), sum(abs(v) for v in values),
                 )
             )
-    rows.sort(key=lambda r: (r.stratum.key, r.orbit_rep.reps))
+    rows.sort(key=NTableRow.key)
     return NTable(datum, q, spec, convention, rows)
 
 

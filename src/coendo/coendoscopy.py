@@ -8,8 +8,16 @@ subsystems:
 * CLASSIFY generates every full-rank closed subsystem geometrically (by
   iterating the extended-diagram node-deletion step with prime highest-root
   coefficient, closing under the Weyl action) and recovers the stratum
-  sizes by Möbius inversion of the partition identity
-  |Z_i(F_q)| = sum of |S_j| over j <= i.
+  sizes from the partition identity |Z_c(F_q)| = sum of |S_d| over the
+  subsystems d containing c (M. Reeder, Enseign. Math. 2010).  Walking the
+  candidates from the most roots to the fewest, |S_c| = |Z_c| minus the
+  sizes of the strata already found that properly contain c: Möbius
+  inversion done by back-substitution, with no candidate-level order
+  matrix.  On E7 at q = 5 (1,516 candidates, 730 strata) the classify-route
+  `strata` command takes about 0.65 s.
+
+The poset of realized strata computes its Möbius function once, from the
+lower sets of its elements.
 
 Agreement of the two routes on small instances is the central
 cross-validation of the whole artifact.
@@ -339,8 +347,9 @@ class Stratum:
 class StrataPoset:
     """The poset of realized elliptic strata at a fixed q.
 
-    Order: i <= j iff the subsystem of j is contained in that of i, so the
-    minimal element is the central stratum with the full root system.
+    Order: i <= j iff the subsystem of j is contained in that of i.  The
+    strata are sorted by decreasing root count, so index 0 is the minimal
+    element, the central stratum with the full root system.
     """
 
     def __init__(self, datum: GroupDatum, q: int, route: str,
@@ -349,21 +358,22 @@ class StrataPoset:
         self.datum = datum
         self.q = q
         self.route = route
-        self.strata = list(strata)
+        self.strata = sorted(
+            strata, key=lambda st: (-len(st.subsystem.indices), st.key)
+        )
         self._weyl = weyl
         self.weyl_cap = weyl_cap
         self.warnings = tuple(warnings)
-        n = len(strata)
-        sets = [st.subsystem.indices for st in strata]
+        sets = [st.subsystem.indices for st in self.strata]
         # canonical_subset of each stratum: the lex-least member of its W-class
         self.class_keys = class_keys(datum.root_system, sets)
-        self.leq = [
-            [sets[j] <= sets[i] for j in range(n)] for i in range(n)
-        ]
-        self.mobius_table = _mobius(self.leq)
+        # i <= j only if i has at least as many roots, so i <= j implies
+        # index i <= index j
         self._below = [
-            tuple(i for i in range(n) if self.leq[i][j]) for j in range(n)
+            tuple(i for i in range(j + 1) if sets[j] <= sets[i])
+            for j in range(len(sets))
         ]
+        self.mobius_table = _mobius(self._below)
         self._cw: dict[int, tuple[int, ...]] = {}
         self._wiota: dict[int, tuple[int, ...]] = {}
 
@@ -379,13 +389,6 @@ class StrataPoset:
 
     def below(self, j: int) -> tuple[int, ...]:
         return self._below[j]
-
-    @property
-    def minimal_index(self) -> int:
-        full = [i for i, st in enumerate(self.strata)
-                if len(st.subsystem.indices) == len(self.datum.root_system.roots)]
-        assert len(full) == 1
-        return full[0]
 
     def class_representatives(self) -> list[int]:
         """Strata that are the lex-least subset in their W-orbit."""
@@ -452,34 +455,17 @@ class StrataPoset:
         ]
 
 
-def _mobius(leq) -> dict[tuple[int, int], int]:
-    n = len(leq)
+def _mobius(below) -> dict[tuple[int, int], int]:
+    """mu(i, j) for every i <= j, given ``below[j]``, the indices i <= j in
+    increasing order and ending with j: column by column, mu(j, j) = 1 and
+    mu(i, j) = -sum of mu(i, k) over i <= k < j."""
     table: dict[tuple[int, int], int] = {}
-
-    def mu(i, j):
-        if i == j:
-            return 1
-        got = table.get((i, j))
-        if got is None:
-            got = -sum(
-                mu(i, k)
-                for k in range(n)
-                if leq[i][k] and leq[k][j] and k != j
-            )
-            table[(i, j)] = got
-        return got
-
-    for j in range(n):
-        for i in range(n):
-            if leq[i][j]:
-                table[(i, j)] = mu(i, j)
+    for j, column in enumerate(below):
+        for k in column[:-1]:
+            for i in below[k]:
+                table[(i, j)] = table.get((i, j), 0) - table[(i, k)]
+        table[(j, j)] = 1
     return table
-
-
-def _sort_strata(strata: list[Stratum]) -> list[Stratum]:
-    return sorted(
-        strata, key=lambda st: (-len(st.subsystem.indices), st.key)
-    )
 
 
 def strata_poset(
@@ -525,7 +511,7 @@ def _strata_by_enumeration(datum, q, weyl, weyl_cap, point_cap) -> StrataPoset:
         pts = tuple(point_from_index(q, r, i).residues for i in groups[mask])
         z = subgroup_points(datum, q, sub)
         strata.append(Stratum(sub, z, len(pts), pts))
-    poset = StrataPoset(datum, q, "enumerate", _sort_strata(strata), weyl,
+    poset = StrataPoset(datum, q, "enumerate", strata, weyl,
                         weyl_cap=weyl_cap)
     poset._masks = masks
     poset._mask_of = {sub.key: mask for mask, sub in subsystems.items()}
@@ -534,21 +520,18 @@ def _strata_by_enumeration(datum, q, weyl, weyl_cap, point_cap) -> StrataPoset:
 
 def _strata_by_classification(datum, q, weyl, weyl_cap) -> StrataPoset:
     rs = datum.root_system
-    cands = equal_rank_subsystems(rs)
-    n = len(cands)
-    sets = [c.indices for c in cands]
-    leq = [[sets[j] <= sets[i] for j in range(n)] for i in range(n)]
-    mob = _mobius(leq)
-    z_groups = [subgroup_points(datum, q, c) for c in cands]
+    # Möbius inversion of |Z_c| = sum of |S_d| over d >= c, by
+    # back-substitution: a candidate with more roots comes first, so every
+    # stratum above c is already known, and only nonempty ones count
     strata = []
-    for j in range(n):
-        size = sum(
-            mob[(i, j)] * z_groups[i].order for i in range(n) if leq[i][j]
-        )
+    for cand in sorted(equal_rank_subsystems(rs), key=lambda c: -len(c.indices)):
+        z = subgroup_points(datum, q, cand)
+        size = z.order - sum(st.s_size for st in strata
+                             if cand.indices < st.subsystem.indices)
         if size < 0:
             raise AssertionError("negative stratum size from inversion")
         if size > 0:
-            strata.append(Stratum(cands[j], z_groups[j], size, None))
+            strata.append(Stratum(cand, z, size, None))
     warnings = []
     for t in rs.simple_factors:
         need = car_divisor(t)
@@ -559,8 +542,7 @@ def _strata_by_classification(datum, q, weyl, weyl_cap) -> StrataPoset:
                 f"{t}: divisibility {need} | q-1 fails at q={q}; sizes "
                 "recovered by inversion remain exact"
             )
-    return StrataPoset(datum, q, "classify", _sort_strata(strata), weyl,
-                       warnings, weyl_cap)
+    return StrataPoset(datum, q, "classify", strata, weyl, warnings, weyl_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -44,14 +44,6 @@ def vecmat(v, a):
     return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0])))
 
 
-def add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def neg(u):
-    return tuple(-x for x in u)
-
-
 def columns(a: Matrix) -> list[Vector]:
     return [tuple(row[j] for row in a) for j in range(len(a[0]))] if a else []
 
@@ -207,8 +199,3 @@ def snf_transform(a) -> tuple[Matrix, Matrix, Matrix]:
             u[t] = [-x for x in u[t]]
     return mat(d), mat(u), transpose(mat(vt))
 
-
-def invariant_factors(a) -> list[int]:
-    """Nonzero diagonal of the Smith form: positive, a divisibility chain."""
-    d, _, _ = snf_transform(a)
-    return [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i]]

@@ -13,6 +13,7 @@ import functools
 import random
 
 from .rootsys import (
+    DEFAULT_WEYL_CAP,
     GroupDatum,
     SimpleType,
     characteristic_of,
@@ -36,7 +37,6 @@ from .coendoscopy import (
 )
 from .coefficients import (
     CharacterSpec,
-    GammaTuple,
     PlaceData,
     n_table,
     stratum_sum,
@@ -150,7 +150,7 @@ def direct_n_coefficient(
     datum: GroupDatum,
     poset: StrataPoset,
     stratum_index: int,
-    gamma: GammaTuple,
+    gamma: tuple[int, ...],
     spec: CharacterSpec,
     convention: str = "uniform-inverse",
 ) -> int | None:
@@ -337,7 +337,7 @@ def field_extension_check(datum: GroupDatum, spec: CharacterSpec, q: int,
 
 
 def admissible_q(t: SimpleType, q: int, point_cap: int = DEFAULT_POINT_CAP,
-                 weyl_cap: int = 1_000_000) -> bool:
+                 weyl_cap: int = DEFAULT_WEYL_CAP) -> bool:
     """Very good characteristic, table divisibility, and both caps."""
     try:
         p = characteristic_of(q)

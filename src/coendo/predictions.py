@@ -198,7 +198,7 @@ def assemble_prediction(
             exponent = n_h
             count = None
         else:
-            key = (row.stratum.signature, tuple(row.orbit_rep.reps))
+            key = (row.stratum.signature, row.orbit_rep)
             if key not in counts:
                 raise MissingCount(f"no point count for row {key}")
             count = int(counts[key])
@@ -209,7 +209,7 @@ def assemble_prediction(
         rows.append(
             {
                 "stratum_type": row.stratum.signature,
-                "orbit_rep": list(row.orbit_rep.reps),
+                "orbit_rep": list(row.orbit_rep),
                 "orbit_size": row.orbit_size,
                 "n": row.n,
                 "n_sum": row.n_sum,

@@ -467,10 +467,6 @@ def coroot_lattice(rs: RootSystem) -> Lattice:
     return Lattice("coroot", rs.cartan)
 
 
-def coweight_lattice(rs: RootSystem) -> Lattice:
-    return Lattice("coweight", il.identity(rs.rank))
-
-
 class FiniteAbelianGroup:
     """Invariant factors d_1 | d_2 | ... (each > 1) with matching generators."""
 
@@ -502,36 +498,6 @@ class FiniteAbelianGroup:
 
     def __hash__(self):
         return hash(self.invariants)
-
-
-def abelian_from_cyclic(generators, orders, modulus=None) -> FiniteAbelianGroup:
-    """Canonicalize independent cyclic generators into invariant-factor form."""
-    pairs = [(g, o) for g, o in zip(generators, orders) if o > 1]
-    if not pairs:
-        return FiniteAbelianGroup((), ())
-    gens = [p[0] for p in pairs]
-    rel = il.mat([[pairs[i][1] * (i == j) for j in range(len(pairs))]
-                  for i in range(len(pairs))])
-    d, u, _ = il.snf_transform(rel)
-    uinv = il.int_inverse(u)
-    new_gens = []
-    new_orders = []
-    for j in range(len(pairs)):
-        order = d[j][j]
-        if order <= 1:
-            continue
-        g = tuple(
-            sum(gens[i][t] * uinv[i][j] for i in range(len(pairs)))
-            for t in range(len(gens[0]))
-        )
-        if modulus is not None:
-            g = tuple(x % modulus for x in g)
-        new_gens.append(g)
-        new_orders.append(order)
-    combined = sorted(zip(new_orders, new_gens))
-    return FiniteAbelianGroup(
-        [o for o, _ in combined], [g for _, g in combined]
-    )
 
 
 def lattice_quotient(big: Lattice, small: Lattice) -> FiniteAbelianGroup:
@@ -595,12 +561,6 @@ class GroupDatum:
         rs = root_system
         if not all(cochar.contains(col) for col in il.columns(rs.cartan)):
             raise NotASublattice("coroot lattice not contained in X_*")
-        if any(
-            any(x.denominator != 1 for x in Lattice("cw", il.identity(rs.rank))
-                .coordinates(col))
-            for col in il.columns(cochar.basis)
-        ):
-            raise NotASublattice("X_* not contained in the coweight lattice")
         verdict = very_good_check(p, rs.simple_factors)
         if not verdict:
             raise BadCharacteristic("; ".join(verdict.reasons))

@@ -19,8 +19,6 @@ from .rootsys import (
     FiniteAbelianGroup,
     GroupDatum,
     SimpleType,
-    WeylGroup,
-    abelian_from_cyclic,
     build_root_system,
     weyl_order,
 )
@@ -260,49 +258,23 @@ def centralizer_subsystem(datum: GroupDatum, point: TorusPoint) -> Subsystem:
     return Subsystem(datum.root_system, indices)
 
 
-def is_elliptic(datum: GroupDatum, point: TorusPoint) -> bool:
-    """True iff the centralizer subsystem has full rank."""
-    return centralizer_subsystem(datum, point).rank == datum.root_system.rank
-
-
-def weyl_stabilizer(datum: GroupDatum, weyl: WeylGroup, point: TorusPoint):
-    """(W_s, W_s^0) as index tuples: stabilizer of s, and the subgroup
-    generated by the reflections of the centralizer subsystem."""
-    m = point.q - 1
-    v = point.residues
-    stab = []
-    for i in range(weyl.order):
-        w = datum.weyl_matrix_x(weyl, i)
-        if all(x % m == 0 for x in il.add(il.matvec(w, v), il.neg(v))):
-            stab.append(i)
-    sub = centralizer_subsystem(datum, point)
-    gens = [weyl.reflection(i) for i in sub.base_indices]
-    refl = weyl.subgroup_closure(gens)
-    return tuple(stab), refl
-
-
-def pi0_order(datum: GroupDatum, weyl: WeylGroup, point: TorusPoint) -> int:
-    """|W_s / W_s^0|, the number of components of the full centralizer."""
-    ws, ws0 = weyl_stabilizer(datum, weyl, point)
-    assert set(ws0) <= set(ws)
-    return len(ws) // len(ws0)
-
-
 def subgroup_points(datum: GroupDatum, q: int, sub: Subsystem) -> FiniteAbelianGroup:
     """The group {t in T(F_q) : alpha(t) = 1 for all alpha in the subsystem}.
 
-    Solved exactly from the congruence system <alpha, v> = 0 mod q-1 by
-    Smith reduction; no point enumeration.  Generators are residue vectors.
+    Solved exactly from the congruence system <alpha, v> = 0 mod q-1 by one
+    Smith form u a v = d; no point enumeration.  Column j of v spans a
+    cyclic factor of order gcd(d_j, q-1), or q-1 where d_j = 0.  The d_j
+    form a divisibility chain with the zeros last, so these orders do too,
+    and the columns are independent because v is unimodular: the result is
+    already in invariant-factor form.  Generators are residue vectors.
     """
     m = q - 1
     r = datum.root_system.rank
     base = sub.base_indices
     if not base:
-        gens = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-        return abelian_from_cyclic(gens, [m] * r, modulus=m)
+        return FiniteAbelianGroup([m] * r, il.identity(r))
     funcs = datum.root_functionals
-    a = il.mat([funcs[i] for i in base])
-    d, _, v = il.snf_transform(a)
+    d, _, v = il.snf_transform(il.mat([funcs[i] for i in base]))
     k = len(base)
     gens = []
     orders = []
@@ -311,10 +283,9 @@ def subgroup_points(datum: GroupDatum, q: int, sub: Subsystem) -> FiniteAbelianG
         order = math.gcd(dj, m) if dj else m
         if order > 1:
             mult = m // order
-            col = tuple(v[i][j] for i in range(r))
-            gens.append(tuple((mult * x) % m for x in col))
+            gens.append(tuple(mult * v[i][j] % m for i in range(r)))
             orders.append(order)
-    return abelian_from_cyclic(gens, orders, modulus=m)
+    return FiniteAbelianGroup(orders, gens)
 
 
 # Byte offset, within a native 8-byte word, of bits 8g..8g+7.

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coendo import cli
 
@@ -467,3 +471,90 @@ def test_cap_errors_name_their_config_key(tmp_path, capsys, argv, caps,
     code, out, err = run(argv + ["--q", "5", "--config", str(cfg)], capsys)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("raw,key", [
+    ({"characters": {"places": [
+        A1_PLACES[0], {"tag": "v1", "lambda": [1], "extra": 2}]}}, "keys"),
+    ({"characters": {"places": [
+        A1_PLACES[0], {"tag": "v1", "lambda": [1], "torus": "split"}]}},
+     "keys"),
+    ({"characters": {"places": [A1_PLACES[0], {"lambda": [1]}]}}, "keys"),
+    ({"characters": {"places": [A1_PLACES[0], "v1"]}}, "keys"),
+    ({"characters": {"places": [
+        A1_PLACES[0], {"tag": ["v"], "lambda": [1]}]}}, "tag"),
+    ({"group": {"factors": ["A1"], "p": 5.0}}, "group.p"),
+    ({"group": {"factors": ["A1"], "p": True}}, "group.p"),
+    ({"group": {"factors": ["A1"], "p": "5"}}, "group.p"),
+], ids=["extra-key", "torus-key", "no-tag", "not-object", "list-tag",
+        "float-p", "bool-p", "string-p"])
+def test_bad_places_and_group_p_exit_2(tmp_path, capsys, raw, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    code, out, err = run(["coeffs", "--type", "A1", "--q", "5",
+                          "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and key in err, err
+    assert err.count("\n") == 1
+
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.floats(-3, 3, allow_nan=False), st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.sampled_from(["a", "tag", "lambda"]),
+                    st.integers(0, 2), max_size=2),
+)
+
+
+def valid_or(valid):
+    """A valid value three times in four, else a JSON value of the wrong
+    type or range."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else JUNK)
+
+
+LAMBDA = st.lists(st.integers(-4, 4), min_size=1, max_size=2)
+PLACE = valid_or(st.fixed_dictionaries({
+    "tag": valid_or(st.sampled_from(["inf", "v1", "v2"])),
+    "lambda": valid_or(LAMBDA),
+}))
+
+CONFIGS = st.fixed_dictionaries({}, optional={
+    "group": valid_or(st.fixed_dictionaries(
+        {"factors": valid_or(st.lists(st.sampled_from(["A1", "A2", "B2", "G2"]),
+                                      min_size=1, max_size=1))},
+        optional={"lattice": valid_or(st.sampled_from(["sc", "ad"])),
+                  "p": valid_or(st.sampled_from([2, 3, 5, 7]))})),
+    "q": valid_or(st.sampled_from([3, 4, 5, 7, 8, 9, 13])),
+    "curve": valid_or(st.fixed_dictionaries(
+        {"genus": valid_or(st.integers(0, 2)),
+         "place_degrees": valid_or(st.lists(st.integers(1, 2), min_size=1,
+                                            max_size=3))})),
+    "characters": valid_or(st.fixed_dictionaries(
+        {"places": valid_or(st.lists(PLACE, min_size=1, max_size=3))})),
+    "convention": valid_or(st.sampled_from(["uniform-inverse",
+                                            "mixed-inverse"])),
+    "route": valid_or(st.sampled_from(["enumerate", "classify"])),
+    "caps": valid_or(st.fixed_dictionaries({}, optional={
+        key: valid_or(st.integers(1, 10**4))
+        for key in ("weyl", "points", "orbits")})),
+})
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(CONFIGS)
+def test_coeffs_config_fuzz_exits_cleanly(tmp_path, raw):
+    # any config ends in a report or one error line, never a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["coeffs", "--config", str(cfg)])
+    assert code in (0, 1, 2), raw
+    if code:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, raw
+        prefix = "config error: " if code == 2 else "error: "
+        assert err.getvalue().startswith(prefix), (raw, err.getvalue())
+    else:
+        assert json.loads(out.getvalue())["command"] == "coeffs"

@@ -82,7 +82,7 @@ def test_class_representative_point_recovers_subsystem():
             pt = T.TorusPoint(q, tuple(int(x) for x in coords))
             sub = T.centralizer_subsystem(datum, pt)
             assert sub.indices == cl.subsystem.indices
-            assert T.is_elliptic(datum, pt)
+            assert sub.rank == datum.root_system.rank
 
 
 def test_classify_rationality_g2():
@@ -151,6 +151,30 @@ def test_e6_routes_agree():
     assert C.reeder_partition_check(pe).passed
 
 
+def test_e7_routes_agree():
+    # 730 strata in 4 W-classes, built without enumerating W
+    datum = R.make_datum(["E7"], "sc", 5)
+    pe = C.strata_poset(datum, 5, "enumerate")
+    pc = C.strata_poset(datum, 5, "classify")
+    assert [(s.key, s.s_size, s.z_order) for s in pe.strata] == \
+        [(s.key, s.s_size, s.z_order) for s in pc.strata]
+    assert pe.mobius_table == pc.mobius_table
+    assert len(pe) == 730 and len(set(pe.class_keys)) == 4
+    assert pe._weyl is None and pc._weyl is None
+
+
+@pytest.mark.parametrize("route", ["enumerate", "classify"])
+def test_one_mobius_table_per_poset(monkeypatch, route):
+    calls = []
+    mobius = C._mobius
+    monkeypatch.setattr(C, "_mobius",
+                        lambda *args: calls.append(args) or mobius(*args))
+    for name, q in [("B3", 5), ("F4", 7)]:
+        before = len(calls)
+        C.strata_poset(datum_for(name, "sc", q), q, route)
+        assert len(calls) == before + 1
+
+
 def test_classify_route_scales_past_enumeration_cap():
     from coendo import coefficients as K
 
@@ -189,15 +213,15 @@ def test_minimal_stratum_is_center():
                          ("A1", "ad", 9)]:
         datum = datum_for(name, lat, q)
         poset = C.strata_poset(datum, q, "enumerate")
-        i = poset.minimal_index
-        st = poset.strata[i]
+        st = poset.strata[0]
         center = T.subgroup_points(
             datum, q,
             T.Subsystem(datum.root_system, range(len(datum.root_system.roots))),
         )
         assert st.s_size == center.order == st.z_order
+        assert len(st.subsystem.indices) == len(datum.root_system.roots)
         # minimal for the order: below everything
-        assert all(poset.leq[i][j] for j in range(len(poset)))
+        assert all(0 in poset.below(j) for j in range(len(poset)))
 
 
 def test_b2_poset_shape():
@@ -213,14 +237,13 @@ def assert_mobius_identity(poset):
     """sum of mu(i, k) over i <= k <= j is 1 if i == j and 0 otherwise."""
     mob = poset.mobius_table
     n = len(poset)
-    for i in range(n):
-        for j in range(n):
-            if not poset.leq[i][j]:
+    for j in range(n):
+        for i in range(n):
+            if i not in poset.below(j):
+                assert (i, j) not in mob
                 continue
-            total = sum(
-                mob[(i, k)] for k in range(n)
-                if poset.leq[i][k] and poset.leq[k][j]
-            )
+            total = sum(mob[(i, k)] for k in poset.below(j)
+                        if i in poset.below(k))
             assert total == (1 if i == j else 0)
 
 
@@ -237,12 +260,18 @@ def test_mobius_defining_identity_random(name, lat, q):
     p = R.characteristic_of(q)
     assume(R.very_good_check(p, R.build_root_system(factors).simple_factors))
     datum = R.make_datum(factors, lat, p)
-    for route in ("enumerate", "classify"):
-        poset = C.strata_poset(datum, q, route)
+    posets = [C.strata_poset(datum, q, route)
+              for route in ("enumerate", "classify")]
+    for poset in posets:
+        sets = [s.subsystem.indices for s in poset.strata]
         assert all(poset.below(j) == tuple(i for i in range(len(poset))
-                                           if poset.leq[i][j])
+                                           if sets[j] <= sets[i])
                    for j in range(len(poset)))
         assert_mobius_identity(poset)
+    pe, pc = posets
+    assert [(s.key, s.s_size, s.z_order) for s in pe.strata] == \
+        [(s.key, s.s_size, s.z_order) for s in pc.strata]
+    assert pe.mobius_table == pc.mobius_table
 
 
 def test_reeder_partition_grid():

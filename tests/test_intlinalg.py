@@ -26,11 +26,17 @@ def random_unimodular(rng, n, steps=12):
     return il.mat(m)
 
 
+def smith_factors(a):
+    """Nonzero diagonal of the Smith form: positive, a divisibility chain."""
+    d, _, _ = il.snf_transform(a)
+    return [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i]]
+
+
 def test_snf_transform_identity():
     a = il.mat([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     d, u, v = il.snf_transform(a)
     assert il.matmul(il.matmul(u, a), v) == d
-    assert il.invariant_factors(a) == [2, 2, 156]
+    assert smith_factors(a) == [2, 2, 156]
 
 
 def test_invariant_factors_divisibility_chain():
@@ -38,7 +44,7 @@ def test_invariant_factors_divisibility_chain():
     for _ in range(25):
         n = rng.randint(1, 5)
         a = random_matrix(rng, n)
-        factors = il.invariant_factors(a)
+        factors = smith_factors(a)
         for x, y in zip(factors, factors[1:]):
             assert y % x == 0
 
@@ -50,7 +56,7 @@ def test_snf_invariant_under_unimodular_change():
         a = random_matrix(rng, n)
         u = random_unimodular(rng, n)
         v = random_unimodular(rng, n)
-        assert il.invariant_factors(a) == il.invariant_factors(
+        assert smith_factors(a) == smith_factors(
             il.matmul(il.matmul(u, a), v)
         )
 
@@ -61,7 +67,7 @@ def test_det_matches_product_of_invariants():
         n = rng.randint(1, 4)
         a = random_matrix(rng, n)
         d = il.det(a)
-        factors = il.invariant_factors(a)
+        factors = smith_factors(a)
         if d == 0:
             assert len(factors) < n
         else:

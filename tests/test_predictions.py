@@ -128,7 +128,7 @@ def test_assemble_type_a_approx_equals_leading_term():
 def test_assemble_with_counts():
     curve = P.CurveData(1, [1])
     datum, table = _table("A1", "sc", 5)
-    key = (table.rows[0].stratum.signature, tuple(table.rows[0].orbit_rep.reps))
+    key = (table.rows[0].stratum.signature, table.rows[0].orbit_rep)
     report = P.assemble_prediction(datum, 5, curve, table, {key: 10})
     # n = 2, count = 10, N = 1: contribution 2*10/5
     assert report.value == Fraction(4)
@@ -158,7 +158,7 @@ def test_assemble_two_row_arithmetic():
     ]
     table2 = K.NTable(datum, 5, table.spec, table.convention, patched)
     counts = {
-        (r.stratum.signature, r.orbit_rep.reps): c
+        (r.stratum.signature, r.orbit_rep): c
         for r, c in zip(patched, (10, 4, 7))
     }
     report = P.assemble_prediction(datum, 5, curve, table2, counts)

@@ -303,10 +303,14 @@ QUOTIENTS = [
 ]
 
 
+def coweight_lattice(rs):
+    return R.Lattice("coweight", il.identity(rs.rank))
+
+
 @pytest.mark.parametrize("name,expected", QUOTIENTS)
 def test_coweight_coroot_quotients(name, expected):
     rs = R.build_root_system([name])
-    q = R.lattice_quotient(R.coweight_lattice(rs), R.coroot_lattice(rs))
+    q = R.lattice_quotient(coweight_lattice(rs), R.coroot_lattice(rs))
     assert q.invariants == expected
 
 
@@ -315,13 +319,13 @@ def test_lattice_quotient_trivial_and_errors():
     lat = R.coroot_lattice(rs)
     assert R.lattice_quotient(lat, lat).order == 1
     with pytest.raises(R.NotASublattice):
-        R.lattice_quotient(lat, R.coweight_lattice(rs))
+        R.lattice_quotient(lat, coweight_lattice(rs))
 
 
 def test_lattice_quotient_basis_independent():
     rng = random.Random(5)
     rs = R.build_root_system(["D4"])
-    big = R.coweight_lattice(rs)
+    big = coweight_lattice(rs)
     small = R.coroot_lattice(rs)
     base = R.lattice_quotient(big, small).invariants
     from test_intlinalg import random_unimodular
@@ -369,7 +373,7 @@ def test_pi1_sc_ad_extremes(name):
     ad = R.GroupDatum(rs, R.Lattice("ad", il.identity(rs.rank)), p)
     assert R.pi1_order(sc) == 1
     assert R.pi1_order(ad) == R.lattice_quotient(
-        R.coweight_lattice(rs), R.coroot_lattice(rs)).order
+        coweight_lattice(rs), R.coroot_lattice(rs)).order
 
 
 def test_geometric_center_orders():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coendo import coendoscopy as C
 from coendo import intlinalg as il
 from coendo import rootsys as R
 from coendo import torus as T
@@ -13,6 +14,33 @@ from test_intlinalg import random_unimodular
 
 def full_subsystem(datum):
     return T.Subsystem(datum.root_system, range(len(datum.root_system.roots)))
+
+
+def is_elliptic(datum, point):
+    """The centralizer subsystem of the point has full rank."""
+    return T.centralizer_subsystem(datum, point).rank == datum.root_system.rank
+
+
+def weyl_stabilizer(datum, weyl, point):
+    """(W_s, W_s^0) as index tuples: the stabilizer of s, and the subgroup
+    generated by the reflections of its centralizer subsystem."""
+    m = point.q - 1
+    v = point.residues
+    stab = tuple(
+        i for i in range(weyl.order)
+        if all((x - y) % m == 0
+               for x, y in zip(il.matvec(datum.weyl_matrix_x(weyl, i), v), v))
+    )
+    sub = T.centralizer_subsystem(datum, point)
+    refl = weyl.subgroup_closure([weyl.reflection(i) for i in sub.base_indices])
+    return stab, refl
+
+
+def pi0_order(datum, weyl, point):
+    """|W_s / W_s^0|, the number of components of the full centralizer."""
+    ws, ws0 = weyl_stabilizer(datum, weyl, point)
+    assert set(ws0) <= set(ws)
+    return len(ws) // len(ws0)
 
 
 def test_point_counts():
@@ -51,8 +79,8 @@ def test_centralizer_examples():
 
 def test_is_elliptic():
     sl2 = R.make_datum(["A1"], "sc", 5)
-    assert T.is_elliptic(sl2, T.TorusPoint(5, (0,)))
-    assert not T.is_elliptic(sl2, T.TorusPoint(5, (1,)))
+    assert is_elliptic(sl2, T.TorusPoint(5, (0,)))
+    assert not is_elliptic(sl2, T.TorusPoint(5, (1,)))
 
 
 @pytest.mark.parametrize("name,q", [("A2", 7), ("A3", 5)])
@@ -61,18 +89,18 @@ def test_type_a_has_no_noncentral_elliptic(name, q):
     rs = datum.root_system
     for p in T.enumerate_points(datum, q):
         sub = T.centralizer_subsystem(datum, p)
-        if T.is_elliptic(datum, p):
+        if is_elliptic(datum, p):
             assert len(sub.indices) == len(rs.roots)
 
 
 def test_weyl_stabilizer_examples():
     sl2 = R.make_datum(["A1"], "sc", 5)
     w = R.weyl_generate(sl2.root_system)
-    ws, ws0 = T.weyl_stabilizer(sl2, w, T.TorusPoint(5, (0,)))
+    ws, ws0 = weyl_stabilizer(sl2, w, T.TorusPoint(5, (0,)))
     assert len(ws) == 2 and len(ws0) == 2
-    ws, ws0 = T.weyl_stabilizer(sl2, w, T.TorusPoint(5, (1,)))
+    ws, ws0 = weyl_stabilizer(sl2, w, T.TorusPoint(5, (1,)))
     assert ws == (0,) and ws0 == (0,)
-    assert T.pi0_order(sl2, w, T.TorusPoint(5, (1,))) == 1
+    assert pi0_order(sl2, w, T.TorusPoint(5, (1,))) == 1
 
 
 def test_pi0_pgl2():
@@ -81,15 +109,15 @@ def test_pi0_pgl2():
     # order-2 point: fixed by the reflection but with empty centralizer
     p = T.TorusPoint(5, (2,))
     assert T.centralizer_subsystem(pgl2, p).indices == frozenset()
-    assert T.pi0_order(pgl2, w, p) == 2
-    assert T.pi0_order(pgl2, w, T.TorusPoint(5, (0,))) == 1
+    assert pi0_order(pgl2, w, p) == 2
+    assert pi0_order(pgl2, w, T.TorusPoint(5, (0,))) == 1
 
 
 def test_pi0_divides_weyl_order():
     sp4 = R.make_datum(["B2"], "sc", 5)
     w = R.weyl_generate(sp4.root_system)
     for p in T.enumerate_points(sp4, 5):
-        assert w.order % T.pi0_order(sp4, w, p) == 0
+        assert w.order % pi0_order(sp4, w, p) == 0
 
 
 @pytest.mark.parametrize("factors,lat,q", [
@@ -98,15 +126,15 @@ def test_pi0_divides_weyl_order():
 ], ids=["B2", "G2", "B3", "A2xA1"])
 def test_weyl_stabilizer_reflection_part_matches_all_reflections(
         factors, lat, q):
-    # W_s^0 from the base reflections equals the closure over the
-    # reflections in every positive root of the centralizer
+    # W_iota from the base reflections equals the closure over the
+    # reflections in every positive root of the stratum's subsystem
     datum = R.make_datum(factors, lat, R.characteristic_of(q))
     w = R.weyl_generate(datum.root_system)
-    for p in T.enumerate_points(datum, q):
-        sub = T.centralizer_subsystem(datum, p)
+    poset = C.strata_poset(datum, q, "enumerate", weyl=w)
+    for i, st in enumerate(poset.strata):
         ref = w.subgroup_closure(
-            [w.reflection(i) for i in sub.positive_indices])
-        assert T.weyl_stabilizer(datum, w, p)[1] == ref
+            [w.reflection(k) for k in st.subsystem.positive_indices])
+        assert poset.wiota_indices(i) == ref
 
 
 def test_subgroup_points_center_examples():
@@ -115,6 +143,24 @@ def test_subgroup_points_center_examples():
     assert T.subgroup_points(sl2, 4, full_subsystem(sl2)).invariants == ()
     empty = T.Subsystem(sl2.root_system, ())
     assert T.subgroup_points(sl2, 5, empty).order == 4
+
+
+def test_one_smith_form_per_point_group(monkeypatch):
+    calls = []
+    snf = il.snf_transform
+    monkeypatch.setattr(il, "snf_transform",
+                        lambda a: calls.append(a) or snf(a))
+    for name, lat, q in [("B3", "ad", 5), ("F4", "sc", 13), ("E6", "sc", 7)]:
+        datum = R.make_datum([name], lat, R.characteristic_of(q))
+        for sub in C.equal_rank_subsystems(datum.root_system):
+            before = len(calls)
+            group = T.subgroup_points(datum, q, sub)
+            assert len(calls) == before + 1
+            assert group.order == len(set(
+                tuple(sum(c * g[t] for c, g in zip(cs, group.generators))
+                      % (q - 1) for t in range(datum.root_system.rank))
+                for cs in itertools.product(*map(range, group.invariants))
+            ))
 
 
 def test_subgroup_points_match_enumeration():
@@ -215,15 +261,16 @@ def test_centralizer_w_equivariance():
 
 
 def test_ellipticity_three_way_agreement():
-    from coendo import intlinalg as il
-
+    # full-rank centralizer, a nonsingular base, and lying in a stratum
     for name, lat, q in [("A1", "sc", 5), ("B2", "sc", 5), ("G2", "ad", 7)]:
         datum = R.make_datum([name], lat, C_of(q))
         r = datum.root_system.rank
+        in_strata = {v for st in C.strata_poset(datum, q, "enumerate").strata
+                     for v in st.s_points}
         for p in T.enumerate_points(datum, q):
             sub = T.centralizer_subsystem(datum, p)
             by_rank = sub.rank == r
-            assert T.is_elliptic(datum, p) == by_rank
+            assert (p.residues in in_strata) == by_rank
             if by_rank:
                 base = [datum.root_functionals[i] for i in sub.base_indices]
                 assert len(base) == r and il.det(il.mat(base)) != 0
