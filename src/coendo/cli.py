@@ -88,15 +88,15 @@ def load_config(args) -> dict:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         cfg = _merge(cfg, file_cfg)
     overrides = {}
-    if getattr(args, "type", None):
+    if getattr(args, "type", None) is not None:
         overrides["group"] = {"factors": args.type.split(",")}
-    if getattr(args, "lattice", None):
+    if getattr(args, "lattice", None) is not None:
         overrides.setdefault("group", {})["lattice"] = args.lattice
-    if getattr(args, "q", None):
+    if getattr(args, "q", None) is not None:
         overrides["q"] = args.q
     if getattr(args, "genus", None) is not None:
         overrides["curve"] = {"genus": args.genus}
-    if getattr(args, "degrees", None):
+    if getattr(args, "degrees", None) is not None:
         try:
             degrees = [int(x) for x in args.degrees.split(",")]
         except ValueError as exc:
@@ -105,9 +105,9 @@ def load_config(args) -> dict:
                 f"{args.degrees!r}"
             ) from exc
         overrides.setdefault("curve", {})["place_degrees"] = degrees
-    if getattr(args, "convention", None):
+    if getattr(args, "convention", None) is not None:
         overrides["convention"] = args.convention
-    if getattr(args, "route", None):
+    if getattr(args, "route", None) is not None:
         overrides["route"] = args.route
     cfg = _merge(cfg, overrides)
     for key in ("group", "curve", "caps"):
@@ -133,13 +133,15 @@ def load_counts(path: str) -> dict:
         raise ConfigError("counts file needs a 'rows' list")
     counts = {}
     for row in rows:
-        try:
-            counts[(row["stratum_type"], tuple(row["orbit_rep"]))] = row["count"]
-        except (KeyError, TypeError) as exc:
+        if not (isinstance(row, dict)
+                and isinstance(row.get("stratum_type"), str)
+                and _is_int_list(row.get("orbit_rep"))
+                and _is_int(row.get("count"))):
             raise ConfigError(
-                f"counts rows need 'stratum_type', 'orbit_rep' and 'count': "
-                f"{row!r}"
-            ) from exc
+                f"counts rows need a string 'stratum_type', an integer list "
+                f"'orbit_rep' and an integer 'count': {row!r}"
+            )
+        counts[(row["stratum_type"], tuple(row["orbit_rep"]))] = row["count"]
     return counts
 
 

@@ -25,6 +25,7 @@ from .rootsys import (
     CapExceeded,
     GroupDatum,
     WeylGroup,
+    closure,
     geometric_center_order,
     weyl_order,
 )
@@ -72,15 +73,14 @@ class CharacterSpec:
         self.finite = tuple(p for p in self.places if not p.is_infinity)
 
     @classmethod
-    def from_record(cls, record, rank: int | None = None) -> "CharacterSpec":
+    def from_record(cls, record, rank: int) -> "CharacterSpec":
         places = [PlaceData(p["tag"], p["lambda"]) for p in record["places"]]
-        if rank is not None:
-            for p in places:
-                if len(p.lam) != rank:
-                    raise ValueError(
-                        f"place {p.tag}: character has length {len(p.lam)}, "
-                        f"expected {rank}"
-                    )
+        for p in places:
+            if len(p.lam) != rank:
+                raise ValueError(
+                    f"place {p.tag}: character has length {len(p.lam)}, "
+                    f"expected {rank}"
+                )
         return cls(places)
 
     @classmethod
@@ -256,16 +256,9 @@ def _tuple_orbits(poset: StrataPoset, stratum_index: int,
     for tup in itertools.product(reps, repeat=num_finite_places):
         if tup in seen:
             continue
-        orbit = {tup}
-        frontier = [tup]
-        while frontier:
-            cur = frontier.pop()
-            for c in gens:
-                img = tuple(conj[c][g] for g in cur)
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        seen |= orbit
+        orbit = closure([tup], lambda cur: [
+            tuple(conj[c][g] for g in cur) for c in gens])
+        seen.update(orbit)
         out.append((min(orbit), sorted(orbit)))
     out.sort(key=lambda pair: pair[0])
     return out

@@ -39,6 +39,7 @@ from .rootsys import (
     SimpleType,
     WeylGroup,
     characteristic_of,
+    closure,
     highest_root_coefficients,
     weyl_generate,
 )
@@ -60,37 +61,17 @@ WHOLE_GROUP = "WHOLE_GROUP"
 
 def subsystem_from_base(rs: RootSystem, base_indices) -> Subsystem:
     """Closed subsystem generated by a simple system, by reflection closure."""
-    seen = set(base_indices)
-    frontier = list(base_indices)
-    while frontier:
-        new = []
-        for i in frontier:
-            for b in base_indices:
-                j = rs.reflection_perm(b)[i]
-                if j not in seen:
-                    seen.add(j)
-                    new.append(j)
-        frontier = new
-    seen |= {rs.negate[i] for i in seen}
-    return Subsystem(rs, seen)
+    perms = [rs.reflection_perm(b) for b in base_indices]
+    seen = closure(base_indices, lambda i: [perm[i] for perm in perms])
+    return Subsystem(rs, [*seen, *(rs.negate[i] for i in seen)])
 
 
 def orbit_of_subset(rs: RootSystem, indices) -> list[frozenset]:
     """W-orbit of a root subset, via the simple-reflection permutations."""
     perms = rs.simple_reflection_perms
-    start = frozenset(indices)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for s in frontier:
-            for perm in perms:
-                t = frozenset(perm[i] for i in s)
-                if t not in seen:
-                    seen.add(t)
-                    new.append(t)
-        frontier = new
-    return sorted(seen, key=lambda s: tuple(sorted(s)))
+    orbit = closure([frozenset(indices)],
+                    lambda s: [frozenset(perm[i] for i in s) for perm in perms])
+    return sorted(orbit, key=lambda s: tuple(sorted(s)))
 
 
 def canonical_subset(rs: RootSystem, indices) -> tuple[int, ...]:
@@ -258,30 +239,19 @@ def classify(datum: GroupDatum, q: int) -> list[CoendoscopicClass]:
 def _prime_steps(rs: RootSystem, sub: Subsystem) -> list[frozenset]:
     """One prime-coefficient deletion applied to each component of sub."""
     base = sub.base_indices
-    if not base:
-        return []
-    base_rows = il.mat([rs.roots[i].coeffs for i in base])
-    try:
-        inv = il.inverse(il.transpose(base_rows))
-    except ValueError:
-        return []
+    inv = il.inverse(il.transpose(il.mat([rs.roots[i].coeffs for i in base])))
     out = []
     for comp in sub.components:
         comp_set = set(comp)
         best = None
         best_exp = None
         for i in sub.positive_indices:
-            c = rs.roots[i].coeffs
-            exp = il.matvec(inv, c)
-            if any(x.denominator != 1 for x in exp):
-                continue
-            exp = tuple(int(x) for x in exp)
+            exp = tuple(int(x) for x in il.matvec(inv, rs.roots[i].coeffs))
             if {t for t, x in enumerate(exp) if x} <= comp_set:
                 if best is None or sum(exp) > sum(best_exp):
                     best = i
                     best_exp = exp
-        if best is None:
-            continue
+        # the base roots of comp qualify, so best is set
         for t in comp:
             h = best_exp[t]
             if h < 2 or any(h % d == 0 for d in range(2, h)):

@@ -22,15 +22,14 @@ class CurveData:
     """Genus and the degrees of the marked places; one place of degree 1
     (the base point at infinity) is required for the counting setup."""
 
-    def __init__(self, genus: int, place_degrees, infinity_degree_one: bool = True):
+    def __init__(self, genus: int, place_degrees):
         if genus < 0:
             raise ValueError("genus must be non-negative")
         self.genus = genus
         self.place_degrees = tuple(int(d) for d in place_degrees)
         if not self.place_degrees or any(d < 1 for d in self.place_degrees):
             raise ValueError("place degrees must be positive, at least one place")
-        self.infinity_degree_one = infinity_degree_one
-        if infinity_degree_one and 1 not in self.place_degrees:
+        if 1 not in self.place_degrees:
             raise ValueError("no degree-1 place for infinity")
 
     @property

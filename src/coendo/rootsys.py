@@ -156,25 +156,43 @@ class Root:
         return f"Root{self.coeffs}"
 
 
+def closure(seeds, neighbours) -> dict:
+    """Everything reachable from ``seeds`` by ``neighbours``, mapped to its
+    distance from the seeds.
+
+    Keys are in breadth-first discovery order: the seeds first (a repeated
+    seed once), then level by level, each element's neighbours in the order
+    the callable yields them.
+    """
+    dist = dict.fromkeys(seeds, 0)
+    frontier = list(dist)
+    depth = 0
+    while frontier:
+        depth += 1
+        new = []
+        for x in frontier:
+            for y in neighbours(x):
+                if y not in dist:
+                    dist[y] = depth
+                    new.append(y)
+        frontier = new
+    return dist
+
+
 def _factor_closure(cartan: Matrix) -> list[tuple[Vector, Vector]]:
     """Reflection closure of the simple (root, coroot) pairs."""
     r = len(cartan)
+
+    def reflect(pair):
+        c, k = pair
+        for j in range(r):
+            pair_cj = sum(c[i] * cartan[i][j] for i in range(r))
+            pair_jk = sum(cartan[j][i] * k[i] for i in range(r))
+            yield (tuple(ci - pair_cj * (i == j) for i, ci in enumerate(c)),
+                   tuple(ki - pair_jk * (i == j) for i, ki in enumerate(k)))
+
     simple = [(tuple(int(i == t) for t in range(r)),) * 2 for i in range(r)]
-    seen = {p[0]: p[1] for p in simple}
-    frontier = list(simple)
-    while frontier:
-        new = []
-        for c, k in frontier:
-            for j in range(r):
-                pair_cj = sum(c[i] * cartan[i][j] for i in range(r))
-                nc = tuple(ci - pair_cj * (i == j) for i, ci in enumerate(c))
-                if nc not in seen:
-                    pair_jk = sum(cartan[j][i] * k[i] for i in range(r))
-                    nk = tuple(ki - pair_jk * (i == j) for i, ki in enumerate(k))
-                    seen[nc] = nk
-                    new.append((nc, nk))
-        frontier = new
-    return sorted(seen.items(), key=lambda p: (sum(p[0]), p[0]))
+    return sorted(closure(simple, reflect), key=lambda p: (sum(p[0]), p[0]))
 
 
 class RootSystem:
@@ -360,18 +378,8 @@ class WeylGroup:
 
     def subgroup_closure(self, generators) -> tuple[int, ...]:
         """Closure of the given element indices, as a sorted index tuple."""
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in generators:
-                    p = self.mul(g, a)
-                    if p not in seen:
-                        seen.add(p)
-                        new.append(p)
-            frontier = new
-        return tuple(sorted(seen))
+        return tuple(sorted(closure(
+            [0], lambda a: [self.mul(g, a) for g in generators])))
 
     def cosets(self, subgroup) -> list[tuple[int, tuple[int, ...]]]:
         """Right cosets H\\W as (canonical representative, members) pairs.
@@ -399,10 +407,11 @@ class WeylGroup:
 
 
 def weyl_generate(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
-    """Enumerate W by BFS closure of the simple reflections, identity first.
+    """Enumerate W by breadth-first closure of the simple reflections,
+    identity first.
 
-    Each frontier is right-multiplied by the simple reflections in node
-    order, so frontier d holds exactly the elements of length d.
+    Each element is right-multiplied by the simple reflections in node
+    order, so the elements at distance d are exactly those of length d.
     """
     order = weyl_order(rs)
     if order > cap:
@@ -410,24 +419,9 @@ def weyl_generate(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
                           order=order)
     # itemgetter(*g)(a) is the composite a o g as a tuple (num_roots >= 2)
     gens = [itemgetter(*g) for g in rs.simple_reflection_perms]
-    ident = tuple(range(rs.num_roots))
-    seen = {ident}
-    perms = [ident]
-    lengths = [0]
-    frontier = [ident]
-    while frontier:
-        depth = lengths[-1] + 1
-        new = []
-        for a in frontier:
-            for g in gens:
-                prod = g(a)
-                if prod not in seen:
-                    seen.add(prod)
-                    new.append(prod)
-        perms += new
-        lengths += [depth] * len(new)
-        frontier = new
-    group = WeylGroup(rs, perms, lengths)
+    lengths = closure([tuple(range(rs.num_roots))],
+                      lambda a: [g(a) for g in gens])
+    group = WeylGroup(rs, lengths.keys(), lengths.values())
     if group.order != order:
         raise AssertionError(
             f"enumerated order {group.order} != degree product {order}"

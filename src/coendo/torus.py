@@ -20,6 +20,7 @@ from .rootsys import (
     GroupDatum,
     SimpleType,
     build_root_system,
+    closure,
     weyl_order,
 )
 
@@ -146,25 +147,16 @@ class Subsystem:
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the base, as positions into base_indices."""
-        base = self.base_indices
-        n = len(base)
+        n = len(self.base_indices)
         cart = self.base_cartan
-        seen = [False] * n
         comps = []
+        seen = set()
         for start in range(n):
-            if seen[start]:
-                continue
-            comp = [start]
-            seen[start] = True
-            queue = [start]
-            while queue:
-                a = queue.pop()
-                for b in range(n):
-                    if not seen[b] and cart[a][b] != 0:
-                        seen[b] = True
-                        comp.append(b)
-                        queue.append(b)
-            comps.append(tuple(sorted(comp)))
+            if start not in seen:
+                comp = closure([start], lambda a: [b for b in range(n)
+                                                   if cart[a][b]])
+                seen.update(comp)
+                comps.append(tuple(sorted(comp)))
         return tuple(comps)
 
     @cached_property

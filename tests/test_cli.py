@@ -498,6 +498,44 @@ def test_bad_places_and_group_p_exit_2(tmp_path, capsys, raw, key):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["classify", "--type", "A1", "--q", "0"], "q must be"),
+    (["classify", "--type", "", "--q", "5"], "cannot parse type"),
+    (["coeffs", "--type", "A1", "--q", "5", "--degrees", ""], "--degrees"),
+], ids=["zero-q", "empty-type", "empty-degrees"])
+def test_falsy_flag_values_are_not_dropped(capsys, argv, key):
+    # a flag overrides the config whatever its value, so a bad one exits 2
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and key in err, err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("row", [
+    {"stratum_type": "A1", "orbit_rep": [0], "count": 2.7},
+    {"stratum_type": "A1", "orbit_rep": [0], "count": "7"},
+    {"stratum_type": "A1", "orbit_rep": [0], "count": True},
+    {"stratum_type": "A1", "orbit_rep": [0], "count": [1]},
+    {"stratum_type": "A1", "orbit_rep": [0], "count": None},
+    {"stratum_type": ["A1"], "orbit_rep": [0], "count": 1},
+    {"stratum_type": "A1", "orbit_rep": [0.0], "count": 1},
+    {"stratum_type": "A1", "orbit_rep": [False], "count": 1},
+    {"stratum_type": "A1", "orbit_rep": "0", "count": 1},
+    ["A1", [0], 1],
+], ids=["float-count", "string-count", "bool-count", "list-count",
+        "null-count", "list-type", "float-rep", "bool-rep", "string-rep",
+        "list-row"])
+def test_bad_count_values_exit_2(tmp_path, capsys, row):
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"rows": [row]}))
+    code, out, err = run(
+        ["predict", "--type", "A1", "--q", "5", "--counts", str(counts)],
+        capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: counts rows need"), err
+    assert err.count("\n") == 1
+
+
 JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3),
     st.floats(-3, 3, allow_nan=False), st.text(max_size=3),
@@ -507,10 +545,10 @@ JUNK = st.one_of(
 )
 
 
-def valid_or(valid):
-    """A valid value three times in four, else a JSON value of the wrong
-    type or range."""
-    return st.integers(0, 3).flatmap(lambda k: valid if k else JUNK)
+def valid_or(valid, one_in=4):
+    """A JSON value of the wrong type or range once in ``one_in`` draws,
+    else a valid value."""
+    return st.integers(0, one_in - 1).flatmap(lambda k: valid if k else JUNK)
 
 
 LAMBDA = st.lists(st.integers(-4, 4), min_size=1, max_size=2)
@@ -541,20 +579,89 @@ CONFIGS = st.fixed_dictionaries({}, optional={
 })
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(CONFIGS)
-def test_coeffs_config_fuzz_exits_cleanly(tmp_path, raw):
-    # any config ends in a report or one error line, never a traceback
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(raw))
+TYPES = st.sampled_from(["A1", "A2", "B2", "G2"])
+QS = st.sampled_from([3, 4, 5, 7, 8, 9, 13, 25, 27, 49])
+
+# values for each key a manifest check reads
+MANIFEST_VALUES = {
+    "factors": st.lists(TYPES, min_size=1, max_size=1),
+    "lattice": st.sampled_from(["sc", "ad"]),
+    "q": QS,
+    "type": TYPES,
+    "seed": st.integers(0, 99),
+    "n": st.integers(1, 3),
+    "samples": st.integers(1, 5),
+}
+
+
+# a manifest or counts file has several values, each of which may be
+# wrong: one in 12 is, so that most files still reach the computation
+def manifest_entry(check):
+    return st.fixed_dictionaries({
+        "check": valid_or(st.just(check), 12),
+        **{key: valid_or(MANIFEST_VALUES[key], 12)
+           for key in cli.oracle.MANIFEST_CHECKS[check]},
+    })
+
+
+MANIFEST = valid_or(st.lists(
+    valid_or(st.sampled_from(sorted(cli.oracle.MANIFEST_CHECKS))
+             .flatmap(manifest_entry), 12),
+    min_size=1, max_size=2), 12)
+
+
+def count_rows(keys):
+    """Counts rows for the given (stratum_type, orbit_rep) keys and a few
+    made-up ones, each value valid or of the wrong type."""
+    made_up = st.tuples(st.sampled_from(["A1", "A2", "A1xA1", "B2", "G2"]),
+                        st.lists(st.integers(0, 7), max_size=2))
+    return st.lists(made_up, max_size=2).flatmap(
+        lambda extra: st.tuples(*[
+            valid_or(st.fixed_dictionaries({
+                "stratum_type": valid_or(st.just(stype), 12),
+                "orbit_rep": valid_or(st.just(rep), 12),
+                "count": valid_or(st.integers(0, 50), 12),
+            }), 12)
+            for stype, rep in [*keys, *extra]
+        ]))
+
+
+def run_clean(argv, command):
+    """Run the CLI and check it ends in a report or one error line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["coeffs", "--config", str(cfg)])
-    assert code in (0, 1, 2), raw
-    if code:
-        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, raw
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code in (1, 2):
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
         prefix = "config error: " if code == 2 else "error: "
-        assert err.getvalue().startswith(prefix), (raw, err.getvalue())
-    else:
-        assert json.loads(out.getvalue())["command"] == "coeffs"
+        assert err.getvalue().startswith(prefix), (argv, err.getvalue())
+        return code, None
+    report = json.loads(out.getvalue())
+    assert report["command"] == command
+    return code, report
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(CONFIGS, MANIFEST, st.data())
+def test_coeffs_config_fuzz_exits_cleanly(tmp_path, raw, manifest, data):
+    # any config, counts file or manifest ends in a report or one error
+    # line, never a traceback; exit 3 only from verify
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    code, report = run_clean(["coeffs", "--config", str(cfg)], "coeffs")
+    assert code != 3
+    for route in ("enumerate", "classify"):
+        assert run_clean(["strata", "--config", str(cfg), "--route", route],
+                         "strata")[0] != 3
+    keys = [(row["stratum_type"], row["orbit_rep"])
+            for row in (report["rows"] if report else [])]
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps(data.draw(valid_or(st.fixed_dictionaries(
+        {"rows": valid_or(count_rows(keys).map(list), 12)}), 12))))
+    assert run_clean(["predict", "--config", str(cfg), "--counts",
+                      str(counts)], "predict")[0] != 3
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    run_clean(["verify", "--manifest", str(path)], "verify")

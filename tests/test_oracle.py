@@ -111,6 +111,33 @@ def test_field_extension_randomized():
             assert v.passed, v.witness
 
 
+@pytest.mark.parametrize("name,q", [("A1", 101), ("B2", 1009)])
+def test_field_extension_at_large_prime(name, q):
+    datum = R.make_datum([name], "sc", q)
+    spec = O.random_spec(datum.root_system.rank, 2, random.Random(q))
+    v = O.field_extension_check(datum, spec, q, 2)
+    assert v.passed, v.witness
+    assert v.details["rows"] > 0
+
+
+# (Spin5 x SL2)/mu2: X_* has basis columns (1,0,1), (0,1,0), (0,0,2) in
+# fundamental-coweight coordinates, a lattice that is not a product of
+# lattices of the two factors
+DIAGONAL_B2_A1 = [[1, 0, 0], [0, 1, 0], [1, 0, 2]]
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 13, 25])
+def test_strata_oracles_on_diagonal_lattice(q):
+    datum = R.make_datum(["B2", "A1"], DIAGONAL_B2_A1, R.characteristic_of(q))
+    assert R.pi1_order(datum) == 2
+    assert datum.cochar.contains((1, 0, 1))
+    assert not datum.cochar.contains((1, 0, 0))
+    reeder = C.reeder_partition_check(C.strata_poset(datum, q, "enumerate"))
+    assert reeder.passed, reeder.witness
+    verdict = O.brute_strata_check(datum, q)
+    assert verdict.passed, (verdict.instance, verdict.witness)
+
+
 def test_verdict_witness_on_failure():
     # failing verdicts must carry a reproducible witness
     datum = R.make_datum(["A2"], "sc", 5)

@@ -184,6 +184,23 @@ def test_weyl_cap_reports_exact_order():
     assert info.value.order == 2903040
 
 
+def test_closure_breadth_first():
+    # By hand: level 0 is the seeds; level 1 is 2, 1 in the order 0 lists
+    # them; level 2 is 3, 5 (from 2) then 4 (from 1), since 2 is visited
+    # before 1; level 3 is 6. 7 is unreachable. A depth-first search would
+    # list 0, 2, 3, 6, 5, 1, 4.
+    graph = {0: [2, 1], 1: [4, 3], 2: [3, 5], 3: [0, 6], 4: [], 5: [6],
+             6: [6], 7: [0]}
+    dist = R.closure([0], graph.__getitem__)
+    assert list(dist.items()) == [(0, 0), (2, 1), (1, 1), (3, 2), (5, 2),
+                                  (4, 2), (6, 3)]
+    # a repeated seed appears once, seeds first in the order given
+    dist = R.closure([4, 0, 4], graph.__getitem__)
+    assert list(dist.items()) == [(4, 0), (0, 0), (2, 1), (1, 1), (3, 2),
+                                  (5, 2), (6, 3)]
+    assert R.closure([], graph.__getitem__) == {}
+
+
 def matrix_bfs_closure(rs):
     """Reference enumeration of W as ambient matrices: BFS frontier by
     frontier, each element right-multiplied by the simple reflections
