@@ -141,7 +141,13 @@ def load_counts(path: str) -> dict:
                 f"counts rows need a string 'stratum_type', an integer list "
                 f"'orbit_rep' and an integer 'count': {row!r}"
             )
-        counts[(row["stratum_type"], tuple(row["orbit_rep"]))] = row["count"]
+        key = (row["stratum_type"], tuple(row["orbit_rep"]))
+        if key in counts:
+            raise ConfigError(
+                f"counts rows repeat stratum_type {key[0]!r} with orbit_rep "
+                f"{list(key[1])}"
+            )
+        counts[key] = row["count"]
     return counts
 
 
@@ -476,8 +482,17 @@ def emit(report: dict, fmt: str, command: str, out) -> None:
             out.write("\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are config errors: one line, exit 2.
+
+    Subcommand parsers are made with the same class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coendo",
         description="split elliptic coendoscopic classification and "
                     "multiplicity coefficients over F_q",
@@ -513,10 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     buffer = io.StringIO()
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "verify":
             report = cmd_verify(args.manifest)
             emit(report, args.format, "verify", buffer)

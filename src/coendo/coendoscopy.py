@@ -3,8 +3,9 @@
 Two independent routes produce the stratification of T(F_q) by centralizer
 subsystems:
 
-* ENUMERATE sweeps all (q-1)^r torus points and groups them by the set of
-  roots they kill;
+* ENUMERATE sweeps all (q-1)^r torus points, keeps only those that at
+  least rank-many positive roots kill (every elliptic point is one), and
+  groups the elliptic ones by the set of roots they kill;
 * CLASSIFY generates every full-rank closed subsystem geometrically (by
   iterating the extended-diagram node-deletion step with prime highest-root
   coefficient, closing under the Weyl action) and recovers the stratum
@@ -463,19 +464,20 @@ def strata_poset(
 def _strata_by_enumeration(datum, q, weyl, weyl_cap, point_cap) -> StrataPoset:
     rs = datum.root_system
     r = rs.rank
-    masks, pos = centralizer_masks_for(datum, q, cap=point_cap)
+    # only points killed by >= r positive roots come back: the elliptic
+    # ones among them
+    _, masks, pos = centralizer_masks_for(datum, q, cap=point_cap)
     subsystems = {}
-    for mask in sorted(set(masks)):
+    for mask in sorted(set(masks.values())):
         indices = [pos[b] for b in range(len(pos)) if mask >> b & 1]
         indices += [rs.negate[i] for i in indices]
         sub = Subsystem(rs, indices)
         if sub.rank == r:
             subsystems[mask] = sub
-    # elliptic points are few: collect indices for their masks only
     groups: dict[int, list[int]] = {mask: [] for mask in subsystems}
-    for idx in itertools.compress(range(len(masks)),
-                                  map(subsystems.__contains__, masks)):
-        groups[masks[idx]].append(idx)
+    for idx, mask in masks.items():
+        if mask in groups:
+            groups[mask].append(idx)
     strata = []
     for mask, sub in subsystems.items():
         pts = tuple(point_from_index(q, r, i).residues for i in groups[mask])
@@ -552,14 +554,17 @@ def reeder_partition_check(poset: StrataPoset) -> Verdict:
 
     |Z_i| is counted afresh from the swept masks: a point lies in Z_i iff
     its mask contains that of stratum i.  The points of the strata below
-    i are then checked one by one against the same masks.
+    i are then checked one by one against the same masks.  The sweep kept
+    only the points killed by at least rank-many positive roots, and that
+    loses none of Z_i: a mask containing stratum i's full-rank mask has at
+    least rank bits set.  A point it did not keep reads as mask 0.
     """
     inst = f"{poset.datum.root_system}@q={poset.q}"
     if poset.route != "enumerate":
         return Verdict("reeder_partition", inst, False,
                        witness="requires an enumerate-route poset")
     masks = poset._masks
-    mask_counts = Counter(masks)
+    mask_counts = Counter(masks.values())
     r = poset.datum.root_system.rank
     for i, st in enumerate(poset.strata):
         mask_i = poset._mask_of[st.key]
@@ -582,7 +587,8 @@ def reeder_partition_check(poset: StrataPoset) -> Verdict:
                                witness={"stratum": st.signature,
                                         "overlap_with": poset.strata[j].signature})
             covered |= idxs
-        inside = sum(1 for idx in covered if masks[idx] & mask_i == mask_i)
+        inside = sum(1 for idx in covered
+                     if masks.get(idx, 0) & mask_i == mask_i)
         if inside != direct or inside != len(covered):
             return Verdict("reeder_partition", inst, False,
                            witness={"stratum": st.signature,

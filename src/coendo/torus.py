@@ -5,12 +5,18 @@ X_*(T) basis, standing for the torsion element t = v/(q-1) mod X_*(T).
 Root evaluation is then an integer dot product modulo q-1, and every
 operation below is exact.  q is always an explicit parameter so that the
 same machinery runs over any extension field.
+
+The sweep (``centralizer_masks_for``) visits every point but returns masks
+only for the points that at least rank-many positive roots kill, a set
+that holds every elliptic point.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
+from array import array
 from functools import cached_property
 
 from . import intlinalg as il
@@ -62,18 +68,6 @@ def point_from_index(q: int, rank: int, index: int) -> TorusPoint:
         digits.append(index % m)
         index //= m
     return TorusPoint(q, tuple(reversed(digits)))
-
-
-def enumerate_points(datum: GroupDatum, q: int, cap: int = DEFAULT_POINT_CAP):
-    """All (q-1)^r points of T(F_q), in deterministic lexicographic order."""
-    r = datum.root_system.rank
-    total = (q - 1) ** r
-    if total > cap:
-        raise CapExceeded(
-            f"|T(F_q)| = {total} exceeds cap {cap} (caps.points)", order=total
-        )
-    for idx in range(total):
-        yield point_from_index(q, r, idx)
 
 
 class Subsystem:
@@ -280,34 +274,42 @@ def subgroup_points(datum: GroupDatum, q: int, sub: Subsystem) -> FiniteAbelianG
     return FiniteAbelianGroup(orders, gens)
 
 
-# Byte offset, within a native 8-byte word, of bits 8g..8g+7.
-_PLANE_OFFSET = tuple(range(8) if sys.byteorder == "little" else range(7, -1, -1))
+# Set bits of each byte value, as a bytes.translate table.
+POPCOUNT = bytes(bin(b).count("1") for b in range(256))
 
 
-def centralizer_masks(rows, m):
-    """Vanishing bitmasks of the given functionals over all points of (Z/m)^r.
+def centralizer_masks(rows, m, least):
+    """Vanishing bitmasks of the points of (Z/m)^r killed by >= ``least`` rows.
 
-    ``rows`` is a k x r integer matrix (k <= 64).  Points v run through
-    (Z/m)^r with the last coordinate varying fastest; entry ``idx`` of the
-    result has bit i set iff rows[i]·v == 0 mod m.
+    ``rows`` is a k x r integer matrix.  Points v run through (Z/m)^r with
+    the last coordinate varying fastest, point ``idx`` being the idx-th.
+    Returns ``(kills, kept)``: ``kills`` is an m^r-byte string whose byte
+    idx is min(number of rows vanishing at v, least), and ``kept`` maps
+    each idx with ``kills[idx] == least`` to its mask, in which bit i is
+    set iff rows[i]·v == 0 mod m.
 
-    No Python code runs per point.  Row i becomes a byte string over all
-    points holding ``1 << (i % 8)`` where it vanishes, built coordinate by
-    coordinate from the last one: ``ind[d]`` is that string over the
-    coordinates j.. given the residue d of the dot product with the ones
-    before j, and it is the join of the m strings ``ind[(d + a_j·x) % m]``.
-    Each group of 8 rows is OR-ed into one byte plane, and plane g fills
-    byte g of every native 8-byte word of a single buffer.
+    No Python code runs per point, only per kept point.  Row i becomes a
+    byte string over all points holding ``1 << (i % 8)`` where it
+    vanishes, built coordinate by coordinate from the last one: ``ind[d]``
+    is that string over the coordinates j.. given the residue d of the dot
+    product with the ones before j, and it is the join of the m strings
+    ``ind[(d + a_j·x) % m]``.  Each group of 8 rows is OR-ed into one byte
+    plane.  A plane's popcount lanes are added to the running counts as
+    big ints, and the sum is capped at ``least`` by ``translate``: a lane
+    then never exceeds least + 8 <= 255, so it never carries into its
+    neighbour.  The masks of the kept points are read back from their
+    bytes in the planes.
     """
-    k = len(rows)
-    if k > 64:
-        raise ValueError("at most 64 rows supported")
+    if not 0 <= least <= 247:
+        raise ValueError("least must lie in 0..247")
     r = len(rows[0])
     n = m**r
-    buf = bytearray(8 * n)
-    for g in range(0, k, 8):
+    cap = bytes(min(b, least) for b in range(256))
+    kills = bytes(n)
+    planes = []
+    for g in range(0, len(rows), 8):
         plane = 0
-        for i in range(g, min(g + 8, k)):
+        for i in range(g, min(g + 8, len(rows))):
             ind = [bytes([1 << (i % 8)])] + [b"\0"] * (m - 1)
             for j in range(r - 1, -1, -1):
                 steps = [rows[i][j] * x % m for x in range(m)]
@@ -315,18 +317,38 @@ def centralizer_masks(rows, m):
                 ind = [b"".join(map((ind[d:] + ind[:d]).__getitem__, steps))
                        for d in (range(m) if j else (0,))]
             plane |= int.from_bytes(ind[0], "little")
-        buf[_PLANE_OFFSET[g // 8]::8] = plane.to_bytes(n, "little")
-    return memoryview(buf).cast("Q").tolist()
+        plane = plane.to_bytes(n, "little")
+        planes.append(plane)
+        total = (int.from_bytes(kills, "little")
+                 + int.from_bytes(plane.translate(POPCOUNT), "little"))
+        kills = total.to_bytes(n, "little").translate(cap)
+    kept = [hit.start() for hit in re.finditer(re.escape(bytes([least])), kills)]
+    # byte g of a kept point's mask is its byte in plane g; each 8 bytes
+    # of it make one little-endian 64-bit word
+    width = -(-len(planes) // 8)
+    packed = bytearray(8 * width * len(kept))
+    for g, plane in enumerate(planes):
+        packed[g::8 * width] = bytes(map(plane.__getitem__, kept))
+    words = array("Q", packed)
+    if sys.byteorder == "big":
+        words.byteswap()
+    masks = words[::width].tolist()
+    for w in range(1, width):
+        masks = [lo | hi << 64 * w for lo, hi in zip(masks, words[w::width])]
+    return kills, dict(zip(kept, masks))
 
 
-def centralizer_masks_for(datum: GroupDatum, q: int, cap: int = DEFAULT_POINT_CAP,
-                          chunk: int = 64):
-    """Vanishing masks over the positive roots for every point of T(F_q).
+def centralizer_masks_for(datum: GroupDatum, q: int, cap: int = DEFAULT_POINT_CAP):
+    """Vanishing masks over the positive roots of the points of T(F_q)
+    that at least rank-many positive roots kill.
 
-    Returns (masks, positive_root_indices).  Entry idx corresponds to
-    ``point_from_index(q, r, idx)``; bit b of a mask is set iff the root
-    ``positive_root_indices[b]`` kills that point.  Masks wider than 64
-    bits (or ``chunk``) are assembled from several sweeps.
+    Returns ``(kills, masks, positive_root_indices)`` as from
+    ``centralizer_masks`` with ``least`` the rank: ``kills`` has one byte
+    per point, and ``masks`` maps a kept point's index idx, standing for
+    ``point_from_index(q, r, idx)``, to its mask, in which bit b is set
+    iff the root ``positive_root_indices[b]`` kills that point.  Every
+    elliptic point is kept: a full-rank root set holds at least rank
+    positive roots.
     """
     rs = datum.root_system
     m = q - 1
@@ -337,10 +359,5 @@ def centralizer_masks_for(datum: GroupDatum, q: int, cap: int = DEFAULT_POINT_CA
         )
     pos = rs.positive_indices
     funcs = datum.root_functionals
-    rows = [funcs[i] for i in pos]
-    chunk = min(chunk, 64)
-    masks = centralizer_masks(rows[:chunk], m)
-    for lo in range(chunk, len(rows), chunk):
-        part = centralizer_masks(rows[lo:lo + chunk], m)
-        masks = [mask | hi << lo for mask, hi in zip(masks, part)]
-    return masks, pos
+    kills, masks = centralizer_masks([funcs[i] for i in pos], m, rs.rank)
+    return kills, masks, pos

@@ -169,10 +169,24 @@ def test_byte_identical_reruns(tmp_path):
 
 def test_threads_flag_removed(capsys):
     # there is no worker pool, so there is no thread-count flag
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["coeffs", "--type", "B2", "--q", "5", "--threads", "4"])
-    assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    code, _, err = run(["coeffs", "--type", "B2", "--q", "5", "--threads", "4"],
+                       capsys)
+    assert code == 2
+    assert err.startswith("config error:") and "--threads" in err
+
+
+@pytest.mark.parametrize("args,needle", [
+    (["classify", "--type", "A1", "--q", "abc"], "--q"),
+    (["classify", "--type", "A1", "--lattice", "xx", "--q", "5"], "--lattice"),
+    (["strata", "--type", "B2", "--q", "5", "--route", "sweep"], "--route"),
+    (["verify", "--format", "xml"], "--format"),
+    ([], "command"),
+], ids=["int", "lattice", "route", "verify-format", "no-command"])
+def test_argument_errors_are_config_errors(args, needle, capsys):
+    code, out, err = run(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and needle in err
+    assert err.count("\n") == 1
 
 
 def test_verify_small_manifest(tmp_path, capsys):
@@ -277,6 +291,20 @@ def test_bad_caps_exit_2(tmp_path, capsys):
         assert code == 2
         assert err.startswith("config error:") and key in err
         assert err.count("\n") == 1
+
+
+def test_repeated_counts_row_exits_2(tmp_path, capsys):
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"rows": [
+        {"stratum_type": "A1", "orbit_rep": [0], "count": 7},
+        {"stratum_type": "A1", "orbit_rep": [0], "count": 3},
+    ]}))
+    code, out, err = run(
+        ["predict", "--type", "A1", "--q", "5", "--counts", str(counts)],
+        capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and "repeat" in err
+    assert err.count("\n") == 1
 
 
 def test_counts_without_rows_exits_2(tmp_path, capsys):

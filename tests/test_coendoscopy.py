@@ -163,6 +163,19 @@ def test_e7_routes_agree():
     assert pe._weyl is None and pc._weyl is None
 
 
+def test_wide_mask_routes_agree():
+    # 78 positive roots: the sweep's masks span 10 byte planes, two words
+    datum = datum_for("A12", "sc", 3)
+    assert len(datum.root_system.positive_indices) == 78
+    pe = C.strata_poset(datum, 3, "enumerate")
+    pc = C.strata_poset(datum, 3, "classify")
+    assert [(s.key, s.s_size, s.z_order) for s in pe.strata] == \
+        [(s.key, s.s_size, s.z_order) for s in pc.strata]
+    assert [s.signature for s in pe.strata] == ["A12"]
+    assert max(pe._masks.values()) == (1 << 78) - 1
+    assert C.reeder_partition_check(pe).passed
+
+
 @pytest.mark.parametrize("route", ["enumerate", "classify"])
 def test_one_mobius_table_per_poset(monkeypatch, route):
     calls = []
@@ -300,7 +313,9 @@ def test_reeder_partition_witnesses():
 
     def add_outside_point(poset, b2, a1a1):
         mask = poset._mask_of[a1a1.key]
-        idx = next(i for i, mk in enumerate(poset._masks) if mk & mask != mask)
+        # a point the sweep did not keep reads as mask 0
+        idx = next(i for i in range(16)
+                   if poset._masks.get(i, 0) & mask != mask)
         outside = T.point_from_index(5, 2, idx)
         a1a1.s_points += (outside.residues,)
 

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coendo import coendoscopy as C
@@ -10,6 +10,14 @@ from coendo import intlinalg as il
 from coendo import rootsys as R
 from coendo import torus as T
 from test_intlinalg import random_unimodular
+
+
+def enumerate_points(datum, q):
+    """All (q-1)^r points of T(F_q), the last coordinate varying fastest:
+    the idx-th is ``T.point_from_index(q, r, idx)``."""
+    r = datum.root_system.rank
+    return [T.TorusPoint(q, v)
+            for v in itertools.product(range(q - 1), repeat=r)]
 
 
 def full_subsystem(datum):
@@ -44,17 +52,22 @@ def pi0_order(datum, weyl, point):
 
 
 def test_point_counts():
-    sl2 = R.make_datum(["A1"], "sc", 5)
-    assert len(list(T.enumerate_points(sl2, 3))) == 2
-    assert len(list(T.enumerate_points(sl2, 5))) == 4
-    sp4 = R.make_datum(["B2"], "sc", 5)
-    assert len(list(T.enumerate_points(sp4, 5))) == 16
+    # the sweep has one byte per point, in point_from_index order
+    for factors, q in [(["A1"], 3), (["A1"], 5), (["B2"], 5), (["G2"], 7)]:
+        datum = R.make_datum(factors, "sc", R.characteristic_of(q))
+        r = datum.root_system.rank
+        points = enumerate_points(datum, q)
+        assert len(points) == (q - 1) ** r
+        assert points == [T.point_from_index(q, r, idx)
+                          for idx in range(len(points))]
+        kills, _, _ = T.centralizer_masks_for(datum, q)
+        assert len(kills) == len(points)
 
 
 def test_enumeration_cap():
     d4 = R.make_datum(["D4"], "sc", 7)
     with pytest.raises(R.CapExceeded):
-        list(T.enumerate_points(d4, 101, cap=10**6))
+        T.centralizer_masks_for(d4, 101, cap=10**6)
 
 
 def test_point_equality_mod_q_minus_1():
@@ -68,7 +81,7 @@ def test_centralizer_examples():
     # 2-torsion point of the simply connected B2 torus kills a long A1xA1
     sp4 = R.make_datum(["B2"], "sc", 5)
     twotor = [
-        p for p in T.enumerate_points(sp4, 5)
+        p for p in enumerate_points(sp4, 5)
         if T.centralizer_subsystem(sp4, p).signature == "A1xA1"
     ]
     assert len(twotor) == 2
@@ -87,7 +100,7 @@ def test_is_elliptic():
 def test_type_a_has_no_noncentral_elliptic(name, q):
     datum = R.make_datum([name], "sc", q)
     rs = datum.root_system
-    for p in T.enumerate_points(datum, q):
+    for p in enumerate_points(datum, q):
         sub = T.centralizer_subsystem(datum, p)
         if is_elliptic(datum, p):
             assert len(sub.indices) == len(rs.roots)
@@ -116,7 +129,7 @@ def test_pi0_pgl2():
 def test_pi0_divides_weyl_order():
     sp4 = R.make_datum(["B2"], "sc", 5)
     w = R.weyl_generate(sp4.root_system)
-    for p in T.enumerate_points(sp4, 5):
+    for p in enumerate_points(sp4, 5):
         assert w.order % pi0_order(sp4, w, p) == 0
 
 
@@ -178,7 +191,7 @@ def test_subgroup_points_match_enumeration():
             )
             group = T.subgroup_points(datum, q, sub)
             direct = [
-                p for p in T.enumerate_points(datum, q)
+                p for p in enumerate_points(datum, q)
                 if all(
                     sum(a * b for a, b in zip(funcs[i], p.residues)) % m == 0
                     for i in sub.indices
@@ -223,7 +236,7 @@ def test_subgroup_points_match_enumeration_on_random_lattices(datum_q, data):
     sub = T.centralizer_subsystem(datum, T.TorusPoint(q, residues))
     group = T.subgroup_points(datum, q, sub)
     direct = {
-        p.residues for p in T.enumerate_points(datum, q)
+        p.residues for p in enumerate_points(datum, q)
         if all(sum(a * b for a, b in zip(funcs[i], p.residues)) % m == 0
                for i in sub.indices)
     }
@@ -249,7 +262,7 @@ def test_centralizer_w_equivariance():
     w = R.weyl_generate(datum.root_system)
     import coendo.intlinalg as il
 
-    for p in T.enumerate_points(datum, 5):
+    for p in enumerate_points(datum, 5):
         wi = rng.randrange(w.order)
         mat = datum.weyl_matrix_x(w, wi)
         moved = T.TorusPoint(5, il.matvec(mat, p.residues))
@@ -267,7 +280,7 @@ def test_ellipticity_three_way_agreement():
         r = datum.root_system.rank
         in_strata = {v for st in C.strata_poset(datum, q, "enumerate").strata
                      for v in st.s_points}
-        for p in T.enumerate_points(datum, q):
+        for p in enumerate_points(datum, q):
             sub = T.centralizer_subsystem(datum, p)
             by_rank = sub.rank == r
             assert (p.residues in in_strata) == by_rank
@@ -296,16 +309,22 @@ def test_identify_cartan_canonical_names():
     assert repr(identify_cartan([[2, -1], [-3, 2]])) == "G2"
 
 
+def vanishing(rows, m, v):
+    """Bit i set iff rows[i]·v == 0 mod m, by direct dot products."""
+    return sum(1 << i for i, row in enumerate(rows)
+               if sum(a * x for a, x in zip(row, v)) % m == 0)
+
+
 def test_masks_match_direct_computation():
     datum = R.make_datum(["B2"], "sc", 5)
-    masks, pos = T.centralizer_masks_for(datum, 5)
-    funcs = datum.root_functionals
-    m = 4
-    for idx, mask in enumerate(masks):
-        v = T.point_from_index(5, 2, idx).residues
-        for b, i in enumerate(pos):
-            vanishes = sum(a * b_ for a, b_ in zip(funcs[i], v)) % m == 0
-            assert bool(mask >> b & 1) == vanishes
+    kills, masks, pos = T.centralizer_masks_for(datum, 5)
+    rows = [datum.root_functionals[i] for i in pos]
+    assert len(kills) == 16
+    for idx, p in enumerate(enumerate_points(datum, 5)):
+        mask = vanishing(rows, 4, p.residues)
+        count = bin(mask).count("1")
+        assert kills[idx] == min(count, 2)
+        assert masks.get(idx) == (mask if count >= 2 else None)
 
 
 def test_kernel_backend_is_python():
@@ -316,18 +335,35 @@ def test_kernel_backend_is_python():
 
 def test_centralizer_masks_small():
     # single row (2) mod 4: vanishes at v = 0 and 2
-    assert T.centralizer_masks([(2,)], 4) == [1, 0, 1, 0]
-    # ordering: last coordinate fastest
-    out = T.centralizer_masks([(1, 0), (0, 1)], 3)
-    assert len(out) == 9
-    assert out[0] == 0b11  # v = (0,0)
-    assert out[1] == 0b01  # v = (0,1): first row still vanishes
-    assert out[3] == 0b10  # v = (1,0)
+    assert T.centralizer_masks([(2,)], 4, 1) == (bytes([1, 0, 1, 0]),
+                                                 {0: 1, 2: 1})
+    # ordering: last coordinate fastest; least 0 keeps every point
+    kills, kept = T.centralizer_masks([(1, 0), (0, 1)], 3, 0)
+    assert kills == bytes(9)
+    assert list(kept) == list(range(9))
+    assert kept[0] == 0b11  # v = (0,0)
+    assert kept[1] == 0b01  # v = (0,1): first row still vanishes
+    assert kept[3] == 0b10  # v = (1,0)
+    # counts are capped at least, and only points reaching it are kept
+    kills, kept = T.centralizer_masks([(1, 0), (0, 1)], 3, 1)
+    assert kills == bytes([1, 1, 1, 1, 0, 0, 1, 0, 0])
+    assert kept == {0: 0b11, 1: 0b01, 2: 0b01, 3: 0b10, 6: 0b10}
+    kills, kept = T.centralizer_masks([(1, 0), (0, 1)], 3, 2)
+    assert kills == bytes([2, 1, 1, 1, 0, 0, 1, 0, 0])
+    assert kept == {0: 0b11}
 
 
 def test_centralizer_masks_row_limit():
-    with pytest.raises(ValueError):
-        T.centralizer_masks([(1,)] * 65, 3)
+    # any number of rows: 300 rows give 300-bit masks from 38 planes, and
+    # the 300 kills at v = 0 are capped at least
+    rows = [(1,)] * 150 + [(2,)] * 150
+    kills, kept = T.centralizer_masks(rows, 4, 3)
+    assert kills == bytes([3, 0, 3, 0])
+    assert kept == {0: (1 << 300) - 1, 2: ((1 << 150) - 1) << 150}
+    # a byte lane holds the capped count plus one plane's 8
+    for least in (-1, 248):
+        with pytest.raises(ValueError):
+            T.centralizer_masks([(1,)], 3, least)
 
 
 @st.composite
@@ -335,32 +371,43 @@ def sweep_cases(draw):
     r = draw(st.integers(1, 4))
     m = draw(st.sampled_from(
         [1, 2, 3, 4, 6, 12] + ([256, 257] if r <= 2 else [])))
-    # keep the per-point check below to about 50,000 dot products
-    k = draw(st.integers(1, max(1, min(64, 50_000 // m**r))))
+    # keep the per-point check below to about 50,000 dot products; small
+    # m^r allows more than 64 and more than 255 rows
+    k = draw(st.integers(1, max(1, min(300, 50_000 // m**r))))
     entry = st.integers(-3 * m - 5, 3 * m + 5)
     rows = draw(st.lists(st.tuples(*[entry] * r), min_size=k, max_size=k))
-    return rows, m
+    least = draw(st.sampled_from([0, 1, r, min(k, 247)]))
+    return rows, m, least
 
 
 @settings(max_examples=60, deadline=None)
 @given(sweep_cases())
+@example(([(0, 1)] * 40 + [(2, 0)] * 40, 2, 2))
+@example(([(1,), (0,), (3,)] * 100, 3, 247))
+@example(([(1, 2, 0)] * 260, 1, 1))
 def test_centralizer_masks_match_dot_products(case):
-    rows, m = case
+    rows, m, least = case
     r = len(rows[0])
-    out = T.centralizer_masks(rows, m)
-    assert len(out) == m**r
-    want = [
-        sum(1 << i for i, row in enumerate(rows)
-            if sum(a * x for a, x in zip(row, v)) % m == 0)
-        for v in itertools.product(range(m), repeat=r)
-    ]
-    assert out == want
+    kills, kept = T.centralizer_masks(rows, m, least)
+    masks = [vanishing(rows, m, v)
+             for v in itertools.product(range(m), repeat=r)]
+    counts = [bin(mask).count("1") for mask in masks]
+    assert kills == bytes(min(c, least) for c in counts)
+    assert kept == {idx: mask for idx, mask in enumerate(masks)
+                    if counts[idx] >= least}
+    assert list(kept) == sorted(kept)
 
 
 def test_masks_chunked_assembly():
-    # wide mask assembly from several kernel passes (the >64-root path)
-    datum = R.make_datum(["F4"], "sc", 7)
-    whole, pos = T.centralizer_masks_for(datum, 5)
-    pieces, pos2 = T.centralizer_masks_for(datum, 5, chunk=5)
-    assert pos == pos2
-    assert list(whole) == list(pieces)
+    # masks wider than 64 roots come from the byte planes: B9 has 81
+    # positive roots, 11 planes and two 64-bit words per mask
+    datum = R.make_datum(["B9"], "sc", 3)
+    kills, masks, pos = T.centralizer_masks_for(datum, 3)
+    rows = [datum.root_functionals[i] for i in pos]
+    assert len(pos) == 81 and len(kills) == 2**9
+    want = [vanishing(rows, 2, p.residues) for p in enumerate_points(datum, 3)]
+    counts = [bin(mask).count("1") for mask in want]
+    assert kills == bytes(min(c, 9) for c in counts)
+    assert masks == {idx: mask for idx, mask in enumerate(want)
+                     if counts[idx] >= 9}
+    assert max(masks.values()) >> 64
