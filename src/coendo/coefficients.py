@@ -6,7 +6,9 @@ residue pairing as the exponent <lambda, v> mod q-1 of a fixed primitive
 (q-1)-th root of unity.  Sums of character values over a stratum are
 computed exactly by Möbius inversion over the strata poset plus character
 orthogonality on the finite groups Z_i(F_q): no floating point and no
-cyclotomic reduction anywhere on this route.
+cyclotomic reduction anywhere on this route.  A Weyl element moves a
+character through its permutation of the roots (``act_character``), with
+no matrix.
 
 Sign convention: by default every place is evaluated at the inverse point
 (``uniform-inverse``), which is the unique reading for which the minimal
@@ -100,9 +102,20 @@ class CharacterSpec:
 
 
 def act_character(datum: GroupDatum, weyl: WeylGroup, w: int, lam):
-    """w . lambda, i.e. (w.lambda)(x) = lambda(w^-1 x), in X^* coordinates."""
-    m = datum.weyl_matrix_x(weyl, weyl.inv(w))
-    return il.vecmat(lam, m)
+    """w . lambda, i.e. (w.lambda)(x) = lambda(w^-1 x), in X^* coordinates.
+
+    On the coweight space lambda is sum_j c_j alpha_j, where d c = lambda
+    adj(B) for the X_* basis B and d = det B; so d w.lambda is the sum of
+    d c_j times the X_* functional of the root w(alpha_j), exactly.
+    """
+    adj, d = datum.cochar.adjugate
+    perm = weyl.perms[w]
+    funcs = datum.root_functionals
+    out = [0] * len(lam)
+    for c, s in zip(il.vecmat(lam, adj), datum.root_system.simple_indices):
+        if c:
+            out = [x + c * y for x, y in zip(out, funcs[perm[s]])]
+    return tuple(x // d for x in out)
 
 
 def character_trivial_on(lam, group, m: int) -> bool:

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
-from functools import cached_property
 from operator import itemgetter
 
 from . import intlinalg as il
@@ -122,15 +120,6 @@ class CoendoscopicClass:
             return WHOLE_GROUP
         return nodes[0] if len(nodes) == 1 else tuple(nodes)
 
-    @cached_property
-    def representative_point(self) -> tuple[Fraction, ...]:
-        v = [Fraction(0)] * self.rs.rank
-        for c in self.choices:
-            if c is not None:
-                node, h = c
-                v[node] += Fraction(1, h)
-        return tuple(v)
-
     @property
     def signature(self) -> str:
         return self.subsystem.signature
@@ -217,7 +206,8 @@ def classify(datum: GroupDatum, q: int) -> list[CoendoscopicClass]:
     """All coendoscopic classes (whole group first) with rationality flags.
 
     A class is rational over F_q iff (q-1) times its representative point
-    lies in X_*(T); this needs h | q-1 plus an exact lattice membership.
+    lies in X_*(T): it has (q-1)/h at each chosen node, and X_* lies in
+    Z^r, so this is h | q-1 at each chosen node plus a membership test.
     """
     rs = datum.root_system
     whole = CoendoscopicClass(
@@ -227,8 +217,12 @@ def classify(datum: GroupDatum, q: int) -> list[CoendoscopicClass]:
     whole.rational_over_fq = True
     out = [whole]
     for cl in borel_de_siebenthal(rs):
-        scaled = tuple(x * (q - 1) for x in cl.representative_point)
-        cl.rational_over_fq = datum.cochar.contains(scaled)
+        chosen = [c for c in cl.choices if c is not None]
+        scaled = [0] * rs.rank
+        for node, h in chosen:
+            scaled[node] = (q - 1) // h
+        cl.rational_over_fq = (all((q - 1) % h == 0 for _, h in chosen)
+                               and datum.cochar.contains(scaled))
         out.append(cl)
     return out
 
@@ -240,14 +234,15 @@ def classify(datum: GroupDatum, q: int) -> list[CoendoscopicClass]:
 def _prime_steps(rs: RootSystem, sub: Subsystem) -> list[frozenset]:
     """One prime-coefficient deletion applied to each component of sub."""
     base = sub.base_indices
-    inv = il.inverse(il.transpose(il.mat([rs.roots[i].coeffs for i in base])))
+    # a root c = e A on the base rows A has e = c adj(A) / det A
+    adj, d = il.adjugate([rs.roots[i].coeffs for i in base])
     out = []
     for comp in sub.components:
         comp_set = set(comp)
         best = None
         best_exp = None
         for i in sub.positive_indices:
-            exp = tuple(int(x) for x in il.matvec(inv, rs.roots[i].coeffs))
+            exp = tuple(x // d for x in il.vecmat(rs.roots[i].coeffs, adj))
             if {t for t, x in enumerate(exp) if x} <= comp_set:
                 if best is None or sum(exp) > sum(best_exp):
                     best = i

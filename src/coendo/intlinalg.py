@@ -1,16 +1,16 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
 Matrices are tuples of row tuples (immutable, hashable); vectors are
-tuples.  Everything is exact: integer arithmetic where possible,
-``fractions.Fraction`` elsewhere.  Smith normal forms come from
-elementary row and column operations on integer matrices, which is quick
-at the sizes used here (at most 8 x 8).
+tuples.  Everything is integer arithmetic: a rational matrix inverse is
+the integer pair (adjugate, determinant) from one fraction-free
+elimination, and Smith normal forms come from elementary row and column
+operations on integer matrices, which is quick at the sizes used here (at
+most 8 x 8).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -52,26 +52,45 @@ def from_columns(cols: Sequence[Vector]) -> Matrix:
     return tuple(tuple(col[i] for col in cols) for i in range(len(cols[0])))
 
 
-def det(a) -> Fraction:
-    """Determinant by fraction-free Gaussian elimination."""
+def _eliminate(rows, n: int):
+    """Bareiss's fraction-free Gauss-Jordan elimination (Math. Comp. 22,
+    1968) of the leading n x n block A of ``rows``, every division exact.
+
+    Returns (rows, det A): then rows = det A · A^-1 · (input rows), or
+    det A = 0 for a singular A.  A swap negates one row, keeping det A.
+    """
+    m = [list(row) for row in rows]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return m, 0
+        if p != k:
+            m[k], m[p] = m[p], [-x for x in m[k]]
+        top = m[k]
+        pivot = top[k]
+        for i in range(n):
+            f = m[i][k]
+            if i != k:
+                m[i] = [(pivot * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = pivot
+    return m, prev
+
+
+def det(a) -> int:
+    """Determinant of a square integer matrix; 0 when it is singular."""
+    return _eliminate(a, len(a))[1]
+
+
+def adjugate(a) -> tuple[Matrix, int]:
+    """(adj a, det a) for a nonsingular square integer matrix, so that
+    adj a · a = a · adj a = det a · I; a singular one is a ValueError."""
     n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    sign = 1
-    for j in range(n):
-        pivot = next((i for i in range(j, n) if m[i][j] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != j:
-            m[j], m[pivot] = m[pivot], m[j]
-            sign = -sign
-        for i in range(j + 1, n):
-            f = m[i][j] / m[j][j]
-            if f:
-                m[i] = [x - f * y for x, y in zip(m[i], m[j])]
-    out = Fraction(sign)
-    for j in range(n):
-        out *= m[j][j]
-    return out
+    m, d = _eliminate(
+        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)], n)
+    if not d:
+        raise ValueError("matrix is singular")
+    return mat(row[n:] for row in m), d
 
 
 def rank(rows) -> int:
@@ -96,33 +115,6 @@ def rank(rows) -> int:
         if r == len(m):
             break
     return r
-
-
-def inverse(a) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a nonsingular square matrix."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for j in range(n):
-        pivot = next((i for i in range(j, n) if m[i][j] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        m[j], m[pivot] = m[pivot], m[j]
-        pv = m[j][j]
-        m[j] = [x / pv for x in m[j]]
-        for i in range(n):
-            if i != j and m[i][j]:
-                f = m[i][j]
-                m[i] = [x - f * y for x, y in zip(m[i], m[j])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
-def int_inverse(a) -> Matrix:
-    """Inverse of a unimodular (det ±1) integer matrix, as an integer matrix."""
-    inv = inverse(a)
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise ValueError("matrix is not unimodular")
-    return mat([[int(x) for x in row] for row in inv])
 
 
 def snf_transform(a) -> tuple[Matrix, Matrix, Matrix]:

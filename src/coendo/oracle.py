@@ -190,8 +190,7 @@ def _maximal_proper_strata(poset: StrataPoset) -> list[int]:
     return out
 
 
-def brute_strata_check(datum: GroupDatum, q: int, weyl=None,
-                       point_cap: int = DEFAULT_POINT_CAP) -> Verdict:
+def brute_strata_check(datum: GroupDatum, q: int, weyl=None) -> Verdict:
     """Enumerate T(F_q), group by centralizer, and verify:
 
     (a) maximal proper elliptic strata are exactly the W-translates of the
@@ -206,7 +205,7 @@ def brute_strata_check(datum: GroupDatum, q: int, weyl=None,
     """
     rs = datum.root_system
     inst = f"{rs}@q={q}({datum.cochar.name})"
-    poset = strata_poset(datum, q, "enumerate", weyl=weyl, point_cap=point_cap)
+    poset = strata_poset(datum, q, "enumerate", weyl=weyl)
 
     # (a) maximal proper strata vs rational classes, as canonical subsets:
     # the poset's class keys against a fresh orbit search per class
@@ -268,21 +267,18 @@ def brute_strata_check(datum: GroupDatum, q: int, weyl=None,
     )
 
 
-def bds_cross_check(t: SimpleType | str, q: int | None = None,
-                    point_cap: int = DEFAULT_POINT_CAP) -> Verdict:
+def bds_cross_check(t: SimpleType | str, q: int | None = None) -> Verdict:
     """Node-deletion class types against brute-enumerated maximal strata."""
     if isinstance(t, str):
         t = SimpleType.parse(t)
     if q is None:
-        q = next(
-            (qq for qq in DEFAULT_QS if admissible_q(t, qq, point_cap)), None
-        )
+        q = next((qq for qq in DEFAULT_QS if admissible_q(t, qq)), None)
         if q is None:
             return Verdict("bds_cross", f"{t}", False,
                            witness="no admissible q in the default grid")
     p = characteristic_of(q)
     datum = make_datum([repr(t)], "sc", p)
-    poset = strata_poset(datum, q, "enumerate", point_cap=point_cap)
+    poset = strata_poset(datum, q, "enumerate")
     enumerated = {
         poset.strata[i].signature for i in _maximal_proper_strata(poset)
     }
@@ -336,9 +332,8 @@ def field_extension_check(datum: GroupDatum, spec: CharacterSpec, q: int,
                    details={"rows": len(rows_q)})
 
 
-def admissible_q(t: SimpleType, q: int, point_cap: int = DEFAULT_POINT_CAP,
-                 weyl_cap: int = DEFAULT_WEYL_CAP) -> bool:
-    """Very good characteristic, table divisibility, and both caps."""
+def admissible_q(t: SimpleType, q: int) -> bool:
+    """Very good characteristic, table divisibility, and both default caps."""
     try:
         p = characteristic_of(q)
     except ValueError:
@@ -348,10 +343,10 @@ def admissible_q(t: SimpleType, q: int, point_cap: int = DEFAULT_POINT_CAP,
     need = car_divisor(t)
     if need is not None and (q - 1) % need:
         return False
-    if (q - 1) ** t.rank > point_cap:
+    if (q - 1) ** t.rank > DEFAULT_POINT_CAP:
         return False
     rs = make_datum([repr(t)], "sc", p).root_system
-    return weyl_order(rs) <= weyl_cap
+    return weyl_order(rs) <= DEFAULT_WEYL_CAP
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ when every exponent is integral.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from . import intlinalg as il
@@ -71,10 +72,19 @@ def exponent_n(dim_g: int, rank: int, curve: CurveData) -> Fraction:
 
 
 def _q_power(q: int, e: Fraction):
-    """q^e as an exact Fraction for integral e, else None (symbolic)."""
+    """q^e as an exact Fraction for integral e, else None (symbolic).
+
+    A power with more decimal digits than ``sys.get_int_max_str_digits()``
+    lets a report print is refused; past 4 times that limit (q^e >= 16^limit
+    then) it is refused before it is computed.
+    """
     if e.denominator != 1:
         return None
     e = int(e)
+    limit = sys.get_int_max_str_digits()
+    if limit and (abs(e) >= 4 * limit or q ** abs(e) >= 10 ** limit):
+        raise ValueError(f"q^e with q = {q} and e = {e} has more than {limit} "
+                         "digits, too many to print")
     return Fraction(q) ** e
 
 

@@ -10,7 +10,12 @@ of the (product) root system.  In these coordinates:
 * the simple coroot alpha_j^vee is column j of the Cartan matrix, so the
   coroot lattice has basis matrix C and the coweight lattice the identity;
 * every lattice between them (any cocharacter lattice of a semisimple
-  group) has an integer basis matrix.
+  group) has an integer basis matrix B, and a lattice holds the integer
+  pair (adj B, det B) in place of B^-1, so membership and coordinates
+  need no fractions.
+
+Weyl elements are permutations of the roots.  The characteristic of q
+comes from integer roots of q and a deterministic Miller-Rabin test.
 
 All structures are immutable after construction; the functions here are
 pure and safe for concurrent use.
@@ -18,7 +23,6 @@ pure and safe for concurrent use.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 
@@ -253,11 +257,6 @@ class RootSystem:
         off = self.factor_offsets[factor_index]
         return range(off, off + self.simple_factors[factor_index].rank)
 
-    def pairing(self, root_index: int, vector: Vector):
-        """<alpha, x> for x in ambient coordinates."""
-        c = self.roots[root_index].coeffs
-        return sum(a * b for a, b in zip(c, vector))
-
     def reflection_perm(self, root_index: int) -> tuple[int, ...]:
         """Root-index permutation of the reflection in the given root."""
         cached = self._reflection_perms.get(root_index)
@@ -330,9 +329,8 @@ class WeylGroup:
 
     Element i is stored as its permutation ``perms[i]`` of the root indices
     (w sends root k to root ``perms[i][k]``); W acts faithfully on the
-    roots, so products, inverses and lengths need no matrices.  Integer
-    matrices on the ambient coweight space are built on demand by
-    :meth:`matrix`.
+    roots, so products, inverses, lengths and the action on characters
+    (``coefficients.act_character``) need no matrices.
     """
 
     def __init__(self, rs: RootSystem, perms, lengths):
@@ -362,15 +360,6 @@ class WeylGroup:
         """Coxeter length: the number of positive roots sent to negative
         ones, equal to the BFS depth at which the element was enumerated."""
         return self._lengths[i]
-
-    def matrix(self, i: int) -> Matrix:
-        """Integer matrix of element i on the ambient coweight space.
-
-        Row j is the functional alpha_j o w^-1, i.e. the coefficients of
-        the root w^-1(alpha_j).
-        """
-        back = self.perms[self.inv(i)]
-        return tuple(self.rs.roots[back[s]].coeffs for s in self.rs.simple_indices)
 
     def reflection(self, root_index: int) -> int:
         """Element index of the reflection in the given root."""
@@ -430,28 +419,20 @@ def weyl_generate(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
 
 
 class Lattice:
-    """Full-rank lattice in the ambient space, integer basis matrix columns."""
+    """Full-rank lattice in the ambient space, integer basis matrix columns
+    B; ``adjugate`` is (adj B, det B), so v has coordinates adj(B) v / det B.
+    """
 
     def __init__(self, name: str, basis: Matrix):
         self.name = name
         self.basis = il.mat(basis)
-        if il.det(self.basis) == 0:
+        if not il.det(self.basis):
             raise ValueError("lattice basis is singular")
-
-    @cached_property
-    def basis_inverse(self):
-        return il.inverse(self.basis)
-
-    def coordinates(self, vector) -> tuple[Fraction, ...]:
-        """Coordinates of an ambient vector in this lattice's basis."""
-        inv = self.basis_inverse
-        return tuple(
-            sum(row[j] * Fraction(vector[j]) for j in range(len(vector)))
-            for row in inv
-        )
+        self.adjugate = il.adjugate(self.basis)
 
     def contains(self, vector) -> bool:
-        return all(c.denominator == 1 for c in self.coordinates(vector))
+        adj, d = self.adjugate
+        return all(x % d == 0 for x in il.matvec(adj, vector))
 
     def __repr__(self):
         return f"Lattice({self.name})"
@@ -497,13 +478,14 @@ class FiniteAbelianGroup:
 def lattice_quotient(big: Lattice, small: Lattice) -> FiniteAbelianGroup:
     """big/small via the Smith normal form of the inclusion matrix."""
     n = len(big.basis)
-    coords = [big.coordinates(col) for col in il.columns(small.basis)]
-    if any(c.denominator != 1 for col in coords for c in col):
+    adj, det = big.adjugate
+    scaled = il.matmul(adj, small.basis)
+    if any(x % det for row in scaled for x in row):
         raise NotASublattice(f"{small.name} is not contained in {big.name}")
-    m = il.mat([[int(coords[j][i]) for j in range(n)] for i in range(n)])
-    d, u, _ = il.snf_transform(m)
-    uinv = il.int_inverse(u)
-    new_basis = il.matmul(big.basis, uinv)
+    d, u, _ = il.snf_transform([[x // det for x in row] for row in scaled])
+    # u is unimodular, so u^-1 = adj(u) / det(u) = det(u) adj(u)
+    adj_u, det_u = il.adjugate(u)
+    new_basis = il.matmul(big.basis, [[det_u * x for x in row] for row in adj_u])
     invariants = []
     generators = []
     for j in range(n):
@@ -558,7 +540,6 @@ class GroupDatum:
         verdict = very_good_check(p, rs.simple_factors)
         if not verdict:
             raise BadCharacteristic("; ".join(verdict.reasons))
-        self.weyl_on_cochar: dict[int, Matrix] = {}
 
     @cached_property
     def root_functionals(self) -> tuple[Vector, ...]:
@@ -566,47 +547,49 @@ class GroupDatum:
         b = self.cochar.basis
         return tuple(il.vecmat(rt.coeffs, b) for rt in self.root_system.roots)
 
-    @cached_property
-    def cochar_adjugate(self) -> tuple[Matrix, int]:
-        """(adj B, det B) for the X_* basis B, so that B^-1 = adj B / det B."""
-        d = int(il.det(self.cochar.basis))
-        adj = il.mat([[x * d for x in row] for row in self.cochar.basis_inverse])
-        return adj, d
-
-    def weyl_matrix_x(self, weyl: WeylGroup, i: int) -> Matrix:
-        """Matrix B^-1 M B of element i in the X_* basis B, from its integer
-        matrix M on the coweight space: adj(B) M B // det(B), exactly."""
-        cached = self.weyl_on_cochar.get(i)
-        if cached is None:
-            adj, d = self.cochar_adjugate
-            m = il.matmul(adj, il.matmul(weyl.matrix(i), self.cochar.basis))
-            cached = tuple(tuple(x // d for x in row) for row in m)
-            self.weyl_on_cochar[i] = cached
-        return cached
-
     def __repr__(self):
         return f"GroupDatum({self.root_system!r}, {self.cochar.name}, p={self.p})"
 
 
-def characteristic_of(q: int) -> int:
-    """The prime p with q = p^e; rejects non prime powers.
+# Miller-Rabin with these bases is exact below PRIME_TEST_BOUND, the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
 
-    Trial division stops at sqrt(q): a q with no divisor up to there is
-    prime.
-    """
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            n = q
-            while n % p == 0:
-                n //= p
-            if n != 1:
-                raise ValueError(f"{q} is not a prime power")
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 2 <= n < PRIME_TEST_BOUND."""
+    if n in _PRIME_BASES:
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    for b in _PRIME_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        chain = [x] + [x := x * x % n for _ in range(s - 1)]
+        if chain[0] != 1 and n - 1 not in chain:
+            return False
+    return True
+
+
+def _integer_root(n: int, e: int) -> int:
+    """floor(n^(1/e)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // e)
+    while (y := ((e - 1) * x + n // x ** (e - 1)) // e) < x:
+        x = y
+    return x
+
+
+def characteristic_of(q: int) -> int:
+    """The prime p with q = p^e, the one integer e-th root of q that is
+    exact and prime; rejects non prime powers and q past the bound of the
+    exact primality test."""
+    if q >= PRIME_TEST_BOUND:
+        raise ValueError(f"q = {q} is not below {PRIME_TEST_BOUND}, the "
+                         "bound of the exact primality test")
+    for e in range(1, max(q, 1).bit_length()):
+        p = _integer_root(q, e)
+        if p ** e == q and _is_prime(p):
             return p
-        p += 1
-    return q
+    raise ValueError(f"{q} is not a prime power")
 
 
 def make_datum(factors, lattice="sc", p: int = 5) -> GroupDatum:
@@ -636,12 +619,6 @@ def pi1_order(datum: GroupDatum) -> int:
     return q.order
 
 
-def subsystem_base_functionals(datum: GroupDatum, base_indices) -> Matrix:
-    """Rows: the base roots of a subsystem as functionals on X_*."""
-    funcs = datum.root_functionals
-    return il.mat([funcs[i] for i in base_indices])
-
-
 def geometric_center_order(datum: GroupDatum, sub) -> int:
     """Order of the geometric center of the subgroup with the given roots.
 
@@ -649,8 +626,9 @@ def geometric_center_order(datum: GroupDatum, sub) -> int:
     index sequence.  The order is the index of X_* in the coweight lattice
     of the subsystem; the base must span the whole space (elliptic case).
     """
-    base_indices = getattr(sub, "base_indices", sub)
-    a = subsystem_base_functionals(datum, base_indices)
-    if len(a) != datum.root_system.rank or il.det(a) == 0:
+    funcs = datum.root_functionals
+    a = [funcs[i] for i in getattr(sub, "base_indices", sub)]
+    d = il.det(a) if len(a) == datum.root_system.rank else 0
+    if not d:
         raise NotFullRank("subsystem base does not span the ambient space")
-    return abs(int(il.det(a)))
+    return abs(d)

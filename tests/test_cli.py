@@ -2,15 +2,18 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coendo import cli
+from coendo import cli, rootsys
 
 
 def run(args, capsys):
@@ -272,10 +275,53 @@ def test_strata_never_enumerates_weyl(tmp_path, capsys):
 
 
 def test_classify_large_prime_q(capsys):
-    code, out, _ = run(
-        ["classify", "--type", "B2", "--q", "1000000007"], capsys)
-    assert code == 0
-    assert json.loads(out)["q"] == 1000000007
+    # 10^18 + 3 and 10^14 + 31 are prime as well
+    start = time.perf_counter()
+    for name, q in [("B2", 1000000007), ("A1", 1000000000000000003),
+                    ("A1", 100000000000031)]:
+        code, out, err = run(["classify", "--type", name, "--q", str(q)],
+                             capsys)
+        assert code == 0, err
+        assert json.loads(out)["q"] == q
+    assert time.perf_counter() - start < 1.0
+
+
+def test_q_past_the_prime_test_bound_exits_2(capsys):
+    code, out, err = run(["classify", "--type", "A1", "--q", str(10**25)],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:")
+    assert str(rootsys.PRIME_TEST_BOUND) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("genus,exponent", [(100000, 299999),
+                                            (10000000, 29999999)])
+def test_predict_past_the_print_limit_exits_1(capsys, genus, exponent):
+    start = time.perf_counter()
+    code, out, err = run(["predict", "--type", "A1", "--q", "5", "--genus",
+                          str(genus), "--approx"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "q = 5" in err and f"e = {exponent}" in err, err
+    assert time.perf_counter() - start < 5.0
+
+
+def test_readme_cli_lines_exit_0(tmp_path, monkeypatch, capsys):
+    # every command of the README's CLI block, with its config example
+    # as my.json
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", readme, re.S | re.M)
+    commands = [line for lang, body in blocks if not lang
+                for line in body.splitlines() if line.startswith("coendo ")]
+    assert {shlex.split(line)[1] for line in commands} == {
+        "classify", "strata", "coeffs", "predict", "verify"}
+    (config,) = [body for lang, body in blocks if lang == "json"]
+    (tmp_path / "my.json").write_text(config)
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        code, out, err = run(shlex.split(line)[1:], capsys)
+        assert code == 0, (line, err)
+        assert out
 
 
 def test_bad_caps_exit_2(tmp_path, capsys):
@@ -382,9 +428,11 @@ def test_bad_manifest_exits_2(tmp_path, capsys, content, key):
       "q": 5}, "lattice must be"),
     ({"check": "brute_strata", "factors": ["B2"], "lattice": [[1, 0], [0, 3]],
       "q": 5}, "not contained"),
+    ({"check": "brute_strata", "factors": ["A1"], "lattice": "sc",
+      "q": 10**25}, str(rootsys.PRIME_TEST_BOUND)),
 ], ids=["q-not-int", "n-str", "samples-str", "type-int", "q-not-prime-power",
         "factors-str", "seed-str", "type-unknown", "bad-characteristic",
-        "lattice-ragged", "lattice-not-sublattice"])
+        "lattice-ragged", "lattice-not-sublattice", "q-past-prime-test-bound"])
 def test_bad_manifest_values_exit_2(tmp_path, capsys, entry, key):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps([entry]))

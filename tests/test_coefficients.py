@@ -2,12 +2,18 @@ import itertools
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coendo import coefficients as K
 from coendo import coendoscopy as C
+from coendo import intlinalg as il
 from coendo import oracle as O
 from coendo import rootsys as R
 from coendo import torus as T
+from test_rootsys import cochar_data
+from test_torus import weyl_matrix
 
 
 def setup_group(name, lat, q):
@@ -63,6 +69,25 @@ def test_total_character_examples():
     # mixed-inverse flips the infinity sign
     assert K.total_character(datum, weyl, spec, gamma, 0,
                              "mixed-inverse") == (-1,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cochar_data(), st.data())
+def test_act_character_matches_rational_conjugation(datum, data):
+    weyl = R.weyl_generate(datum.root_system)
+    b = datum.cochar.basis
+    adj, d = datum.cochar.adjugate
+    assert il.matmul(adj, b) == tuple(tuple(d * x for x in row)
+                                      for row in il.identity(len(b)))
+    i = data.draw(st.integers(0, weyl.order - 1))
+    lam = data.draw(st.tuples(*[st.integers(-9, 9)] * len(b)))
+    got = K.act_character(datum, weyl, i, lam)
+    assert all(type(x) is int for x in got)
+    # (w.lambda)(x) = lambda(w^-1 x): the row lambda B^-1 M B, with M the
+    # matrix of w^-1 on the coweight space
+    m = sympy.Matrix(weyl_matrix(weyl, weyl.inv(i)))
+    b = sympy.Matrix(b)
+    assert list(got) == list(sympy.Matrix([lam]) * b.inv() * m * b)
 
 
 def test_stratum_sum_examples():

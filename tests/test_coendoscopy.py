@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -70,14 +72,26 @@ def test_bds_product_combinations():
         assert not cl.is_whole_group
 
 
+def representative_point(cl):
+    """The sum over the chosen nodes of (fundamental coweight)/h."""
+    v = [Fraction(0)] * cl.rs.rank
+    for c in cl.choices:
+        if c is not None:
+            node, h = c
+            v[node] += Fraction(1, h)
+    return v
+
+
 def test_class_representative_point_recovers_subsystem():
     for name, lat, q in [("B2", "sc", 5), ("G2", "ad", 7), ("B3", "sc", 5)]:
         datum = datum_for(name, lat, q)
+        adj, d = datum.cochar.adjugate
         for cl in C.classify(datum, q):
             if cl.is_whole_group or not cl.rational_over_fq:
                 continue
-            ambient = [x * (q - 1) for x in cl.representative_point]
-            coords = datum.cochar.coordinates(ambient)
+            ambient = [x * (q - 1) for x in representative_point(cl)]
+            coords = [sum(a * x for a, x in zip(row, ambient)) / d
+                      for row in adj]
             assert all(x.denominator == 1 for x in coords)
             pt = T.TorusPoint(q, tuple(int(x) for x in coords))
             sub = T.centralizer_subsystem(datum, pt)

@@ -2,10 +2,12 @@ import random
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
+from sympy.polys.matrices import DomainMatrix
 
 from coendo import intlinalg as il
 
@@ -84,7 +86,8 @@ def test_inverse_and_solve():
         a = random_matrix(rng, n)
         if il.det(a) == 0:
             continue
-        inv = il.inverse(a)
+        adj, d = il.adjugate(a)
+        inv = [[Fraction(x, d) for x in row] for row in adj]
         prod = [
             [sum(Fraction(a[i][t]) * inv[t][j] for t in range(n)) for j in range(n)]
             for i in range(n)
@@ -94,6 +97,40 @@ def test_inverse_and_solve():
         x = il.matvec(inv, y)
         assert tuple(sum(Fraction(a[i][j]) * x[j] for j in range(n)) for i in range(n)) \
             == tuple(Fraction(t) for t in y)
+
+
+@st.composite
+def square_int_matrices(draw):
+    """n x n integer matrices, 1 <= n <= 8, small entries or up to 10^9;
+    some have a row made a multiple of another, so they are singular."""
+    n = draw(st.integers(1, 8))
+    bound = draw(st.sampled_from([2, 10**9]))
+    rows = draw(st.lists(st.lists(st.integers(-bound, bound),
+                                  min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-3, 3))
+        rows[i] = [c * x for x in rows[j]]
+    return il.mat(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_int_matrices())
+def test_det_and_adjugate_match_sympy(a):
+    n = len(a)
+    ref = DomainMatrix.from_list_sympy(n, n, a).convert_to(sympy.ZZ)
+    assert il.det(a) == ref.det()
+    if not il.det(a):
+        with pytest.raises(ValueError):
+            il.adjugate(a)
+        return
+    adj, d = il.adjugate(a)
+    assert d == il.det(a)
+    assert all(type(x) is int for row in adj for x in row)
+    assert [list(row) for row in adj] == ref.adjugate().to_list()
+    scalar = tuple(tuple(d * int(i == j) for j in range(n)) for i in range(n))
+    assert il.matmul(adj, a) == scalar == il.matmul(a, adj)
 
 
 def test_rank():

@@ -3,12 +3,13 @@ import random
 import time
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coendo import intlinalg as il
 from coendo import rootsys as R
-from test_torus import intermediate_data
+from test_torus import intermediate_data, weyl_matrix
 
 ALL_SIMPLE = (
     [f"A{r}" for r in range(1, 9)]
@@ -167,7 +168,7 @@ def test_weyl_generate_orders():
 def test_weyl_group_structure():
     rs = R.build_root_system(["B2"])
     w = R.weyl_generate(rs)
-    assert w.matrix(0) == il.identity(2)
+    assert weyl_matrix(w, 0) == il.identity(2)
     assert w.perms[0] == tuple(range(rs.num_roots))
     for i in range(w.order):
         perm = w.perms[i]
@@ -231,7 +232,8 @@ def matrix_bfs_closure(rs):
 def test_weyl_enumeration_order_matches_matrix_bfs(name):
     rs = R.build_root_system([name])
     w = R.weyl_generate(rs)
-    assert [w.matrix(i) for i in range(w.order)] == matrix_bfs_closure(rs)
+    assert [weyl_matrix(w, i) for i in range(w.order)] == \
+        matrix_bfs_closure(rs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,8 +250,8 @@ def test_weyl_permutation_representation(data):
     rs = w.rs
     i = data.draw(st.integers(0, w.order - 1))
     j = data.draw(st.integers(0, w.order - 1))
-    mi = w.matrix(i)
-    assert w.matrix(w.mul(i, j)) == il.matmul(mi, w.matrix(j))
+    mi = weyl_matrix(w, i)
+    assert weyl_matrix(w, w.mul(i, j)) == il.matmul(mi, weyl_matrix(w, j))
     assert w.mul(i, w.inv(i)) == 0
     positive = set(rs.positive_indices)
     by_coroot = {rt.coroot_ambient: rt.index for rt in rs.roots}
@@ -268,20 +270,6 @@ def cochar_data(draw):
         return draw(intermediate_data())[0]
     name = draw(st.sampled_from(["A1", "A2", "A3", "B2", "C3", "G2", "A2,A1"]))
     return R.make_datum(name.split(","), kind, 7)
-
-
-@settings(max_examples=60, deadline=None)
-@given(cochar_data(), st.data())
-def test_weyl_matrix_x_matches_rational_conjugation(datum, data):
-    weyl = R.weyl_generate(datum.root_system)
-    b = datum.cochar.basis
-    adj, d = datum.cochar_adjugate
-    assert il.matmul(adj, b) == tuple(tuple(d * x for x in row)
-                                      for row in il.identity(len(b)))
-    i = data.draw(st.integers(0, weyl.order - 1))
-    got = datum.weyl_matrix_x(weyl, i)
-    assert all(type(x) is int for row in got for x in row)
-    assert got == il.matmul(il.inverse(b), il.matmul(weyl.matrix(i), b))
 
 
 def test_weyl_reflection_lookup():
@@ -375,6 +363,21 @@ def test_lattice_quotient_order_is_index(mats):
         assert small.contains(tuple(d * x for x in g))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    square_matrices(n, 4), st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n))))
+def test_lattice_contains_matches_rational_solve(data):
+    # v = B c + e: in the lattice when e = 0, and sometimes otherwise
+    basis, c, e = data
+    basis = il.mat(basis)
+    assume(il.det(basis) != 0)
+    v = tuple(x + y for x, y in zip(il.matvec(basis, c), e))
+    coords = sympy.Matrix(basis).LUsolve(sympy.Matrix(v))
+    assert R.Lattice("l", basis).contains(v) == all(x.is_integer for x in coords)
+    assert R.Lattice("l", basis).contains(il.matvec(basis, c))
+
+
 def test_pi1_orders():
     assert R.pi1_order(R.make_datum(["A1"], "sc", 5)) == 1
     assert R.pi1_order(R.make_datum(["A1"], "ad", 5)) == 2
@@ -442,8 +445,8 @@ def test_deterministic_construction():
     wa = R.weyl_generate(a)
     wb = R.weyl_generate(b)
     assert wa.perms == wb.perms
-    assert [wa.matrix(i) for i in range(wa.order)] == \
-        [wb.matrix(i) for i in range(wb.order)]
+    assert [weyl_matrix(wa, i) for i in range(wa.order)] == \
+        [weyl_matrix(wb, i) for i in range(wb.order)]
 
 
 def test_table_reproduction_runtime():

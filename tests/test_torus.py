@@ -29,6 +29,24 @@ def is_elliptic(datum, point):
     return T.centralizer_subsystem(datum, point).rank == datum.root_system.rank
 
 
+def weyl_matrix(weyl, i):
+    """Integer matrix of element i on the ambient coweight space.
+
+    Row j is the functional alpha_j o w^-1, i.e. the coefficients of the
+    root w^-1(alpha_j).
+    """
+    back = weyl.perms[weyl.inv(i)]
+    return tuple(weyl.rs.roots[back[s]].coeffs for s in weyl.rs.simple_indices)
+
+
+def weyl_matrix_x(datum, weyl, i):
+    """Matrix B^-1 M B of element i in the X_* basis B, from its matrix M
+    on the coweight space: adj(B) M B / det B, exactly."""
+    adj, d = datum.cochar.adjugate
+    m = il.matmul(adj, il.matmul(weyl_matrix(weyl, i), datum.cochar.basis))
+    return tuple(tuple(x // d for x in row) for row in m)
+
+
 def weyl_stabilizer(datum, weyl, point):
     """(W_s, W_s^0) as index tuples: the stabilizer of s, and the subgroup
     generated by the reflections of its centralizer subsystem."""
@@ -37,7 +55,7 @@ def weyl_stabilizer(datum, weyl, point):
     stab = tuple(
         i for i in range(weyl.order)
         if all((x - y) % m == 0
-               for x, y in zip(il.matvec(datum.weyl_matrix_x(weyl, i), v), v))
+               for x, y in zip(il.matvec(weyl_matrix_x(datum, weyl, i), v), v))
     )
     sub = T.centralizer_subsystem(datum, point)
     refl = weyl.subgroup_closure([weyl.reflection(i) for i in sub.base_indices])
@@ -220,7 +238,8 @@ def intermediate_data(draw):
                           max_size=2))
     gens = il.from_columns(il.columns(rs.cartan) + [tuple(x) for x in extra])
     d, u, _ = il.snf_transform(gens)
-    basis = il.matmul(il.int_inverse(u), [row[:r] for row in d])
+    # u is unimodular, so adj(u) = ±u^-1 spans the same lattice
+    basis = il.matmul(il.adjugate(u)[0], [row[:r] for row in d])
     basis = il.matmul(basis, random_unimodular(draw(st.randoms()), r))
     return R.GroupDatum(rs, R.Lattice("custom", basis), R.characteristic_of(q)), q
 
@@ -264,7 +283,7 @@ def test_centralizer_w_equivariance():
 
     for p in enumerate_points(datum, 5):
         wi = rng.randrange(w.order)
-        mat = datum.weyl_matrix_x(w, wi)
+        mat = weyl_matrix_x(datum, w, wi)
         moved = T.TorusPoint(5, il.matvec(mat, p.residues))
         left = T.centralizer_subsystem(datum, moved).indices
         perm = w.perms[wi]
