@@ -351,7 +351,6 @@ def cmd_classify(ctx: Context) -> dict:
             {
                 "signature": cl.signature,
                 "deleted_node": (
-                    None if cl.is_whole_group else
                     list(cl.deleted_node) if isinstance(cl.deleted_node, tuple)
                     else cl.deleted_node
                 ),
@@ -409,12 +408,9 @@ def cmd_predict(ctx: Context, counts_path: str | None, approx: bool) -> dict:
         ctx.datum, ctx.q, ctx.curve, table, counts
     )
     report["prediction"] = pred.to_record()
-    report["leading_term"] = {
-        key: str(value) if not isinstance(value, (int, bool, type(None))) else value
-        for key, value in predictions.leading_term(
-            ctx.datum, ctx.q, ctx.curve
-        ).items()
-    }
+    lead = predictions.leading_term(ctx.datum, ctx.q, ctx.curve)
+    report["leading_term"] = {**lead, "exponent": str(lead["exponent"]),
+                              "value": str(lead["value"])}
     return report
 
 

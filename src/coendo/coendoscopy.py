@@ -39,7 +39,6 @@ from .rootsys import (
     WeylGroup,
     characteristic_of,
     closure,
-    highest_root_coefficients,
     weyl_generate,
 )
 
@@ -47,12 +46,8 @@ from .torus import (
     DEFAULT_POINT_CAP,
     Subsystem,
     centralizer_masks_for,
-    point_from_index,
     subgroup_points,
 )
-
-WHOLE_GROUP = "WHOLE_GROUP"
-
 
 # ---------------------------------------------------------------------------
 # subset machinery
@@ -115,9 +110,10 @@ class CoendoscopicClass:
 
     @property
     def deleted_node(self):
+        """The chosen node, a tuple of them for several, None for G."""
         nodes = [c[0] for c in self.choices if c is not None]
         if not nodes:
-            return WHOLE_GROUP
+            return None
         return nodes[0] if len(nodes) == 1 else tuple(nodes)
 
     @property
@@ -129,73 +125,38 @@ class CoendoscopicClass:
         return f"CoendoscopicClass({self.signature}, node={tag})"
 
 
-def _factor_bds_options(rs: RootSystem, factor_index: int):
-    """Per-node prime-coefficient deletions for one irreducible factor,
-    merged along W-conjugacy of the resulting subsystems."""
-    nodes = list(rs.factor_nodes(factor_index))
-    h = highest_root_coefficients(rs, factor_index)
-    highest = max(
-        (rt for rt in rs.roots if rt.factor == factor_index),
-        key=lambda rt: rt.height,
-    )
-    simple_idx = {
-        n: rs.index_of[tuple(int(t == n) for t in range(rs.rank))] for n in nodes
-    }
-    raw = []
-    for local, n in enumerate(nodes):
-        hi = h[local]
-        if hi < 2 or any(hi % d == 0 for d in range(2, hi)):
-            continue
-        base = [simple_idx[m] for m in nodes if m != n]
-        base.append(rs.negate[highest.index])
-        sub = subsystem_from_base(rs, base)
-        raw.append({"node": n, "h": hi, "sub": sub,
-                    "canon": canonical_subset(rs, sub.indices)})
-    merged = {}
-    for opt in raw:
-        merged.setdefault(opt["canon"], []).append(opt)
-    out = []
-    for canon in sorted(merged):
-        group = merged[canon]
-        first = min(group, key=lambda o: o["node"])
-        out.append({
-            "node": first["node"],
-            "h": first["h"],
-            "sub": first["sub"],
-            "nodes": tuple(sorted(o["node"] for o in group)),
-        })
-    out.sort(key=lambda o: o["node"])
-    return out
-
-
 def borel_de_siebenthal(rs: RootSystem) -> list[CoendoscopicClass]:
-    """Nontrivial coendoscopic classes: per-factor prime-node deletions,
-    combined over factors, W-conjugate node choices merged."""
-    per_factor = [
-        [None] + _factor_bds_options(rs, fi)
-        for fi in range(len(rs.simple_factors))
-    ]
+    """Nontrivial coendoscopic classes: the prime-node deletions of the
+    whole system, W-conjugate ones merged, combined over factors.
+
+    A deletion in one factor leaves the others whole, so choosing a
+    deletion in each of several factors gives the intersection of their
+    subsystems.
+    """
+    whole = Subsystem(rs, range(len(rs.roots)))
+    steps = _prime_steps(rs, whole)
+    merged = {}
+    for (t, h, sub), key in zip(
+            steps, class_keys(rs, [sub.indices for _, _, sub in steps])):
+        node = rs.simple_indices.index(whole.base_indices[t])
+        merged.setdefault(key, []).append((node, h, sub))
+    per_factor = [[None] for _ in rs.simple_factors]
+    for group in merged.values():
+        node, h, sub = min(group, key=itemgetter(0))
+        nodes = tuple(sorted(n for n, _, _ in group))
+        factor = rs.roots[rs.simple_indices[node]].factor
+        per_factor[factor].append(((node, h), sub, nodes))
     classes = []
     for combo in itertools.product(*per_factor):
-        if all(c is None for c in combo):
+        chosen = [c for c in combo if c is not None]
+        if not chosen:
             continue
-        indices = set()
-        for fi, choice in enumerate(combo):
-            if choice is None:
-                indices |= {
-                    rt.index for rt in rs.roots if rt.factor == fi
-                }
-            else:
-                indices |= choice["sub"].indices
-        choices = [
-            None if c is None else (c["node"], c["h"]) for c in combo
-        ]
-        equivalents = tuple(
-            c["nodes"] for c in combo if c is not None and len(c["nodes"]) > 1
-        )
-        classes.append(
-            CoendoscopicClass(rs, choices, Subsystem(rs, indices), equivalents)
-        )
+        indices = frozenset.intersection(*(sub.indices for _, sub, _ in chosen))
+        classes.append(CoendoscopicClass(
+            rs, [None if c is None else c[0] for c in combo],
+            Subsystem(rs, indices),
+            tuple(nodes for _, _, nodes in chosen if len(nodes) > 1),
+        ))
     classes.sort(
         key=lambda cl: tuple(-1 if c is None else c[0] for c in cl.choices)
     )
@@ -231,8 +192,14 @@ def classify(datum: GroupDatum, q: int) -> list[CoendoscopicClass]:
 # full-rank closed subsystems by iterated deletion
 
 
-def _prime_steps(rs: RootSystem, sub: Subsystem) -> list[frozenset]:
-    """One prime-coefficient deletion applied to each component of sub."""
+def _prime_steps(rs: RootSystem, sub: Subsystem) -> list[tuple[int, int, Subsystem]]:
+    """Every prime-coefficient deletion step on sub, as (t, h, subsystem).
+
+    For each component of sub and each base position t in it whose
+    coefficient h in the component's highest root is prime, the base loses
+    t and gains the negative of that highest root (A. Borel and J. de
+    Siebenthal, 1949); the other components stay whole.
+    """
     base = sub.base_indices
     # a root c = e A on the base rows A has e = c adj(A) / det A
     adj, d = il.adjugate([rs.roots[i].coeffs for i in base])
@@ -250,11 +217,11 @@ def _prime_steps(rs: RootSystem, sub: Subsystem) -> list[frozenset]:
         # the base roots of comp qualify, so best is set
         for t in comp:
             h = best_exp[t]
-            if h < 2 or any(h % d == 0 for d in range(2, h)):
+            if h < 2 or any(h % p == 0 for p in range(2, h)):
                 continue
             new_base = [b for s, b in enumerate(base) if s != t]
             new_base.append(rs.negate[best])
-            out.append(subsystem_from_base(rs, new_base).indices)
+            out.append((t, h, subsystem_from_base(rs, new_base)))
     return out
 
 
@@ -275,7 +242,8 @@ def equal_rank_subsystems(rs: RootSystem) -> list[Subsystem]:
             continue
         orbit = orbit_of_subset(rs, s)
         subsets.update(orbit)
-        worklist += _prime_steps(rs, Subsystem(rs, orbit[0]))
+        worklist += [step.indices
+                     for _, _, step in _prime_steps(rs, Subsystem(rs, orbit[0]))]
     out = [Subsystem(rs, s) for s in sorted(subsets, key=lambda s: tuple(sorted(s)))]
     rs._equal_rank_subs = out
     return out
@@ -287,7 +255,12 @@ def equal_rank_subsystems(rs: RootSystem) -> list[Subsystem]:
 
 class Stratum:
     """An element of the elliptic stratification: a full-rank centralizer
-    subsystem together with its group data at a fixed q."""
+    subsystem together with its group data at a fixed q.
+
+    On the enumerate route ``s_points`` holds the sweep indices of the
+    stratum's points (``point_from_index`` gives their residues); the
+    classify route lists no points.
+    """
 
     def __init__(self, subsystem: Subsystem, z_group, s_size: int, s_points=None):
         self.subsystem = subsystem
@@ -475,7 +448,7 @@ def _strata_by_enumeration(datum, q, weyl, weyl_cap, point_cap) -> StrataPoset:
             groups[mask].append(idx)
     strata = []
     for mask, sub in subsystems.items():
-        pts = tuple(point_from_index(q, r, i).residues for i in groups[mask])
+        pts = tuple(groups[mask])
         z = subgroup_points(datum, q, sub)
         strata.append(Stratum(sub, z, len(pts), pts))
     poset = StrataPoset(datum, q, "enumerate", strata, weyl,
@@ -560,7 +533,6 @@ def reeder_partition_check(poset: StrataPoset) -> Verdict:
                        witness="requires an enumerate-route poset")
     masks = poset._masks
     mask_counts = Counter(masks.values())
-    r = poset.datum.root_system.rank
     for i, st in enumerate(poset.strata):
         mask_i = poset._mask_of[st.key]
         direct = sum(count for mk, count in mask_counts.items()
@@ -573,10 +545,7 @@ def reeder_partition_check(poset: StrataPoset) -> Verdict:
             )
         covered: set[int] = set()
         for j in poset.below(i):
-            idxs = {
-                _index_of_point(poset.q, r, p)
-                for p in poset.strata[j].s_points
-            }
+            idxs = set(poset.strata[j].s_points)
             if covered & idxs:
                 return Verdict("reeder_partition", inst, False,
                                witness={"stratum": st.signature,
@@ -591,14 +560,6 @@ def reeder_partition_check(poset: StrataPoset) -> Verdict:
                                     "extra": len(covered) - inside})
     return Verdict("reeder_partition", inst, True,
                    details={"strata": len(poset.strata)})
-
-
-def _index_of_point(q, r, residues) -> int:
-    m = q - 1
-    idx = 0
-    for x in residues:
-        idx = idx * m + (x % m)
-    return idx
 
 
 TABLE_CAR = {

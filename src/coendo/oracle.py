@@ -23,7 +23,12 @@ from .rootsys import (
     weyl_generate,
     weyl_order,
 )
-from .torus import DEFAULT_POINT_CAP, subgroup_points
+from .torus import (
+    DEFAULT_POINT_CAP,
+    centralizer_subsystem,
+    point_from_index,
+    subgroup_points,
+)
 from .coendoscopy import (
     StrataPoset,
     Verdict,
@@ -113,14 +118,20 @@ def exponent_sum_as_integer(exponents: dict[int, int], m: int) -> int | None:
 # direct summation routes
 
 
-def direct_stratum_sum(lam, poset: StrataPoset, stratum_index: int):
-    """Character sum over the listed points of S_iota, cyclotomic route."""
+def _stratum_residues(poset: StrataPoset, stratum_index: int):
+    """Residue vectors of the points of an enumerate-route stratum."""
     st = poset.strata[stratum_index]
     if st.s_points is None:
         raise ValueError("stratum has no explicit point list (classify route)")
+    r = poset.datum.root_system.rank
+    return [point_from_index(poset.q, r, idx) for idx in st.s_points]
+
+
+def direct_stratum_sum(lam, poset: StrataPoset, stratum_index: int):
+    """Character sum over the listed points of S_iota, cyclotomic route."""
     m = poset.q - 1
     hist: dict[int, int] = {}
-    for v in st.s_points:
+    for v in _stratum_residues(poset, stratum_index):
         e = sum(a * b for a, b in zip(lam, v)) % m
         hist[e] = hist.get(e, 0) + 1
     return exponent_sum_as_integer(hist, m)
@@ -159,12 +170,10 @@ def direct_n_coefficient(
     reps = [rep for rep, _ in poset.weyl.cosets(cw)]
     m = poset.q - 1
     hist: dict[int, int] = {}
-    st = poset.strata[stratum_index]
-    if st.s_points is None:
-        raise ValueError("stratum has no explicit point list (classify route)")
+    points = _stratum_residues(poset, stratum_index)
     for w in reps:
         lam = total_character(datum, poset.weyl, spec, gamma, w, convention)
-        for v in st.s_points:
+        for v in points:
             e = sum(a * b for a, b in zip(lam, v)) % m
             hist[e] = hist.get(e, 0) + 1
     return exponent_sum_as_integer(hist, m)
@@ -231,20 +240,14 @@ def brute_strata_check(datum: GroupDatum, q: int, weyl=None) -> Verdict:
                        witness={"reeder": reeder.witness})
 
     # (c) structural re-verification, independent of the sweep kernel
-    funcs = datum.root_functionals
-    m = q - 1
     for st in poset.strata:
         sub = st.subsystem
         if sub.rank != rs.rank or not sub.is_closed():
             return Verdict("brute_strata", inst, False,
                            witness={"stratum": st.signature,
                                     "reason": "not closed or not full rank"})
-        v = st.s_points[0]
-        direct = frozenset(
-            i for i, row in enumerate(funcs)
-            if sum(a * b for a, b in zip(row, v)) % m == 0
-        )
-        if direct != sub.indices:
+        v = point_from_index(q, rs.rank, st.s_points[0])
+        if centralizer_subsystem(datum, q, v).indices != sub.indices:
             return Verdict("brute_strata", inst, False,
                            witness={"stratum": st.signature, "point": list(v),
                                     "reason": "kernel/direct mismatch"})

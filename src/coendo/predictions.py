@@ -1,11 +1,9 @@
 """Dimension bookkeeping and leading-term predictions.
 
-All quantities are exact: dimensions are integers, exponents are stored as
-Fractions (they are in fact integers for semisimple groups, since the root
-count is even, but the machinery carries half-integers symbolically rather
-than ever touching floating point), and assembled predictions are lists of
-(exponent, integer coefficient) terms in q plus an exact rational value
-when every exponent is integral.
+All quantities are exact.  Dimensions and exponents are integers: the
+root count |Phi| is even, so every halving below is exact.  Assembled
+predictions are lists of (exponent, integer coefficient) terms in q plus
+their exact rational value.
 """
 
 from __future__ import annotations
@@ -59,28 +57,25 @@ def hitchin_dims(dim_g: int, rank: int, curve: CurveData):
     deg_d = 2 * curve.genus - 2 + curve.deg_s
     dim_m = dim_g * deg_d
     dim_r = curve.deg_s * rank
-    dim_a = Fraction(curve.deg_s * rank, 2) + Fraction(deg_d * dim_g, 2)
-    if dim_a.denominator == 1:
-        dim_a = int(dim_a)
+    # dim g = |Phi| + rank, so the numerator is deg S |Phi| mod 2: even
+    dim_a = (curve.deg_s * rank + deg_d * dim_g) // 2
     return dim_m, dim_r, dim_a
 
 
-def exponent_n(dim_g: int, rank: int, curve: CurveData) -> Fraction:
-    """N = ((2g - 2 + deg S) dim g - deg S rank)/2 = (dim M - dim R)/2."""
+def exponent_n(dim_g: int, rank: int, curve: CurveData) -> int:
+    """N = ((2g - 2 + deg S) dim g - deg S rank)/2 = (dim M - dim R)/2,
+    an integer since the numerator is deg S |Phi| mod 2."""
     deg_d = 2 * curve.genus - 2 + curve.deg_s
-    return Fraction(deg_d * dim_g - curve.deg_s * rank, 2)
+    return (deg_d * dim_g - curve.deg_s * rank) // 2
 
 
-def _q_power(q: int, e: Fraction):
-    """q^e as an exact Fraction for integral e, else None (symbolic).
+def _q_power(q: int, e: int) -> Fraction:
+    """q^e as an exact Fraction.
 
     A power with more decimal digits than ``sys.get_int_max_str_digits()``
     lets a report print is refused; past 4 times that limit (q^e >= 16^limit
     then) it is refused before it is computed.
     """
-    if e.denominator != 1:
-        return None
-    e = int(e)
     limit = sys.get_int_max_str_digits()
     if limit and (abs(e) >= 4 * limit or q ** abs(e) >= 10 ** limit):
         raise ValueError(f"q^e with q = {q} and e = {e} has more than {limit} "
@@ -96,15 +91,13 @@ def leading_term(datum: GroupDatum, q: int, curve: CurveData) -> dict:
     ).order
     pi1 = pi1_order(datum)
     n = exponent_n(rs.dim_g, rs.rank, curve)
-    power = _q_power(q, n)
-    record = {
+    return {
         "center_order": center,
         "pi1": pi1,
         "exponent": n,
         "hypothesis_ok": curve.hypothesis_ok,
-        "value": center * pi1 * power if power is not None else None,
+        "value": center * pi1 * _q_power(q, n),
     }
-    return record
 
 
 def component_count(datum: GroupDatum, subsystem: Subsystem | None = None) -> int:
@@ -140,18 +133,12 @@ class PredictionReport:
         self.dims = dims
 
     @property
-    def value(self):
-        """Exact rational total, or None if a symbolic half power remains."""
-        total = Fraction(0)
-        for e, coeff in self.terms.items():
-            p = _q_power(self.q, e)
-            if p is None:
-                return None
-            total += coeff * p
-        return total
+    def value(self) -> Fraction:
+        """Exact rational total."""
+        return sum((coeff * _q_power(self.q, e)
+                    for e, coeff in self.terms.items()), Fraction(0))
 
     def to_record(self):
-        val = self.value
         return {
             "mode": self.mode,
             "q": self.q,
@@ -161,7 +148,7 @@ class PredictionReport:
             "terms": sorted(
                 [[str(e), c] for e, c in self.terms.items()], key=lambda t: t[0]
             ),
-            "value": None if val is None else str(val),
+            "value": str(self.value),
             "caveats": list(self.caveats),
         }
 
@@ -183,7 +170,7 @@ def assemble_prediction(
     """
     approx = counts == LEADING_TERM_APPROX
     rows = []
-    terms: dict[Fraction, int] = {}
+    terms: dict[int, int] = {}
     caveats = ["counts_may_vanish: point counts of all fibers can vanish in extreme cases"]
     if approx:
         caveats.append("approximate: relative error of order q^(-1/2) per row")

@@ -219,7 +219,6 @@ class RootSystem:
                     cart[off + i][off + j] = blk[i][j]
             off += t.rank
         self.cartan = il.mat(cart)
-        self.factor_offsets = tuple(offsets)
 
         roots: list[Root] = []
         for fi, (t, blk) in enumerate(zip(factors, blocks)):
@@ -253,10 +252,6 @@ class RootSystem:
     def dim_g(self) -> int:
         return len(self.roots) + self.rank
 
-    def factor_nodes(self, factor_index: int) -> range:
-        off = self.factor_offsets[factor_index]
-        return range(off, off + self.simple_factors[factor_index].rank)
-
     def reflection_perm(self, root_index: int) -> tuple[int, ...]:
         """Root-index permutation of the reflection in the given root."""
         cached = self._reflection_perms.get(root_index)
@@ -285,15 +280,6 @@ def build_root_system(factors) -> RootSystem:
     """Construct the root system of a product of simple types."""
     parsed = [t if isinstance(t, SimpleType) else SimpleType.parse(t) for t in factors]
     return RootSystem(parsed)
-
-
-def highest_root_coefficients(rs: RootSystem, factor_index: int) -> Vector:
-    """Coefficients of the highest root of an irreducible factor on its nodes."""
-    nodes = rs.factor_nodes(factor_index)
-    best = max(
-        (rt for rt in rs.roots if rt.factor == factor_index), key=lambda rt: rt.height
-    )
-    return tuple(best.coeffs[i] for i in nodes)
 
 
 def exponents(rs: RootSystem, factor_index: int) -> tuple[int, ...]:

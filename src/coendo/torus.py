@@ -8,7 +8,8 @@ same machinery runs over any extension field.
 
 The sweep (``centralizer_masks_for``) visits every point but returns masks
 only for the points that at least rank-many positive roots kill, a set
-that holds every elliptic point.
+that holds every elliptic point.  A point is named by its sweep index;
+``point_from_index`` gives its residue vector.
 """
 
 from __future__ import annotations
@@ -33,41 +34,14 @@ from .rootsys import (
 DEFAULT_POINT_CAP = 1_000_000
 
 
-class TorusPoint:
-    """An element of T(F_q): residues modulo q-1 in the X_* basis."""
-
-    __slots__ = ("q", "residues")
-
-    def __init__(self, q: int, residues):
-        self.q = q
-        m = q - 1
-        self.residues = tuple(x % m for x in residues)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TorusPoint)
-            and self.q == other.q
-            and self.residues == other.residues
-        )
-
-    def __hash__(self):
-        return hash((self.q, self.residues))
-
-    def __repr__(self):
-        return f"TorusPoint(q={self.q}, {list(self.residues)})"
-
-    def to_record(self):
-        return {"q": self.q, "residues": list(self.residues)}
-
-
-def point_from_index(q: int, rank: int, index: int) -> TorusPoint:
-    """Index -> residue vector, last coordinate varying fastest."""
+def point_from_index(q: int, rank: int, index: int) -> tuple[int, ...]:
+    """Sweep index -> residue vector, last coordinate varying fastest."""
     m = q - 1
     digits = []
     for _ in range(rank):
         digits.append(index % m)
         index //= m
-    return TorusPoint(q, tuple(reversed(digits)))
+    return tuple(reversed(digits))
 
 
 class Subsystem:
@@ -231,17 +205,14 @@ def _cartan_isomorphic(a, b) -> bool:
     return extend(0)
 
 
-def centralizer_subsystem(datum: GroupDatum, point: TorusPoint) -> Subsystem:
-    """Roots alpha with <alpha, v> = 0 mod q-1, i.e. alpha(s) = 1."""
-    m = point.q - 1
-    funcs = datum.root_functionals
-    v = point.residues
-    indices = [
-        i
-        for i, row in enumerate(funcs)
-        if sum(a * b for a, b in zip(row, v)) % m == 0
-    ]
-    return Subsystem(datum.root_system, indices)
+def centralizer_subsystem(datum: GroupDatum, q: int, residues) -> Subsystem:
+    """Roots alpha with <alpha, v> = 0 mod q-1, i.e. alpha(s) = 1, for the
+    point s with residue vector v; one dot product per root, no sweep."""
+    m = q - 1
+    return Subsystem(datum.root_system, [
+        i for i, row in enumerate(datum.root_functionals)
+        if sum(a * b for a, b in zip(row, residues)) % m == 0
+    ])
 
 
 def subgroup_points(datum: GroupDatum, q: int, sub: Subsystem) -> FiniteAbelianGroup:

@@ -93,8 +93,8 @@ def test_class_representative_point_recovers_subsystem():
             coords = [sum(a * x for a, x in zip(row, ambient)) / d
                       for row in adj]
             assert all(x.denominator == 1 for x in coords)
-            pt = T.TorusPoint(q, tuple(int(x) for x in coords))
-            sub = T.centralizer_subsystem(datum, pt)
+            pt = tuple(int(x) for x in coords)
+            sub = T.centralizer_subsystem(datum, q, pt)
             assert sub.indices == cl.subsystem.indices
             assert sub.rank == datum.root_system.rank
 
@@ -112,6 +112,7 @@ def test_classify_type_a_only_whole_group():
     datum = R.make_datum(["A3"], "sc", 5)
     cls = C.classify(datum, 5)
     assert len(cls) == 1 and cls[0].is_whole_group
+    assert cls[0].deleted_node is None
 
 
 def test_equal_rank_subsystems_structure():
@@ -330,8 +331,7 @@ def test_reeder_partition_witnesses():
         # a point the sweep did not keep reads as mask 0
         idx = next(i for i in range(16)
                    if poset._masks.get(i, 0) & mask != mask)
-        outside = T.point_from_index(5, 2, idx)
-        a1a1.s_points += (outside.residues,)
+        a1a1.s_points += (idx,)
 
     def repeat_lower_point(poset, b2, a1a1):
         a1a1.s_points = (b2.s_points[0],) + a1a1.s_points[1:]
@@ -438,8 +438,8 @@ def _worklist_by_canonical_keys(rs):
         if key in seen:
             continue
         seen.add(key)
-        for nxt in C._prime_steps(rs, T.Subsystem(rs, key)):
-            worklist.append(C.canonical_subset(rs, nxt))
+        for _, _, nxt in C._prime_steps(rs, T.Subsystem(rs, key)):
+            worklist.append(C.canonical_subset(rs, nxt.indices))
     subsets = set()
     for key in seen:
         subsets.update(C.orbit_of_subset(rs, key))
@@ -451,6 +451,27 @@ def test_equal_rank_subsystems_match_canonical_worklist(factors):
     rs = R.build_root_system(factors)
     assert [sub.key for sub in C.equal_rank_subsystems(rs)] == \
         _worklist_by_canonical_keys(rs)
+
+
+# Products and simple types, E7 the largest, for the maximal-member test.
+MAXIMAL_TYPES = [["A3"], ["B2"], ["B3"], ["B4"], ["C3"], ["C4"], ["D4"],
+                 ["D5"], ["G2"], ["F4"], ["E6"], ["E7"], ["B2", "A1"],
+                 ["G2", "B2"], ["A1", "A1", "A1"], ["B3", "G2"]]
+
+
+@pytest.mark.parametrize("factors", MAXIMAL_TYPES,
+                         ids=[",".join(f) for f in MAXIMAL_TYPES])
+def test_closure_maximal_members_are_bds_classes(factors):
+    # the maximal proper full-rank closed subsystems are, up to W, the
+    # single-factor Borel-de Siebenthal classes, each class once
+    rs = R.build_root_system(factors)
+    proper = [sub.indices for sub in C.equal_rank_subsystems(rs)
+              if len(sub.indices) < len(rs.roots)]
+    maximal = [s for s in proper if not any(s < t for t in proper)]
+    single = [cl.subsystem.indices for cl in C.borel_de_siebenthal(rs)
+              if sum(c is not None for c in cl.choices) == 1]
+    assert sorted(set(C.class_keys(rs, maximal))) == \
+        sorted(C.class_keys(rs, single))
 
 
 def test_enumerate_route_searches_each_class_once(monkeypatch):

@@ -1,0 +1,50 @@
+"""The benchmark's per-layer tracer, perfbench/tracing.py, against the
+program: it patches coendo functions by name, so a renamed or removed
+target would break a traced benchmark run (``--trace 1``)."""
+
+import importlib.util
+from pathlib import Path
+
+import coendo
+import coendo.cli
+from coendo.rootsys import WeylGroup
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves():
+    tracing = load_tracing()
+    modules = {m.__name__: m for m in tracing.coendo_modules()}
+    for module, attr, *_ in tracing.TARGETS:
+        owner = modules[f"coendo.{module}"]
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, attr)
+    # the benchmark's machine line reads it
+    assert isinstance(coendo.KERNEL_BACKEND, str)
+
+
+def test_tracer_enters_and_exits(capsys):
+    tracing = load_tracing()
+    modules = tracing.coendo_modules()
+    before = [dict(vars(m)) for m in modules]
+    methods = dict(vars(WeylGroup))
+    with tracing.Tracer() as tracer:
+        assert coendo.cli.main(["strata", "--type", "B2", "--q", "5"]) == 0
+    capsys.readouterr()
+    metrics = tracer.metrics()
+    # B2 at q = 5: 16 points, the strata B2 and A1xA1
+    assert metrics["torus.points_swept"] == 16
+    assert metrics["coendoscopy.strata"] == 2
+    assert metrics["cli.context_s"] > 0 and metrics["cli.emit_s"] > 0
+    # leaving the tracer restores every patched binding
+    for module, names in zip(modules, before):
+        assert {k: vars(module)[k] for k in names} == names
+    assert dict(vars(WeylGroup)) == methods
