@@ -5,10 +5,15 @@ torsion point t = v/(q-1) the character evaluates through the canonical
 residue pairing as the exponent <lambda, v> mod q-1 of a fixed primitive
 (q-1)-th root of unity.  Sums of character values over a stratum are
 computed exactly by Möbius inversion over the strata poset plus character
-orthogonality on the finite groups Z_i(F_q): no floating point and no
+orthogonality on the finite groups Z_j(F_q): no floating point and no
 cyclotomic reduction anywhere on this route.  A Weyl element moves a
 character through its permutation of the roots (``act_character``), with
 no matrix.
+
+A character is trivial on Z_j iff its key k_j(lambda) = (<lambda, g> mod q-1
+for the generators g of Z_j) vanishes, and keys are additive.  So a row over
+a finite term f and the infinity terms t counts the keys k_j(t) once per
+j <= i (a histogram) and reads sum_j mu(j, i)·|Z_j|·hist_j[-k_j(f)].
 
 Sign convention: by default every place is evaluated at the inverse point
 (``uniform-inverse``), which is the unique reading for which the minimal
@@ -21,6 +26,8 @@ infinity place at the point itself is exposed as ``mixed-inverse``
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from operator import mul
 
 from . import intlinalg as il
 from .rootsys import (
@@ -118,11 +125,10 @@ def act_character(datum: GroupDatum, weyl: WeylGroup, w: int, lam):
     return tuple(x // d for x in out)
 
 
-def character_trivial_on(lam, group, m: int) -> bool:
-    """Is the residue character of lambda trivial on a subgroup of T(F_q)?"""
-    return all(
-        sum(a * b for a, b in zip(lam, g)) % m == 0 for g in group.generators
-    )
+def _key(lam, group, m: int) -> tuple[int, ...]:
+    """(<lambda, g> mod m for each generator g of a subgroup of T(F_q)):
+    all zero iff the residue character of lambda is trivial on it."""
+    return tuple(sum(map(mul, lam, g)) % m for g in group.generators)
 
 
 def central_product_test(spec: CharacterSpec, datum: GroupDatum, q: int) -> bool:
@@ -134,54 +140,42 @@ def central_product_test(spec: CharacterSpec, datum: GroupDatum, q: int) -> bool
     center = subgroup_points(
         datum, q, Subsystem(datum.root_system, range(len(datum.root_system.roots)))
     )
-    return character_trivial_on(tuple(total), center, q - 1)
+    return not any(_key(total, center, q - 1))
 
 
-def total_character(
-    datum: GroupDatum,
-    weyl: WeylGroup,
-    spec: CharacterSpec,
-    gamma: tuple[int, ...],
-    w: int,
-    convention: str = "uniform-inverse",
-):
-    """The combined character evaluated against torsion points; ``gamma``
-    holds one minimal-length W_iota coset representative per finite place.
+def _histograms(poset: StrataPoset, stratum_index: int, terms):
+    """(mu(j, i)·|Z_j|, Z_j, Counter of k_j(t) over the terms t) for each
+    stratum j <= i with mu(j, i) != 0."""
+    m = poset.q - 1
+    out = []
+    for j in poset.below(stratum_index):
+        mu = poset.mobius_table[(j, stratum_index)]
+        if mu:
+            z = poset.strata[j].z_group
+            hist = Counter(_key(t, z, m) for t in terms)
+            out.append((mu * z.order, z, hist))
+    return out
 
-    uniform-inverse:  Lambda = -sum_v gamma_v.lambda_v - w.lambda_inf
-    mixed-inverse:      Lambda = -sum_v gamma_v.lambda_v + w.lambda_inf
-    """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    rank = datum.root_system.rank
-    lam = [0] * rank
-    for g, place in zip(gamma, spec.finite):
-        moved = act_character(datum, weyl, g, place.lam)
-        lam = [a - b for a, b in zip(lam, moved)]
-    inf = act_character(datum, weyl, w, spec.infinity.lam)
-    if convention == "uniform-inverse":
-        lam = [a - b for a, b in zip(lam, inf)]
-    else:
-        lam = [a + b for a, b in zip(lam, inf)]
-    return tuple(lam)
+
+def _row_value(hists, finite, m: int) -> int:
+    """Sum over the counted terms t of the stratum sums of finite + t:
+    finite + t is trivial on Z_j iff k_j(t) = k_j(-finite)."""
+    neg = [-x for x in finite]
+    return sum(weight * hist[_key(neg, group, m)]
+               for weight, group, hist in hists)
 
 
 def stratum_sum(lam, poset: StrataPoset, stratum_index: int) -> int:
     """Sum of the character over S_iota, via Möbius inversion and
     orthogonality on each group Z below: always an exact integer."""
-    m = poset.q - 1
-    acc = 0
-    for i in poset.below(stratum_index):
-        st = poset.strata[i]
-        if character_trivial_on(lam, st.z_group, m):
-            acc += poset.mobius_table[(i, stratum_index)] * st.z_order
-    return acc
+    return _row_value(_histograms(poset, stratum_index, [lam]),
+                      (0,) * len(lam), poset.q - 1)
 
 
 def _infinity_terms(datum: GroupDatum, poset: StrataPoset,
                     stratum_index: int, spec: CharacterSpec,
                     convention: str) -> list[tuple[int, ...]]:
-    """The w.lambda_inf term of total_character, with its sign, for each
+    """The w.lambda_inf term of the total character, with its sign, for each
     canonical C_W(iota)\\W representative w in order."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
@@ -195,23 +189,15 @@ def _infinity_terms(datum: GroupDatum, poset: StrataPoset,
 
 
 def _finite_term(datum: GroupDatum, weyl: WeylGroup, spec: CharacterSpec,
-                 reps) -> list[int]:
-    """-sum_v gamma_v.lambda_v, the part of total_character free of w."""
+                 reps, moved) -> list[int]:
+    """-sum_v gamma_v.lambda_v, the part of the total character free of w.
+    ``moved`` maps (gamma, v) to gamma.lambda_v and is filled on first use."""
     lam = [0] * datum.root_system.rank
-    for g, place in zip(reps, spec.finite):
-        moved = act_character(datum, weyl, g, place.lam)
-        lam = [a - b for a, b in zip(lam, moved)]
+    for v, (g, place) in enumerate(zip(reps, spec.finite)):
+        if (g, v) not in moved:
+            moved[g, v] = act_character(datum, weyl, g, place.lam)
+        lam = [a - b for a, b in zip(lam, moved[g, v])]
     return lam
-
-
-def _row_sum(poset: StrataPoset, stratum_index: int, finite,
-             infinity_terms) -> int:
-    """Sum of the stratum sums of finite + t over the infinity terms t."""
-    return sum(
-        stratum_sum(tuple(a + b for a, b in zip(finite, t)), poset,
-                    stratum_index)
-        for t in infinity_terms
-    )
 
 
 def n_coefficient(
@@ -224,12 +210,11 @@ def n_coefficient(
 ) -> int:
     """The integer coefficient of one (stratum, coset tuple) row: the sum
     over canonical C_W(iota)\\W representatives w of the stratum sums of
-    total_character(gamma, w)."""
-    return _row_sum(
-        poset, stratum_index,
-        _finite_term(datum, poset.weyl, spec, gamma),
-        _infinity_terms(datum, poset, stratum_index, spec, convention),
-    )
+    the total character of (gamma, w)."""
+    terms = _infinity_terms(datum, poset, stratum_index, spec, convention)
+    finite = _finite_term(datum, poset.weyl, spec, gamma, {})
+    return _row_value(_histograms(poset, stratum_index, terms), finite,
+                      poset.q - 1)
 
 
 def _coset_rep_map(weyl: WeylGroup, subgroup):
@@ -345,13 +330,15 @@ def n_table(
     """One row per (stratum class representative, coset-tuple orbit)."""
     rows = []
     nf = len(spec.finite)
+    m = poset.q - 1
     for si in poset.class_representatives():
-        infinity_terms = _infinity_terms(datum, poset, si, spec, convention)
+        hists = _histograms(
+            poset, si, _infinity_terms(datum, poset, si, spec, convention))
+        moved = {}
         for rep, members in _tuple_orbits(poset, si, nf, orbit_cap):
             values = [
-                _row_sum(poset, si,
-                         _finite_term(datum, poset.weyl, spec, t),
-                         infinity_terms)
+                _row_value(hists, _finite_term(datum, poset.weyl, spec, t,
+                                               moved), m)
                 for t in members
             ]
             rows.append(

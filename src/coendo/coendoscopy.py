@@ -129,17 +129,21 @@ def borel_de_siebenthal(rs: RootSystem) -> list[CoendoscopicClass]:
     """Nontrivial coendoscopic classes: the prime-node deletions of the
     whole system, W-conjugate ones merged, combined over factors.
 
-    A deletion in one factor leaves the others whole, so choosing a
-    deletion in each of several factors gives the intersection of their
-    subsystems.
+    Options of different types are never W-conjugate, so only options
+    that share a signature are searched for conjugates.  A deletion in
+    one factor leaves the others whole, so choosing a deletion in each of
+    several factors gives the intersection of their subsystems.
     """
     whole = Subsystem(rs, range(len(rs.roots)))
     steps = _prime_steps(rs, whole)
+    sigs = Counter(sub.signature for _, _, sub in steps)
+    keys = iter(class_keys(rs, [sub.indices for _, _, sub in steps
+                                if sigs[sub.signature] > 1]))
     merged = {}
-    for (t, h, sub), key in zip(
-            steps, class_keys(rs, [sub.indices for _, _, sub in steps])):
+    for t, h, sub in steps:
+        key = next(keys) if sigs[sub.signature] > 1 else None
         node = rs.simple_indices.index(whole.base_indices[t])
-        merged.setdefault(key, []).append((node, h, sub))
+        merged.setdefault((sub.signature, key), []).append((node, h, sub))
     per_factor = [[None] for _ in rs.simple_factors]
     for group in merged.values():
         node, h, sub = min(group, key=itemgetter(0))

@@ -16,6 +16,7 @@ from .rootsys import (
     DEFAULT_WEYL_CAP,
     GroupDatum,
     SimpleType,
+    WeylGroup,
     characteristic_of,
     geometric_center_order,
     make_datum,
@@ -41,11 +42,12 @@ from .coendoscopy import (
     strata_poset,
 )
 from .coefficients import (
+    CONVENTIONS,
     CharacterSpec,
     PlaceData,
+    act_character,
     n_table,
     stratum_sum,
-    total_character,
 )
 
 DEFAULT_QS = (5, 7, 9, 13, 25)
@@ -155,6 +157,35 @@ def cyclotomic_sum_check(lam, poset: StrataPoset, stratum_index: int) -> Verdict
                                  "mobius": routed},
         details={"value": routed},
     )
+
+
+def total_character(
+    datum: GroupDatum,
+    weyl: WeylGroup,
+    spec: CharacterSpec,
+    gamma: tuple[int, ...],
+    w: int,
+    convention: str = "uniform-inverse",
+):
+    """The combined character evaluated against torsion points; ``gamma``
+    holds one minimal-length W_iota coset representative per finite place.
+
+    uniform-inverse:  Lambda = -sum_v gamma_v.lambda_v - w.lambda_inf
+    mixed-inverse:      Lambda = -sum_v gamma_v.lambda_v + w.lambda_inf
+    """
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    rank = datum.root_system.rank
+    lam = [0] * rank
+    for g, place in zip(gamma, spec.finite):
+        moved = act_character(datum, weyl, g, place.lam)
+        lam = [a - b for a, b in zip(lam, moved)]
+    inf = act_character(datum, weyl, w, spec.infinity.lam)
+    if convention == "uniform-inverse":
+        lam = [a - b for a, b in zip(lam, inf)]
+    else:
+        lam = [a + b for a, b in zip(lam, inf)]
+    return tuple(lam)
 
 
 def direct_n_coefficient(

@@ -489,3 +489,30 @@ def test_enumerate_route_searches_each_class_once(monkeypatch):
         datum = R.make_datum(factors, lattice, R.characteristic_of(q))
         poset = C.strata_poset(datum, q, "enumerate")
         assert len(calls) == len(set(poset.class_keys)) < len(poset.strata)
+
+
+def test_bds_searches_only_options_that_share_a_signature(monkeypatch):
+    calls = []
+    search = C.orbit_of_subset
+
+    def counting(rs, indices):
+        calls.append(indices)
+        return search(rs, indices)
+
+    monkeypatch.setattr(C, "orbit_of_subset", counting)
+    # E8's five options have five types, so no W-orbit search runs
+    e8 = C.borel_de_siebenthal(R.build_root_system(["E8"]))
+    assert calls == []
+    assert [cl.equivalent_nodes for cl in e8] == [()] * 5
+    # in D_n, deleting node k or n-k gives conjugate D_k x D_(n-k)
+    # (a D_2 reads A1xA1, a D_3 reads A3); D4xD4 has no partner
+    for name, searches, nodes in [
+            ("D4", 0, [()]),
+            ("D5", 1, [((1, 2),)]),
+            ("D6", 1, [((1, 3),), ()]),
+            ("D7", 2, [((1, 4),), ((2, 3),)]),
+            ("D8", 2, [((1, 5),), ((2, 4),), ()])]:
+        calls.clear()
+        cls = C.borel_de_siebenthal(R.build_root_system([name]))
+        assert len(calls) == searches
+        assert [cl.equivalent_nodes for cl in cls] == nodes
