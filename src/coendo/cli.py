@@ -22,6 +22,8 @@ from . import coendoscopy, coefficients, oracle, predictions, rootsys, torus
 
 FORMAT_VERSION = "1"
 
+COMMANDS = ("classify", "strata", "coeffs", "predict", "verify")
+
 DEFAULT_CONFIG = {
     "group": {"factors": ["A1"], "lattice": "sc"},
     "q": 5,
@@ -487,7 +489,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``: with only the subcommand that ``argv[0]``
+    names, or with all of them when it names none, so that help and usage
+    errors read the same either way."""
     parser = _Parser(
         prog="coendo",
         description="split elliptic coendoscopic classification and "
@@ -508,25 +513,28 @@ def build_parser() -> argparse.ArgumentParser:
                        default="json")
         p.add_argument("--out", help="output file (default stdout)")
 
-    for name in ("classify", "strata", "coeffs"):
-        common(sub.add_parser(name))
-    pp = sub.add_parser("predict")
-    common(pp)
-    pp.add_argument("--counts", help="JSON file with fiber point counts")
-    pp.add_argument("--approx", action="store_true",
-                    help="leading-term approximation for all counts")
-    pv = sub.add_parser("verify")
-    pv.add_argument("--manifest", default="default")
-    pv.add_argument("--format", choices=["json", "csv", "text"],
-                    default="json")
-    pv.add_argument("--out", help="output file (default stdout)")
+    for name in argv[:1] if argv and argv[0] in COMMANDS else COMMANDS:
+        p = sub.add_parser(name)
+        if name == "verify":
+            p.add_argument("--manifest", default="default")
+            p.add_argument("--format", choices=["json", "csv", "text"],
+                           default="json")
+            p.add_argument("--out", help="output file (default stdout)")
+            continue
+        common(p)
+        if name == "predict":
+            p.add_argument("--counts", help="JSON file with fiber point counts")
+            p.add_argument("--approx", action="store_true",
+                           help="leading-term approximation for all counts")
     return parser
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     buffer = io.StringIO()
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         if args.command == "verify":
             report = cmd_verify(args.manifest)
             emit(report, args.format, "verify", buffer)
@@ -555,8 +563,12 @@ def main(argv=None) -> int:
         return 1
     text = buffer.getvalue()
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"config error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

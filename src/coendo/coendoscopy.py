@@ -37,7 +37,6 @@ from .rootsys import (
     RootSystem,
     SimpleType,
     WeylGroup,
-    characteristic_of,
     closure,
     weyl_generate,
 )
@@ -576,67 +575,6 @@ TABLE_CAR = {
     "G": lambda r: 6,
 }
 
-TABLE_CAR2 = {
-    "A": lambda r: r + 1,
-    "B": lambda r: 4,
-    "C": lambda r: 8,
-    "D": lambda r: 8,
-    "E": lambda r: {6: 18, 7: 24, 8: 90}[r],
-    "F": lambda r: 6,
-    "G": lambda r: 6,
-}
-
 
 def car_divisor(t: SimpleType) -> int | None:
     return TABLE_CAR[t.family](t.rank)
-
-
-def car2_divisor(t: SimpleType) -> int:
-    return TABLE_CAR2[t.family](t.rank)
-
-
-
-
-def rationality_tables_check(t: SimpleType, q: int) -> tuple[Verdict, Verdict]:
-    """Check both divisibility tables as implications, on the simply
-    connected datum: under the first, every deletion class is rational at q;
-    under the second, the F_q-points of each class's center already exhaust
-    the geometric center."""
-    from .rootsys import geometric_center_order, make_datum
-
-    p = characteristic_of(q)
-    datum = make_datum([f"{t.family}{t.rank}"], "sc", p)
-    inst = f"{t}@q={q}"
-    classes = classify(datum, q)
-
-    need = car_divisor(t)
-    applicable = need is None or (q - 1) % need == 0
-    if not applicable:
-        car = Verdict("table_car", inst, True,
-                      details={"applicable": False, "divisor": need})
-    else:
-        bad = [
-            repr(cl) for cl in classes if not cl.rational_over_fq
-        ]
-        car = Verdict("table_car", inst, not bad,
-                      witness=bad or None,
-                      details={"applicable": True, "divisor": need,
-                               "classes": len(classes)})
-
-    need2 = car2_divisor(t)
-    applicable2 = (q - 1) % need2 == 0
-    if not applicable2:
-        car2 = Verdict("table_car2", inst, True,
-                       details={"applicable": False, "divisor": need2})
-    else:
-        bad2 = []
-        for cl in classes:
-            geo = geometric_center_order(datum, cl.subsystem)
-            now = subgroup_points(datum, q, cl.subsystem).order
-            if geo != now:
-                bad2.append({"class": repr(cl), "geometric": geo, "at_q": now})
-        car2 = Verdict("table_car2", inst, not bad2,
-                       witness=bad2 or None,
-                       details={"applicable": True, "divisor": need2,
-                                "classes": len(classes)})
-    return car, car2

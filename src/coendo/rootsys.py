@@ -267,6 +267,26 @@ class RootSystem:
             self._reflection_perms[root_index] = cached
         return cached
 
+    @cached_property
+    def sums(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each root i, the pairs (j, k) with root i + root j = root k.
+
+        Built on integer keys: the root with simple-root coefficients c has
+        key sum_t c_t 32^t, and keys add when roots add.  Highest-root
+        marks are at most 6, so a sum of two roots has coefficients in
+        -12..12; two such vectors differ by less than 32 in every
+        coefficient, so equal keys mean equal vectors and a sum's key is a
+        root's key only when the sum is that root.
+        """
+        keys = [sum(c << 5 * t for t, c in enumerate(rt.coeffs))
+                for rt in self.roots]
+        index = {key: i for i, key in enumerate(keys)}.get
+        return tuple(
+            tuple((j, k) for j, k in enumerate(map(index, [a + b for b in keys]))
+                  if k is not None)
+            for a in keys
+        )
+
     @property
     def simple_reflection_perms(self) -> tuple[tuple[int, ...], ...]:
         """Root-index permutations of the simple reflections, in node order."""

@@ -61,39 +61,34 @@ class Subsystem:
 
     @cached_property
     def rank(self) -> int:
-        if not self.indices:
-            return 0
-        return il.rank([self.rs.roots[i].coeffs for i in self.positive_indices])
+        """Rank of the positive roots of the set (of all its roots when it
+        is negation-stable), read off the base rows alone.
+
+        Exact for any root set, closed or not: by induction on height,
+        every positive root of the set is a base root or the sum of two
+        positive roots of the set, each of smaller height, so the base
+        spans every positive root of the set.
+        """
+        return il.rank([self.rs.roots[i].coeffs for i in self.base_indices])
 
     @cached_property
     def base_indices(self) -> tuple[int, ...]:
         """Positive roots of the subsystem not sums of two of its positive roots."""
         pos = self.positive_indices
-        coeff_set = {self.rs.roots[i].coeffs for i in pos}
-        out = []
-        for i in pos:
-            ci = self.rs.roots[i].coeffs
-            decomposable = False
-            for j in pos:
-                cj = self.rs.roots[j].coeffs
-                rem = tuple(a - b for a, b in zip(ci, cj))
-                if any(rem) and rem in coeff_set and sum(rem) > 0:
-                    decomposable = True
-                    break
-            if not decomposable:
-                out.append(i)
-        return tuple(out)
+        inside = set(pos)
+        sums = self.rs.sums
+        decomposable = {k for j in pos for l, k in sums[j] if l in inside}
+        return tuple(i for i in pos if i not in decomposable)
 
     def is_closed(self) -> bool:
-        """alpha, beta in the set and alpha+beta a root  =>  alpha+beta in the set."""
-        have = {self.rs.roots[i].coeffs for i in self.indices}
-        for a in have:
-            for b in have:
-                s = tuple(x + y for x, y in zip(a, b))
-                if any(s) and s in self.rs.index_of and s not in have:
-                    return False
-        negs = {tuple(-x for x in c) for c in have}
-        return negs == have
+        """alpha, beta in the set and alpha+beta a root  =>  alpha+beta in the
+        set; and the set is negation-stable."""
+        have = self.indices
+        negate = self.rs.negate
+        sums = self.rs.sums
+        return (all(negate[i] in have for i in have)
+                and all(k in have for i in have
+                        for j, k in sums[i] if j in have))
 
     @cached_property
     def base_cartan(self):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -190,6 +191,82 @@ def test_argument_errors_are_config_errors(args, needle, capsys):
     assert code == 2 and out == ""
     assert err.startswith("config error:") and needle in err
     assert err.count("\n") == 1
+
+
+def subparsers(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def action_record(action):
+    return (type(action), action.option_strings, action.dest, action.choices,
+            action.default, action.type, action.nargs, action.help)
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_one_subparser_matches_the_full_parser(command):
+    # a run builds only the subparser its command names, with the same
+    # options, in the same order, as the parser that builds all of them
+    full = subparsers(cli.build_parser([]))
+    one = subparsers(cli.build_parser([command, "--out", "x"]))
+    assert list(full) == list(cli.COMMANDS)
+    assert list(one) == [command]
+    assert ([action_record(a) for a in one[command]._actions]
+            == [action_record(a) for a in full[command]._actions])
+    assert one[command].format_help() == full[command].format_help()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["strata", "--help"],
+                                  ["verify", "--help"]])
+def test_help_lists_every_command_or_the_subcommand_options(argv, capsys):
+    full = cli.build_parser([])
+    expected = (subparsers(full)[argv[0]] if argv[0] in cli.COMMANDS
+                else full).format_help()
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 0
+    out, err = capsys.readouterr()
+    assert out == expected and err == ""
+    if argv == ["--help"]:
+        assert out.startswith(
+            "usage: coendo [-h] {classify,strata,coeffs,predict,verify} ...\n")
+
+
+@pytest.mark.parametrize("argv,line", [
+    ([], "config error: the following arguments are required: command"),
+    (["bogus"], "config error: argument command: invalid choice: 'bogus' "
+                "(choose from 'classify', 'strata', 'coeffs', 'predict', "
+                "'verify')"),
+    (["strata", "--bogus"], "config error: unrecognized arguments: --bogus"),
+], ids=["none", "bogus", "strata-bogus"])
+def test_usage_errors_read_as_with_every_subcommand(argv, line, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == line + "\n"
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv",
+                        ["coendo", "classify", "--type", "A1", "--q", "5"])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "classify"
+
+
+@pytest.mark.parametrize("argv", [
+    ["strata", "--type", "G2", "--q", "5"],
+    ["verify", "--manifest", "MANIFEST"],
+], ids=["strata", "verify"])
+def test_unwritable_out_is_config_error(tmp_path, argv, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([{"check": "bds_cross", "type": "B2"}]))
+    target = tmp_path / "missing" / "report.json"
+    argv = [str(manifest) if x == "MANIFEST" else x for x in argv]
+    code, out, err = run(argv + ["--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: cannot write --out: ")
+    assert str(target) in err and err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 def test_verify_small_manifest(tmp_path, capsys):

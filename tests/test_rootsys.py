@@ -282,6 +282,24 @@ def cochar_data(draw):
     return R.make_datum(name.split(","), kind, 7)
 
 
+def tuple_sums(rs):
+    """The root-sum table by coefficient-tuple arithmetic: for each root i,
+    the pairs (j, k) with root i + root j = root k."""
+    return tuple(
+        tuple((j, rs.index_of[s]) for j, b in enumerate(rs.roots)
+              if (s := tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+              in rs.index_of)
+        for a in rs.roots
+    )
+
+
+@pytest.mark.parametrize("factors", [[name] for name in ALL_SIMPLE]
+                         + [["B2", "A1"], ["G2", "B2"]], ids=str)
+def test_root_sums_match_coefficient_tuples(factors):
+    rs = R.build_root_system(factors)
+    assert rs.sums == tuple_sums(rs)
+
+
 def test_weyl_reflection_lookup():
     rs = R.build_root_system(["B3"])
     w = R.weyl_generate(rs)

@@ -321,6 +321,110 @@ def test_signatures():
     assert empty.weyl_order == 1
 
 
+# Reference versions of Subsystem.is_closed, base_indices and rank: the
+# pair loops over coefficient tuples that the root-sum table replaced.
+def pair_loop_sum_closed(rs, indices):
+    have = {rs.roots[i].coeffs for i in indices}
+    for a in have:
+        for b in have:
+            s = tuple(x + y for x, y in zip(a, b))
+            if any(s) and s in rs.index_of and s not in have:
+                return False
+    return True
+
+
+def pair_loop_is_closed(rs, indices):
+    have = {rs.roots[i].coeffs for i in indices}
+    return (pair_loop_sum_closed(rs, indices)
+            and {tuple(-x for x in c) for c in have} == have)
+
+
+def pair_loop_base(rs, indices):
+    pos = [i for i in sorted(indices) if rs.roots[i].positive]
+    coeff_set = {rs.roots[i].coeffs for i in pos}
+    out = []
+    for i in pos:
+        ci = rs.roots[i].coeffs
+        decomposable = False
+        for j in pos:
+            rem = tuple(a - b for a, b in zip(ci, rs.roots[j].coeffs))
+            if any(rem) and rem in coeff_set and sum(rem) > 0:
+                decomposable = True
+                break
+        if not decomposable:
+            out.append(i)
+    return tuple(out)
+
+
+def pair_loop_rank(rs, indices):
+    return il.rank([rs.roots[i].coeffs for i in sorted(indices)
+                    if rs.roots[i].positive])
+
+
+SUBSET_TYPES = ["G2", "B3", "D4", "F4", "A2,A1", "E6"]
+SUBSET_KINDS = ["any", "symmetric", "centralizer", "positive part",
+                "toggled"]
+
+
+@st.composite
+def root_subsets(draw):
+    """A root system and a subset of its root indices, of one of
+    SUBSET_KINDS: an arbitrary subset; a negation-stable one; the
+    centralizer of a point of the adjoint torus at q = 13 (closed and
+    negation-stable; the point has order dividing 1, 2, 3, 4 or 6); the
+    positive roots of such a centralizer (closed, not negation-stable
+    unless empty); a centralizer with one root added
+    or removed (mostly not closed)."""
+    name = draw(st.sampled_from(SUBSET_TYPES))
+    kind = draw(st.sampled_from(SUBSET_KINDS))
+    datum = R.make_datum(name.split(","), "ad", 13)
+    rs = datum.root_system
+    n = rs.num_roots
+    if kind == "any":
+        return rs, draw(st.sets(st.integers(0, n - 1)))
+    if kind == "symmetric":
+        pos = draw(st.sets(st.sampled_from(rs.positive_indices)))
+        return rs, pos | {rs.negate[i] for i in pos}
+    # a point of order dividing d, so that it kills some roots
+    step = 12 // draw(st.sampled_from([1, 2, 3, 4, 6]))
+    point = [step * x for x in draw(st.lists(
+        st.integers(0, 11), min_size=rs.rank, max_size=rs.rank))]
+    have = set(T.centralizer_subsystem(datum, 13, point).indices)
+    if kind == "positive part":
+        return rs, {i for i in have if rs.roots[i].positive}
+    if kind == "toggled":
+        return rs, have ^ {draw(st.integers(0, n - 1))}
+    return rs, have
+
+
+@settings(max_examples=200, deadline=None)
+@given(root_subsets())
+def test_subsystem_queries_match_pair_loops(case):
+    rs, indices = case
+    sub = T.Subsystem(rs, indices)
+    assert sub.is_closed() == pair_loop_is_closed(rs, indices)
+    assert sub.base_indices == pair_loop_base(rs, indices)
+    assert sub.rank == pair_loop_rank(rs, indices)
+
+
+def test_root_subset_kinds_cover_closed_and_symmetric_cases():
+    # the strategy above reaches every combination of closed under sums
+    # or not and negation-stable or not
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(root_subsets())
+    def collect(case):
+        rs, indices = case
+        symmetric = {rs.negate[i] for i in indices} == set(indices)
+        seen.add((pair_loop_sum_closed(rs, indices), symmetric))
+
+    collect()
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
 def test_identify_cartan_canonical_names():
     # rank-2 B and C coincide; D3 = A3; rank-1 anything = A1
     from coendo.torus import identify_cartan
