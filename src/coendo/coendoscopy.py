@@ -3,9 +3,11 @@
 Two independent routes produce the stratification of T(F_q) by centralizer
 subsystems:
 
-* ENUMERATE sweeps all (q-1)^r torus points, keeps only those that at
-  least rank-many positive roots kill (every elliptic point is one), and
-  groups the elliptic ones by the set of roots they kill;
+* ENUMERATE covers all (q-1)^r torus points, visiting only the
+  sum of the f^r points of the parts (Z/f)^r over the prime-power
+  factors f of q-1, keeps only those that at least rank-many positive
+  roots kill (every elliptic point is one), and groups the elliptic ones
+  by the set of roots they kill;
 * CLASSIFY generates every full-rank closed subsystem geometrically (by
   iterating the extended-diagram node-deletion step with prime highest-root
   coefficient, closing under the Weyl action) and recovers the stratum

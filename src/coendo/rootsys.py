@@ -23,6 +23,7 @@ pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from operator import itemgetter
 
@@ -32,6 +33,8 @@ from .intlinalg import Matrix, Vector
 DEFAULT_WEYL_CAP = 1_000_000
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
+EXCEPTIONAL_WEYL_ORDERS = {"E6": 51840, "E7": 2903040, "E8": 696729600,
+                           "F4": 1152, "G2": 12}
 
 
 class IllegalType(ValueError):
@@ -124,6 +127,18 @@ class SimpleType:
         elif fam == "G":
             link(0, 1, -1, -3)
         return il.mat(c)
+
+    @property
+    def weyl_order(self) -> int:
+        """|W| from its closed form, without building the root system."""
+        n = self.rank
+        if self.family == "A":
+            return math.factorial(n + 1)
+        if self.family in ("B", "C"):
+            return 2**n * math.factorial(n)
+        if self.family == "D":
+            return 2 ** (n - 1) * math.factorial(n)
+        return EXCEPTIONAL_WEYL_ORDERS[repr(self)]
 
     def __repr__(self):
         return f"{self.family}{self.rank}"

@@ -6,10 +6,13 @@ Root evaluation is then an integer dot product modulo q-1, and every
 operation below is exact.  q is always an explicit parameter so that the
 same machinery runs over any extension field.
 
-The sweep (``centralizer_masks_for``) visits every point but returns masks
+The sweep (``centralizer_masks_for``) covers every point but returns masks
 only for the points that at least rank-many positive roots kill, a set
-that holds every elliptic point.  A point is named by its sweep index;
-``point_from_index`` gives its residue vector.
+that holds every elliptic point.  It visits the points of each part
+(Z/f)^r of T(F_q), f a prime-power factor of q-1, and joins the parts'
+kept points, since a root kills a point iff it kills each part.  A point
+is named by its sweep index, a mixed-radix Chinese-remainder index over
+the parts; ``point_from_index`` gives its residue vector.
 """
 
 from __future__ import annotations
@@ -26,22 +29,50 @@ from .rootsys import (
     FiniteAbelianGroup,
     GroupDatum,
     SimpleType,
-    build_root_system,
     closure,
-    weyl_order,
 )
 
 DEFAULT_POINT_CAP = 1_000_000
 
 
+def prime_power_factors(m: int) -> list[int]:
+    """The prime powers p^k exactly dividing m, by increasing p; trial
+    division, enough for m up to the point cap."""
+    factors = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            f = 1
+            while m % p == 0:
+                m //= p
+                f *= p
+            factors.append(f)
+        p += 1
+    if m > 1:
+        factors.append(m)
+    return factors
+
+
 def point_from_index(q: int, rank: int, index: int) -> tuple[int, ...]:
-    """Sweep index -> residue vector, last coordinate varying fastest."""
+    """Sweep index -> residue vector modulo q-1.
+
+    The index is a mixed-radix number with one digit in range(f^rank) per
+    prime-power factor f of q-1, the first factor the most significant.
+    A digit names a point modulo f, the last coordinate varying fastest,
+    and the point modulo q-1 is the one that reduces to each of them
+    (Chinese remainders).  When q-1 is a prime power, the points run
+    through (Z/(q-1))^rank with the last coordinate varying fastest.
+    """
     m = q - 1
-    digits = []
-    for _ in range(rank):
-        digits.append(index % m)
-        index //= m
-    return tuple(reversed(digits))
+    point = [0] * rank
+    for f in reversed(prime_power_factors(m)):
+        # e = 1 mod f and 0 modulo the other factors
+        e = m // f * pow(m // f, -1, f) % m
+        index, digit = divmod(index, f**rank)
+        for j in range(rank - 1, -1, -1):
+            digit, x = divmod(digit, f)
+            point[j] = (point[j] + e * x) % m
+    return tuple(point)
 
 
 class Subsystem:
@@ -139,9 +170,7 @@ class Subsystem:
 
     @cached_property
     def weyl_order(self) -> int:
-        if not self.indices:
-            return 1
-        return weyl_order(build_root_system(list(self.component_types)))
+        return math.prod(t.weyl_order for t in self.component_types)
 
     def __eq__(self, other):
         return isinstance(other, Subsystem) and self.indices == other.indices
@@ -308,22 +337,54 @@ def centralizer_masks_for(datum: GroupDatum, q: int, cap: int = DEFAULT_POINT_CA
     """Vanishing masks over the positive roots of the points of T(F_q)
     that at least rank-many positive roots kill.
 
-    Returns ``(kills, masks, positive_root_indices)`` as from
-    ``centralizer_masks`` with ``least`` the rank: ``kills`` has one byte
-    per point, and ``masks`` maps a kept point's index idx, standing for
-    ``point_from_index(q, r, idx)``, to its mask, in which bit b is set
-    iff the root ``positive_root_indices[b]`` kills that point.  Every
-    elliptic point is kept: a full-rank root set holds at least rank
-    positive roots.
+    Returns ``(kills, masks, positive_root_indices)``.  ``masks`` maps a
+    kept point's index idx, standing for ``point_from_index(q, r, idx)``,
+    in increasing order, to its mask, in which bit b is set iff the root
+    ``positive_root_indices[b]`` kills that point.  Every elliptic point
+    is kept: a full-rank root set holds at least rank positive roots.
+
+    ``centralizer_masks`` sweeps each part (Z/f)^r, f a prime-power factor
+    of q-1, with ``least`` the rank.  A point's mask is the AND of its
+    parts' masks, so a part's point with fewer than rank bits cannot
+    contribute, and the kept sets are joined one factor at a time by mask
+    class.  ``kills`` concatenates the parts' ``kills``, one byte per
+    point visited; when q-1 is a prime power, the one sweep is returned
+    as it stands.
     """
     rs = datum.root_system
+    r = rs.rank
     m = q - 1
-    total = m ** rs.rank
+    total = m ** r
     if total > cap:
         raise CapExceeded(
             f"|T(F_q)| = {total} exceeds cap {cap} (caps.points)", order=total
         )
     pos = rs.positive_indices
     funcs = datum.root_functionals
-    kills, masks = centralizer_masks([funcs[i] for i in pos], m, rs.rank)
-    return kills, masks, pos
+    rows = [funcs[i] for i in pos]
+    first, *rest = prime_power_factors(m) or [m]
+    kills, masks = centralizer_masks(rows, first, r)
+    swept = [kills]
+    for f in rest:
+        kills, kept = centralizer_masks(rows, f, r)
+        swept.append(kills)
+        size = f**r
+        classes = {}
+        for y, b in kept.items():
+            classes.setdefault(b, []).append(y)
+        # the kept y of this factor that can follow a point of mask a,
+        # in increasing order, and the masks of the joined points
+        follow = {}
+        joined, joined_masks = [], []
+        for x, a in masks.items():
+            if a not in follow:
+                ys = sorted(y for b, group in classes.items()
+                            if (a & b).bit_count() >= r
+                            for y in group)
+                follow[a] = ys, [a & kept[y] for y in ys]
+            ys, ms = follow[a]
+            base = x * size
+            joined += [base + y for y in ys]
+            joined_masks += ms
+        masks = dict(zip(joined, joined_masks))
+    return b"".join(swept), masks, pos

@@ -45,6 +45,17 @@ def test_brute_strata_check_grid():
         assert verdict.passed, (verdict.instance, verdict.witness)
 
 
+@pytest.mark.parametrize("name,q", [("B2", 31), ("G2", 31), ("A2", 31),
+                                    ("A3", 61), ("D4", 11), ("C3", 19)])
+@pytest.mark.parametrize("lat", ["sc", "ad"])
+def test_brute_strata_check_composite_q_minus_1(name, q, lat):
+    # q-1 has two or three prime factors, so the sweep joins its parts and
+    # point_from_index decodes by Chinese remainders; checks (a)-(d) all run
+    datum = R.make_datum([name], lat, R.characteristic_of(q))
+    verdict = O.brute_strata_check(datum, q)
+    assert verdict.passed, (verdict.instance, verdict.witness)
+
+
 def test_strata_oracles_never_enumerate_weyl(monkeypatch):
     # strata, Reeder, classify and stratum sums never read poset.weyl
     def refuse(*args, **kwargs):

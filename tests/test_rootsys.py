@@ -169,6 +169,12 @@ def test_exponents_known_values():
         1, 7, 11, 13, 17, 19, 23, 29)
 
 
+@pytest.mark.parametrize("name", ALL_SIMPLE)
+def test_weyl_order_closed_form(name):
+    t = R.SimpleType.parse(name)
+    assert t.weyl_order == R.weyl_order(R.build_root_system([t]))
+
+
 def test_weyl_generate_orders():
     assert R.weyl_generate(R.build_root_system(["A2"])).order == 6
     assert R.weyl_generate(R.build_root_system(["B3"])).order == 48

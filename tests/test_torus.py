@@ -13,10 +13,16 @@ from test_intlinalg import random_unimodular
 
 
 def enumerate_points(datum, q):
-    """All (q-1)^r points of T(F_q), the last coordinate varying fastest:
-    the idx-th is ``T.point_from_index(q, r, idx)``."""
+    """All (q-1)^r points of T(F_q), the last coordinate varying fastest.
+    When q-1 is a prime power, the idx-th is ``T.point_from_index(q, r,
+    idx)``; ``sweep_index`` inverts that map for every q."""
     r = datum.root_system.rank
     return list(itertools.product(range(q - 1), repeat=r))
+
+
+def sweep_index(q, r):
+    """Residue vector -> sweep index, the inverse of ``point_from_index``."""
+    return {T.point_from_index(q, r, idx): idx for idx in range((q - 1) ** r)}
 
 
 def full_subsystem(datum):
@@ -70,16 +76,22 @@ def pi0_order(datum, weyl, q, v):
 
 
 def test_point_counts():
-    # the sweep has one byte per point, in point_from_index order
+    # point_from_index names each point once; the sweep has one byte per
+    # point of each prime-power part, in point_from_index order when q-1
+    # is a prime power (then one per point)
     for factors, q in [(["A1"], 3), (["A1"], 5), (["B2"], 5), (["G2"], 7)]:
         datum = R.make_datum(factors, "sc", R.characteristic_of(q))
         r = datum.root_system.rank
         points = enumerate_points(datum, q)
         assert len(points) == (q - 1) ** r
-        assert points == [T.point_from_index(q, r, idx)
-                          for idx in range(len(points))]
+        assert sorted(sweep_index(q, r)) == points
         kills, _, _ = T.centralizer_masks_for(datum, q)
-        assert len(kills) == len(points)
+        parts = T.prime_power_factors(q - 1)
+        assert len(kills) == sum(f**r for f in parts)
+        if len(parts) == 1:
+            assert points == [T.point_from_index(q, r, idx)
+                              for idx in range(len(points))]
+            assert len(kills) == len(points)
 
 
 def test_enumeration_cap():
@@ -302,7 +314,9 @@ def test_ellipticity_three_way_agreement():
         r = datum.root_system.rank
         in_strata = {idx for st in C.strata_poset(datum, q, "enumerate").strata
                      for idx in st.s_points}
-        for idx, p in enumerate(enumerate_points(datum, q)):
+        index_of = sweep_index(q, r)
+        for p in enumerate_points(datum, q):
+            idx = index_of[p]
             sub = T.centralizer_subsystem(datum, q, p)
             by_rank = sub.rank == r
             assert (idx in in_strata) == by_rank
@@ -537,3 +551,76 @@ def test_masks_chunked_assembly():
     assert masks == {idx: mask for idx, mask in enumerate(want)
                      if counts[idx] >= 9}
     assert max(masks.values()) >> 64
+
+
+def prime_power_parts(m):
+    """The largest powers of the primes dividing m, by brute force."""
+    primes = [p for p in range(2, m + 1)
+              if m % p == 0 and all(p % d for d in range(2, p))]
+    return [max(p**k for k in range(1, m.bit_length() + 1) if m % p**k == 0)
+            for p in primes]
+
+
+FACTORED_TYPES = ["A1", "A2", "B2", "G2", "A1,A1", "A3", "B3", "C3",
+                  "A2,A1", "A2,A2", "B4", "D4", "F4", "B2,A1,A1"]
+
+
+@st.composite
+def factored_sweeps(draw):
+    """A datum of rank <= 4 and a q with q-1 in {4, 6, 10, 12, 24, 30, 60},
+    kept to about 50,000 dot products for the per-point check below."""
+    name = draw(st.sampled_from(FACTORED_TYPES))
+    lattice = draw(st.sampled_from(["sc", "ad"]))
+    rs = R.build_root_system(name.split(","))
+    small = [q for q in (5, 7, 11, 13, 25, 31, 61)
+             if (q - 1) ** rs.rank * len(rs.positive_indices) <= 50_000]
+    q = draw(st.sampled_from(small))
+    return R.make_datum(name.split(","), lattice, R.characteristic_of(q)), q
+
+
+@settings(max_examples=40, deadline=None)
+@given(factored_sweeps())
+@example((R.make_datum(["G2"], "ad", 61), 61))
+@example((R.make_datum(["A3"], "sc", 11), 11))
+def test_factored_sweep_matches_dot_products(case):
+    datum, q = case
+    m = q - 1
+    r = datum.root_system.rank
+    kills, masks, pos = T.centralizer_masks_for(datum, q)
+    rows = [datum.root_functionals[i] for i in pos]
+    points = [T.point_from_index(q, r, idx) for idx in range(m**r)]
+    assert sorted(points) == list(itertools.product(range(m), repeat=r))
+    # the digit of each part, the first part the most significant, names
+    # the point modulo that part, the last coordinate varying fastest
+    parts = prime_power_parts(m)
+    part_points = {f: list(itertools.product(range(f), repeat=r)) for f in parts}
+    for idx, v in enumerate(points):
+        for f in reversed(parts):
+            idx, digit = divmod(idx, f**r)
+            assert part_points[f][digit] == tuple(x % f for x in v)
+    want = {}
+    for idx, v in enumerate(points):
+        mask = vanishing(rows, m, v)
+        if mask.bit_count() >= r:
+            want[idx] = mask
+    assert masks == want
+    assert list(masks) == sorted(masks)
+    assert T.prime_power_factors(m) == parts
+    assert len(kills) == sum(f**r for f in parts)
+
+
+@pytest.mark.parametrize("name,q", [("B2", 5), ("B9", 3), ("E7", 5)])
+def test_prime_power_sweep_is_one_kernel_call(monkeypatch, name, q):
+    # q-1 a prime power: one kernel call, returned as it stands
+    datum = R.make_datum([name], "sc", q)
+    r = datum.root_system.rank
+    rows = [datum.root_functionals[i] for i in datum.root_system.positive_indices]
+    direct = T.centralizer_masks(rows, q - 1, r)
+    calls = []
+    kernel = T.centralizer_masks
+    monkeypatch.setattr(T, "centralizer_masks",
+                        lambda *args: calls.append(args) or kernel(*args))
+    kills, masks, _ = T.centralizer_masks_for(datum, q)
+    assert len(calls) == 1
+    assert kills == direct[0] and masks == direct[1]
+    assert list(masks) == list(direct[1])
