@@ -5,9 +5,8 @@ subsystems:
 
 * ENUMERATE covers all (q-1)^r torus points, visiting only the
   sum of the f^r points of the parts (Z/f)^r over the prime-power
-  factors f of q-1, keeps only those that at least rank-many positive
-  roots kill (every elliptic point is one), and groups the elliptic ones
-  by the set of roots they kill;
+  factors f of q-1, keeps only the elliptic ones, and groups them by the
+  set of roots they kill;
 * CLASSIFY generates every full-rank closed subsystem geometrically (by
   iterating the extended-diagram node-deletion step with prime highest-root
   coefficient, closing under the Weyl action) and recovers the stratum
@@ -386,9 +385,15 @@ class StrataPoset:
         return cached
 
     def summary(self) -> list[dict]:
+        """One row per stratum.  W-conjugate strata (equal class keys) have
+        the same type, so each class's signature is computed once."""
+        signatures = {}
+        for st, key in zip(self.strata, self.class_keys):
+            if key not in signatures:
+                signatures[key] = st.signature
         return [
             {
-                "signature": st.signature,
+                "signature": signatures[key],
                 "roots": len(st.subsystem.indices),
                 "z_invariants": list(st.z_group.invariants),
                 "z_order": st.z_order,
@@ -436,30 +441,24 @@ def strata_poset(
 
 def _strata_by_enumeration(datum, q, weyl, weyl_cap, point_cap) -> StrataPoset:
     rs = datum.root_system
-    r = rs.rank
-    # only points killed by >= r positive roots come back: the elliptic
-    # ones among them
+    # only the elliptic points come back, so each distinct mask is a stratum
     _, masks, pos = centralizer_masks_for(datum, q, cap=point_cap)
-    subsystems = {}
-    for mask in sorted(set(masks.values())):
+    groups: dict[int, list[int]] = {}
+    for idx, mask in masks.items():
+        groups.setdefault(mask, []).append(idx)
+    strata = []
+    mask_of = {}
+    for mask, pts in groups.items():
         indices = [pos[b] for b in range(len(pos)) if mask >> b & 1]
         indices += [rs.negate[i] for i in indices]
         sub = Subsystem(rs, indices)
-        if sub.rank == r:
-            subsystems[mask] = sub
-    groups: dict[int, list[int]] = {mask: [] for mask in subsystems}
-    for idx, mask in masks.items():
-        if mask in groups:
-            groups[mask].append(idx)
-    strata = []
-    for mask, sub in subsystems.items():
-        pts = tuple(groups[mask])
         z = subgroup_points(datum, q, sub)
-        strata.append(Stratum(sub, z, len(pts), pts))
+        strata.append(Stratum(sub, z, len(pts), tuple(pts)))
+        mask_of[sub.key] = mask
     poset = StrataPoset(datum, q, "enumerate", strata, weyl,
                         weyl_cap=weyl_cap)
     poset._masks = masks
-    poset._mask_of = {sub.key: mask for mask, sub in subsystems.items()}
+    poset._mask_of = mask_of
     return poset
 
 
@@ -528,9 +527,9 @@ def reeder_partition_check(poset: StrataPoset) -> Verdict:
     |Z_i| is counted afresh from the swept masks: a point lies in Z_i iff
     its mask contains that of stratum i.  The points of the strata below
     i are then checked one by one against the same masks.  The sweep kept
-    only the points killed by at least rank-many positive roots, and that
-    loses none of Z_i: a mask containing stratum i's full-rank mask has at
-    least rank bits set.  A point it did not keep reads as mask 0.
+    only the elliptic points, and that loses none of Z_i: a root set
+    containing stratum i's full-rank one has full rank.  A point it did
+    not keep reads as mask 0.
     """
     inst = f"{poset.datum.root_system}@q={poset.q}"
     if poset.route != "enumerate":

@@ -7,12 +7,15 @@ operation below is exact.  q is always an explicit parameter so that the
 same machinery runs over any extension field.
 
 The sweep (``centralizer_masks_for``) covers every point but returns masks
-only for the points that at least rank-many positive roots kill, a set
-that holds every elliptic point.  It visits the points of each part
-(Z/f)^r of T(F_q), f a prime-power factor of q-1, and joins the parts'
-kept points, since a root kills a point iff it kills each part.  A point
-is named by its sweep index, a mixed-radix Chinese-remainder index over
-the parts; ``point_from_index`` gives its residue vector.
+only for the elliptic points, those whose centralizer has full rank.  It
+visits the points of each part (Z/f)^r of T(F_q), f a prime-power factor
+of q-1, drops a part's points whose roots have less than full rank, and
+joins the parts' remaining points, since a root kills a point iff it
+kills each part; a joined point is kept when its roots have full rank.
+Ranks are counted from simple roots (``full_rank_test``), with no
+elimination.  A point is named by its sweep index, a mixed-radix
+Chinese-remainder index over the parts; ``point_from_index`` gives its
+residue vector.
 """
 
 from __future__ import annotations
@@ -333,23 +336,71 @@ def centralizer_masks(rows, m, least):
     return kills, dict(zip(kept, masks))
 
 
-def centralizer_masks_for(datum: GroupDatum, q: int, cap: int = DEFAULT_POINT_CAP):
-    """Vanishing masks over the positive roots of the points of T(F_q)
-    that at least rank-many positive roots kill.
+def full_rank_test(rs, pos):
+    """The test mask -> "the roots of mask have full rank", for masks over
+    the positive roots ``pos`` (bit b for root pos[b]) that are the
+    positive part of a closed, negation-stable root set, as the roots that
+    kill a point are.
 
-    Returns ``(kills, masks, positive_root_indices)``.  ``masks`` maps a
-    kept point's index idx, standing for ``point_from_index(q, r, idx)``,
-    in increasing order, to its mask, in which bit b is set iff the root
-    ``positive_root_indices[b]`` kills that point.  Every elliptic point
-    is kept: a full-rank root set holds at least rank positive roots.
+    Such a set is a root system, and its positive part's simple roots are
+    the ones that are not the sum of two of its positive roots (Bourbaki,
+    Lie VI §1.6), so its rank is the count of those.  The sums come from
+    ``rs.sums``: ``partners[j]`` has bit l set for each l < j with
+    pos[l] + pos[j] = pos[k], and ``sum_bit[j][1 << l]`` is 1 << k.  A
+    test visits each bit j of the mask and the partners of j inside it,
+    so it costs the pairs inside the mask; each distinct mask is tested
+    once.
+    """
+    r = rs.rank
+    bit = {i: b for b, i in enumerate(pos)}
+    partners = [0] * len(pos)
+    sum_bit = [{} for _ in pos]
+    for j, i in enumerate(pos):
+        for li, ki in rs.sums[i]:
+            l = bit.get(li)
+            if l is not None and l < j:
+                partners[j] |= 1 << l
+                sum_bit[j][1 << l] = 1 << bit[ki]
+    cache = {}
+
+    def test(mask):
+        full = cache.get(mask)
+        if full is None:
+            sums = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                inner = mask & partners[j]
+                table = sum_bit[j]
+                while inner:
+                    lb = inner & -inner
+                    sums |= table[lb]
+                    inner ^= lb
+                rest ^= low
+            full = cache[mask] = (mask & ~sums).bit_count() == r
+        return full
+
+    return test
+
+
+def centralizer_masks_for(datum: GroupDatum, q: int, cap: int = DEFAULT_POINT_CAP):
+    """Vanishing masks over the positive roots of the elliptic points of
+    T(F_q): the points whose centralizer has full rank.
+
+    Returns ``(kills, masks, positive_root_indices)``.  ``masks`` maps an
+    elliptic point's index idx, standing for ``point_from_index(q, r,
+    idx)``, in increasing order, to its mask, in which bit b is set iff
+    the root ``positive_root_indices[b]`` kills that point.
 
     ``centralizer_masks`` sweeps each part (Z/f)^r, f a prime-power factor
-    of q-1, with ``least`` the rank.  A point's mask is the AND of its
-    parts' masks, so a part's point with fewer than rank bits cannot
-    contribute, and the kept sets are joined one factor at a time by mask
-    class.  ``kills`` concatenates the parts' ``kills``, one byte per
-    point visited; when q-1 is a prime power, the one sweep is returned
-    as it stands.
+    of q-1, with ``least`` the rank, and ``full_rank_test`` drops the kept
+    points of the part whose roots have less than full rank.  A point's
+    mask is the AND of its parts' masks, a subset of each, so a dropped
+    part point has no elliptic point over it.  The kept sets are joined
+    one factor at a time by mask class, and a joined mask a & b is kept
+    only when it has full rank, each distinct one tested once.  ``kills``
+    concatenates the parts' ``kills``, one byte per point visited.
     """
     rs = datum.root_system
     r = rs.rank
@@ -362,12 +413,17 @@ def centralizer_masks_for(datum: GroupDatum, q: int, cap: int = DEFAULT_POINT_CA
     pos = rs.positive_indices
     funcs = datum.root_functionals
     rows = [funcs[i] for i in pos]
-    first, *rest = prime_power_factors(m) or [m]
-    kills, masks = centralizer_masks(rows, first, r)
-    swept = [kills]
-    for f in rest:
+    full_rank = full_rank_test(rs, pos)
+    swept = []
+    masks = None
+    for f in prime_power_factors(m) or [m]:
         kills, kept = centralizer_masks(rows, f, r)
         swept.append(kills)
+        full = set(filter(full_rank, set(kept.values())))
+        kept = {y: b for y, b in kept.items() if b in full}
+        if masks is None:
+            masks = kept
+            continue
         size = f**r
         classes = {}
         for y, b in kept.items():
@@ -379,7 +435,7 @@ def centralizer_masks_for(datum: GroupDatum, q: int, cap: int = DEFAULT_POINT_CA
         for x, a in masks.items():
             if a not in follow:
                 ys = sorted(y for b, group in classes.items()
-                            if (a & b).bit_count() >= r
+                            if full_rank(a & b)
                             for y in group)
                 follow[a] = ys, [a & kept[y] for y in ys]
             ys, ms = follow[a]

@@ -485,7 +485,23 @@ def test_class_keys_match_orbit_search(factors, lattice, route):
         canonical = [st.key == c for st, c in zip(poset.strata, canon)]
         assert poset.class_representatives() == [
             i for i, flag in enumerate(canonical) if flag]
-        assert [row["canonical"] for row in poset.summary()] == canonical
+        summary = poset.summary()
+        assert [row["canonical"] for row in summary] == canonical
+        # typed once per class, every stratum has its class's type
+        assert [row["signature"] for row in summary] == [
+            T.Subsystem(rs, st.subsystem.indices).signature
+            for st in poset.strata]
+
+
+@pytest.mark.parametrize("lattice", ["sc", "ad"])
+@pytest.mark.parametrize("factors", CLASS_KEY_TYPES, ids=CLASS_KEY_IDS)
+def test_enumerate_route_strata_cover_the_swept_points(factors, lattice):
+    # the sweep returns the elliptic points only, and each lies in one stratum
+    for q in (7, 13, 25):
+        datum = R.make_datum(factors, lattice, R.characteristic_of(q))
+        poset = C.strata_poset(datum, q, "enumerate")
+        points = sorted(idx for st in poset.strata for idx in st.s_points)
+        assert points == list(poset._masks)
 
 
 def _worklist_by_canonical_keys(rs):

@@ -455,6 +455,11 @@ def vanishing(rows, m, v):
                if sum(a * x for a, x in zip(row, v)) % m == 0)
 
 
+def mask_rank(rows, mask):
+    """Rank of the rows named by the set bits of mask, by elimination."""
+    return il.rank([row for i, row in enumerate(rows) if mask >> i & 1])
+
+
 def test_masks_match_direct_computation():
     datum = R.make_datum(["B2"], "sc", 5)
     kills, masks, pos = T.centralizer_masks_for(datum, 5)
@@ -601,7 +606,7 @@ def test_factored_sweep_matches_dot_products(case):
     want = {}
     for idx, v in enumerate(points):
         mask = vanishing(rows, m, v)
-        if mask.bit_count() >= r:
+        if mask_rank(rows, mask) == r:
             want[idx] = mask
     assert masks == want
     assert list(masks) == sorted(masks)
@@ -611,7 +616,7 @@ def test_factored_sweep_matches_dot_products(case):
 
 @pytest.mark.parametrize("name,q", [("B2", 5), ("B9", 3), ("E7", 5)])
 def test_prime_power_sweep_is_one_kernel_call(monkeypatch, name, q):
-    # q-1 a prime power: one kernel call, returned as it stands
+    # q-1 a prime power: one kernel call, its kills returned as they stand
     datum = R.make_datum([name], "sc", q)
     r = datum.root_system.rank
     rows = [datum.root_functionals[i] for i in datum.root_system.positive_indices]
@@ -622,5 +627,51 @@ def test_prime_power_sweep_is_one_kernel_call(monkeypatch, name, q):
                         lambda *args: calls.append(args) or kernel(*args))
     kills, masks, _ = T.centralizer_masks_for(datum, q)
     assert len(calls) == 1
-    assert kills == direct[0] and masks == direct[1]
-    assert list(masks) == list(direct[1])
+    # only the kernel's kept points whose roots have full rank come back
+    ranks = {mask: mask_rank(rows, mask) for mask in set(direct[1].values())}
+    assert kills == direct[0]
+    assert masks == {idx: mask for idx, mask in direct[1].items()
+                     if ranks[mask] == r}
+    assert list(masks) == sorted(masks)
+
+
+@pytest.mark.parametrize("name", FACTORED_TYPES)
+def test_full_rank_test_matches_elimination_on_part_masks(name):
+    # every mask the kernel keeps on a part (Z/f)^r, rank-deficient ones
+    # included, against the rank of its rows by elimination
+    deficient = 0
+    for lattice in ("sc", "ad"):
+        datum = R.make_datum(name.split(","), lattice, 61)
+        rs = datum.root_system
+        r = rs.rank
+        pos = rs.positive_indices
+        rows = [datum.root_functionals[i] for i in pos]
+        full_rank = T.full_rank_test(rs, pos)
+        for f in (2, 3, 4, 5, 7, 8, 9):
+            if f**r > 10_000:
+                continue
+            _, kept = T.centralizer_masks(rows, f, r)
+            for mask in set(kept.values()):
+                by_rank = mask_rank(rows, mask) == r
+                assert full_rank(mask) == by_rank, (lattice, f, bin(mask))
+                deficient += not by_rank
+    if name not in ("A1", "A2", "B2", "G2", "A1,A1"):
+        # two distinct positive roots of a rank-2 system are independent
+        assert deficient
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "C4", "D5", "G2", "F4", "E6",
+                                  "B3,A1", "A2,G2", "E7"])
+def test_full_rank_test_accepts_every_equal_rank_subsystem(name):
+    rs = R.build_root_system(name.split(","))
+    pos = rs.positive_indices
+    bit = {i: b for b, i in enumerate(pos)}
+    full_rank = T.full_rank_test(rs, pos)
+    coeffs = [rs.roots[i].coeffs for i in pos]
+    for sub in C.equal_rank_subsystems(rs):
+        mask = sum(1 << bit[i] for i in sub.positive_indices)
+        assert mask_rank(coeffs, mask) == rs.rank
+        assert full_rank(mask)
+        # one base root fewer generates a closed subsystem of rank r - 1
+        short = C.subsystem_from_base(rs, sub.base_indices[1:])
+        assert not full_rank(sum(1 << bit[i] for i in short.positive_indices))
