@@ -33,7 +33,8 @@ DEFAULT_CONFIG = {
     "route": "enumerate",
     "caps": {"weyl": rootsys.DEFAULT_WEYL_CAP,
              "points": torus.DEFAULT_POINT_CAP,
-             "orbits": coefficients.DEFAULT_ORBIT_CAP},
+             "orbits": coefficients.DEFAULT_ORBIT_CAP,
+             "candidates": coendoscopy.DEFAULT_CANDIDATE_CAP},
 }
 
 
@@ -322,6 +323,7 @@ class Context:
         self.weyl_cap = caps["weyl"]
         self.point_cap = caps["points"]
         self.orbit_cap = caps["orbits"]
+        self.candidate_cap = caps["candidates"]
         self._poset = None
 
     @property
@@ -330,6 +332,7 @@ class Context:
             self._poset = coendoscopy.strata_poset(
                 self.datum, self.q, self.route,
                 point_cap=self.point_cap, weyl_cap=self.weyl_cap,
+                candidate_cap=self.candidate_cap,
             )
         return self._poset
 
@@ -391,7 +394,7 @@ def cmd_coeffs(ctx: Context) -> dict:
     report["rows"] = table.to_records()
     report["total_abs"] = table.total_abs
     report["bound_constant"] = coefficients.bound_constant(
-        ctx.datum, ctx.spec.num_places
+        ctx.datum, ctx.spec.num_places, ctx.candidate_cap
     )
     return report
 

@@ -38,7 +38,7 @@ from .rootsys import (
     geometric_center_order,
     weyl_order,
 )
-from .coendoscopy import StrataPoset, Stratum, class_keys, \
+from .coendoscopy import DEFAULT_CANDIDATE_CAP, StrataPoset, Stratum, \
     equal_rank_subsystems
 from .torus import Subsystem, subgroup_points
 
@@ -351,14 +351,15 @@ def n_table(
     return NTable(datum, q, spec, convention, rows)
 
 
-def bound_constant(datum: GroupDatum, num_places: int) -> int:
+def bound_constant(datum: GroupDatum, num_places: int,
+                   candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> int:
     """Explicit q-independent bound: over geometric subsystem classes,
     |W|^|S| |W_iota|^|S| |Z_iota(geometric)| summed up."""
     rs = datum.root_system
     w_order = weyl_order(rs)
-    subs = equal_rank_subsystems(rs)
+    subs = equal_rank_subsystems(rs, candidate_cap)
     total = 0
-    for sub, key in zip(subs, class_keys(rs, [s.indices for s in subs])):
+    for sub, key in zip(subs, subs.class_keys):
         if sub.key != key:
             continue
         z_geo = geometric_center_order(datum, sub)

@@ -16,8 +16,10 @@ subsystems:
   sizes of the strata already found that properly contain c: Möbius
   inversion done by back-substitution, with no candidate-level order
   matrix.  On E7 at q = 5 (1,516 candidates, 730 strata) the classify-route
-  `strata` command takes about 0.65 s.
+  `strata` command takes about 0.25 s.
 
+Both routes solve one Smith form per W-class, for its representative:
+|Z_c(F_q)| and its invariant factors are class data, as w·Z_c = Z_{w·c}.
 The poset of realized strata computes its Möbius function once, from the
 lower sets of its elements.
 
@@ -29,11 +31,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from operator import itemgetter
+from functools import cached_property
+from operator import attrgetter, itemgetter
 
 from . import intlinalg as il
 from .rootsys import (
     DEFAULT_WEYL_CAP,
+    CapExceeded,
+    FiniteAbelianGroup,
     GroupDatum,
     RootSystem,
     SimpleType,
@@ -68,9 +73,17 @@ def orbit_of_subset(rs: RootSystem, indices) -> list[frozenset]:
     return sorted(orbit, key=lambda s: tuple(sorted(s)))
 
 
+def keyed_orbit(rs: RootSystem, indices) -> dict[frozenset, tuple[int, ...]]:
+    """Every member of the W-orbit of a root subset, mapped to the class
+    key: the lexicographically least member, as a sorted tuple."""
+    orbit = orbit_of_subset(rs, indices)
+    return dict.fromkeys(orbit, tuple(sorted(orbit[0])))
+
+
 def canonical_subset(rs: RootSystem, indices) -> tuple[int, ...]:
     """Lexicographically least member of the W-orbit, as a sorted tuple."""
-    return tuple(sorted(orbit_of_subset(rs, indices)[0]))
+    indices = frozenset(indices)
+    return keyed_orbit(rs, indices)[indices]
 
 
 def class_keys(rs: RootSystem, sets) -> list[tuple[int, ...]]:
@@ -79,8 +92,7 @@ def class_keys(rs: RootSystem, sets) -> list[tuple[int, ...]]:
     keys = {}
     for s in sets:
         if s not in keys:
-            orbit = orbit_of_subset(rs, s)
-            keys.update(dict.fromkeys(orbit, tuple(sorted(orbit[0]))))
+            keys.update(keyed_orbit(rs, s))
     return [keys[s] for s in sets]
 
 
@@ -229,26 +241,46 @@ def _prime_steps(rs: RootSystem, sub: Subsystem) -> list[tuple[int, int, Subsyst
     return out
 
 
-def equal_rank_subsystems(rs: RootSystem) -> list[Subsystem]:
+DEFAULT_CANDIDATE_CAP = 10_000
+
+
+class Candidates(list):
+    """The full-rank closed subsystems in key order, with ``class_keys``:
+    the class key of each, recorded by the orbit search that found it."""
+
+    def __init__(self, subsystems, class_keys):
+        super().__init__(subsystems)
+        self.class_keys = class_keys
+
+
+def equal_rank_subsystems(rs: RootSystem,
+                          cap: int = DEFAULT_CANDIDATE_CAP) -> Candidates:
     """Every full-rank closed subsystem, as explicit root subsets.
 
     Closure of the whole system under prime-node deletion steps and the
-    Weyl action, one orbit search per W-class; cached on the root system.
+    Weyl action, one orbit search per W-class, which keys every member of
+    the class.  CapExceeded is raised as soon as more than ``cap``
+    subsystems are found; a complete list is cached on the root system.
     """
     cached = getattr(rs, "_equal_rank_subs", None)
-    if cached is not None:
+    if cached is not None and len(cached) <= cap:
         return cached
-    subsets = set()
+    keys = {}
     worklist = [frozenset(range(len(rs.roots)))]
     while worklist:
         s = worklist.pop()
-        if s in subsets:
+        if s in keys:
             continue
-        orbit = orbit_of_subset(rs, s)
-        subsets.update(orbit)
+        orbit = keyed_orbit(rs, s)
+        keys.update(orbit)
+        if len(keys) > cap:
+            raise CapExceeded(
+                f"full-rank closed subsystems exceed cap {cap} "
+                "(caps.candidates)", order=len(keys))
         worklist += [step.indices
-                     for _, _, step in _prime_steps(rs, Subsystem(rs, orbit[0]))]
-    out = [Subsystem(rs, s) for s in sorted(subsets, key=lambda s: tuple(sorted(s)))]
+                     for _, _, step in _prime_steps(rs, Subsystem(rs, orbit[s]))]
+    subs = sorted((Subsystem(rs, s) for s in keys), key=attrgetter("key"))
+    out = Candidates(subs, [keys[sub.indices] for sub in subs])
     rs._equal_rank_subs = out
     return out
 
@@ -261,17 +293,35 @@ class Stratum:
     """An element of the elliptic stratification: a full-rank centralizer
     subsystem together with its group data at a fixed q.
 
+    ``class_key`` is the canonical key of the subsystem's W-class.  As
+    w·Z_c = Z_{w·c}, ``z_order`` and ``z_invariants`` are those of
+    ``z_class``, the group Z(F_q) of the class representative (the member
+    whose key is the class key).  ``z_group``, with generators of this
+    stratum's own group, is ``z_class`` on the representative and is
+    solved on first use on the other members.
+
     On the enumerate route ``s_points`` holds the sweep indices of the
     stratum's points (``point_from_index`` gives their residues); the
     classify route lists no points.
     """
 
-    def __init__(self, subsystem: Subsystem, z_group, s_size: int, s_points=None):
+    def __init__(self, datum: GroupDatum, q: int, subsystem: Subsystem,
+                 class_key: tuple[int, ...], z_class: FiniteAbelianGroup,
+                 s_size: int, s_points=None):
+        self.datum = datum
+        self.q = q
         self.subsystem = subsystem
-        self.z_group = z_group
-        self.z_order = z_group.order
+        self.class_key = class_key
+        self.z_order = z_class.order
+        self.z_invariants = z_class.invariants
         self.s_size = s_size
         self.s_points = s_points
+        if subsystem.key == class_key:
+            self.z_group = z_class
+
+    @cached_property
+    def z_group(self) -> FiniteAbelianGroup:
+        return subgroup_points(self.datum, self.q, self.subsystem)
 
     @property
     def key(self) -> tuple[int, ...]:
@@ -285,6 +335,14 @@ class Stratum:
         return (
             f"Stratum({self.signature}, |Z|={self.z_order}, |S|={self.s_size})"
         )
+
+
+def _class_groups(datum: GroupDatum, q: int, subs,
+                  keys) -> dict[tuple[int, ...], FiniteAbelianGroup]:
+    """Z(F_q) of each W-class among the subsystems, keyed by class key:
+    one Smith form per class, solved for its representative."""
+    return {key: subgroup_points(datum, q, sub)
+            for sub, key in zip(subs, keys) if sub.key == key}
 
 
 class StrataPoset:
@@ -309,7 +367,7 @@ class StrataPoset:
         self.warnings = tuple(warnings)
         sets = [st.subsystem.indices for st in self.strata]
         # canonical_subset of each stratum: the lex-least member of its W-class
-        self.class_keys = class_keys(datum.root_system, sets)
+        self.class_keys = [st.class_key for st in self.strata]
         # i <= j only if i has at least as many roots, so i <= j implies
         # index i <= index j
         self._below = [
@@ -385,8 +443,9 @@ class StrataPoset:
         return cached
 
     def summary(self) -> list[dict]:
-        """One row per stratum.  W-conjugate strata (equal class keys) have
-        the same type, so each class's signature is computed once."""
+        """One row per stratum, from class data: W-conjugate strata (equal
+        class keys) have the same type, so each class's signature is
+        computed once, and no generators of Z are solved."""
         signatures = {}
         for st, key in zip(self.strata, self.class_keys):
             if key not in signatures:
@@ -395,7 +454,7 @@ class StrataPoset:
             {
                 "signature": signatures[key],
                 "roots": len(st.subsystem.indices),
-                "z_invariants": list(st.z_group.invariants),
+                "z_invariants": list(st.z_invariants),
                 "z_order": st.z_order,
                 "s_size": st.s_size,
                 "canonical": st.key == key,
@@ -424,6 +483,7 @@ def strata_poset(
     weyl: WeylGroup | None = None,
     point_cap: int = DEFAULT_POINT_CAP,
     weyl_cap: int = DEFAULT_WEYL_CAP,
+    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> StrataPoset:
     """Build the realized elliptic strata poset at q by either route.
 
@@ -433,7 +493,8 @@ def strata_poset(
     if route == "enumerate":
         poset = _strata_by_enumeration(datum, q, weyl, weyl_cap, point_cap)
     elif route == "classify":
-        poset = _strata_by_classification(datum, q, weyl, weyl_cap)
+        poset = _strata_by_classification(datum, q, weyl, weyl_cap,
+                                          candidate_cap)
     else:
         raise ValueError(f"unknown route {route!r}")
     return poset
@@ -446,36 +507,40 @@ def _strata_by_enumeration(datum, q, weyl, weyl_cap, point_cap) -> StrataPoset:
     groups: dict[int, list[int]] = {}
     for idx, mask in masks.items():
         groups.setdefault(mask, []).append(idx)
-    strata = []
-    mask_of = {}
-    for mask, pts in groups.items():
+    subs = []
+    for mask in groups:
         indices = [pos[b] for b in range(len(pos)) if mask >> b & 1]
         indices += [rs.negate[i] for i in indices]
-        sub = Subsystem(rs, indices)
-        z = subgroup_points(datum, q, sub)
-        strata.append(Stratum(sub, z, len(pts), tuple(pts)))
-        mask_of[sub.key] = mask
+        subs.append(Subsystem(rs, indices))
+    keys = class_keys(rs, [sub.indices for sub in subs])
+    z_of = _class_groups(datum, q, subs, keys)
+    strata = [Stratum(datum, q, sub, key, z_of[key], len(pts), tuple(pts))
+              for sub, key, pts in zip(subs, keys, groups.values())]
     poset = StrataPoset(datum, q, "enumerate", strata, weyl,
                         weyl_cap=weyl_cap)
     poset._masks = masks
-    poset._mask_of = mask_of
+    poset._mask_of = dict(zip((sub.key for sub in subs), groups))
     return poset
 
 
-def _strata_by_classification(datum, q, weyl, weyl_cap) -> StrataPoset:
+def _strata_by_classification(datum, q, weyl, weyl_cap,
+                              candidate_cap) -> StrataPoset:
     rs = datum.root_system
+    cands = equal_rank_subsystems(rs, candidate_cap)
+    z_of = _class_groups(datum, q, cands, cands.class_keys)
     # Möbius inversion of |Z_c| = sum of |S_d| over d >= c, by
     # back-substitution: a candidate with more roots comes first, so every
     # stratum above c is already known, and only nonempty ones count
     strata = []
-    for cand in sorted(equal_rank_subsystems(rs), key=lambda c: -len(c.indices)):
-        z = subgroup_points(datum, q, cand)
+    for cand, key in sorted(zip(cands, cands.class_keys),
+                            key=lambda pair: -len(pair[0].indices)):
+        z = z_of[key]
         size = z.order - sum(st.s_size for st in strata
                              if cand.indices < st.subsystem.indices)
         if size < 0:
             raise AssertionError("negative stratum size from inversion")
         if size > 0:
-            strata.append(Stratum(cand, z, size, None))
+            strata.append(Stratum(datum, q, cand, key, z, size))
     warnings = []
     for t in rs.simple_factors:
         need = car_divisor(t)

@@ -328,12 +328,14 @@ def bds_cross_check(t: SimpleType | str, q: int | None = None) -> Verdict:
 
 def centers_stable(datum: GroupDatum, q: int) -> bool:
     """All geometric subsystem centers already rational at q: for every
-    full-rank closed subsystem, |Z(F_q)| equals the geometric order."""
-    for sub in equal_rank_subsystems(datum.root_system):
-        geo = geometric_center_order(datum, sub)
-        if subgroup_points(datum, q, sub).order != geo:
-            return False
-    return True
+    full-rank closed subsystem, |Z(F_q)| equals the geometric order.
+    Both orders are W-invariant, so one subsystem per W-class is tested."""
+    subs = equal_rank_subsystems(datum.root_system)
+    return all(
+        subgroup_points(datum, q, sub).order
+        == geometric_center_order(datum, sub)
+        for sub, key in zip(subs, subs.class_keys) if sub.key == key
+    )
 
 
 def field_extension_check(datum: GroupDatum, spec: CharacterSpec, q: int,

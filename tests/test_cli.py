@@ -407,6 +407,7 @@ def test_bad_caps_exit_2(tmp_path, capsys):
                       ({"points": True}, "caps.points"),
                       ({"orbits": 0}, "caps.orbits"),
                       ({"weyl": 2.5}, "caps.weyl"),
+                      ({"candidates": -3}, "caps.candidates"),
                       (7, "caps")]:
         cfg.write_text(json.dumps({"caps": caps}))
         code, _, err = run(["coeffs", "--type", "A1", "--q", "5",
@@ -616,7 +617,9 @@ def test_non_integer_character_and_degree_values_exit_2(tmp_path, capsys,
      "|T(F_q)| = 16 exceeds cap 10 (caps.points)"),
     (["coeffs", "--type", "B2"], {"orbits": 1},
      "2^1 coset tuples exceed cap 1 (caps.orbits)"),
-], ids=["weyl", "points", "orbits"])
+    (["strata", "--type", "B3", "--route", "classify"], {"candidates": 4},
+     "full-rank closed subsystems exceed cap 4 (caps.candidates)"),
+], ids=["weyl", "points", "orbits", "candidates"])
 def test_cap_errors_name_their_config_key(tmp_path, capsys, argv, caps,
                                           message):
     cfg = tmp_path / "cfg.json"

@@ -128,6 +128,16 @@ def test_equal_rank_subsystems_structure():
                      "A1xA1xB2", "A1xA1xA1xA1"}
 
 
+def test_candidate_cap_raises_and_caches_only_a_complete_list():
+    rs = R.build_root_system(["B3"])
+    with pytest.raises(R.CapExceeded, match=r"caps\.candidates"):
+        C.equal_rank_subsystems(rs, cap=4)
+    assert len(C.equal_rank_subsystems(rs, cap=5)) == 5
+    # a cached list longer than a later cap is not returned under it
+    with pytest.raises(R.CapExceeded):
+        C.equal_rank_subsystems(rs, cap=4)
+
+
 def test_equal_rank_subsystems_weyl_stable():
     rs = R.build_root_system(["B3"])
     subs = {s.indices for s in C.equal_rank_subsystems(rs)}
@@ -345,6 +355,16 @@ def test_reeder_partition_witnesses():
     assert corrupted(repeat_lower_point) == {"stratum": "A1xA1",
                                              "overlap_with": "A1xA1"}
 
+    # a stratum that is not its class's representative reads |Z| from the
+    # class, and the check still counts it directly
+    poset = C.strata_poset(datum_for("F4", "sc", 7), 7, "enumerate")
+    st = next(st for st, key in zip(poset.strata, poset.class_keys)
+              if st.key != key)
+    st.z_order += 1
+    assert C.reeder_partition_check(poset).witness == {
+        "stratum": st.signature, "direct": st.z_order - 1,
+        "group_order": st.z_order}
+
 
 def test_reeder_needs_points():
     datum = datum_for("A1", "sc", 5)
@@ -504,6 +524,32 @@ def test_enumerate_route_strata_cover_the_swept_points(factors, lattice):
         assert points == list(poset._masks)
 
 
+def span(group, m, rank):
+    """The residue vectors mod m of the subgroup the generators span."""
+    points = {(0,) * rank}
+    for g, order in zip(group.generators, group.invariants):
+        points = {tuple((x + k * y) % m for x, y in zip(p, g))
+                  for p in points for k in range(order)}
+    return points
+
+
+@pytest.mark.parametrize("route", ["enumerate", "classify"])
+@pytest.mark.parametrize("lattice", ["sc", "ad"])
+@pytest.mark.parametrize("factors", CLASS_KEY_TYPES, ids=CLASS_KEY_IDS)
+def test_class_group_data_match_a_fresh_solve(factors, lattice, route):
+    # Z data is solved once per W-class; every stratum's order and
+    # invariants, and the group its own generators span, are its own
+    for q in (7, 13):
+        datum = R.make_datum(factors, lattice, R.characteristic_of(q))
+        for st in C.strata_poset(datum, q, route).strata:
+            fresh = T.subgroup_points(datum, q, st.subsystem)
+            assert st.z_order == fresh.order
+            assert st.z_invariants == st.z_group.invariants \
+                == fresh.invariants
+            r = datum.root_system.rank
+            assert span(st.z_group, q - 1, r) == span(fresh, q - 1, r)
+
+
 def _worklist_by_canonical_keys(rs):
     """Full-rank closed subsystems by the worklist of canonical keys that
     runs one orbit search per prime step, then one per class."""
@@ -565,6 +611,30 @@ def test_enumerate_route_searches_each_class_once(monkeypatch):
         datum = R.make_datum(factors, lattice, R.characteristic_of(q))
         poset = C.strata_poset(datum, q, "enumerate")
         assert len(calls) == len(set(poset.class_keys)) < len(poset.strata)
+
+
+@pytest.mark.parametrize("route", ["enumerate", "classify"])
+def test_strata_solve_one_smith_form_per_class(monkeypatch, route):
+    # per class of strata on the enumerate route, per class of candidates
+    # on the classify route; the strata report solves nothing more
+    calls = []
+    solve = C.subgroup_points
+
+    def counting(datum, q, sub):
+        calls.append(sub)
+        return solve(datum, q, sub)
+
+    monkeypatch.setattr(C, "subgroup_points", counting)
+    for factors, lattice, q in [(["F4"], "sc", 13), (["G2"], "ad", 7),
+                                (["B3"], "sc", 13)]:
+        datum = R.make_datum(factors, lattice, R.characteristic_of(q))
+        cands = C.equal_rank_subsystems(datum.root_system)
+        calls.clear()
+        poset = C.strata_poset(datum, q, route)
+        poset.summary()
+        classes = set(poset.class_keys if route == "enumerate"
+                      else cands.class_keys)
+        assert len(calls) == len(classes) < len(poset.strata)
 
 
 def test_bds_searches_only_options_that_share_a_signature(monkeypatch):
