@@ -180,11 +180,10 @@ def _infinity_terms(datum: GroupDatum, poset: StrataPoset,
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     sign = -1 if convention == "uniform-inverse" else 1
-    cw = poset.cw_indices(stratum_index)
     return [
         tuple(sign * x for x in
               act_character(datum, poset.weyl, w, spec.infinity.lam))
-        for w, _ in poset.weyl.cosets(cw)
+        for w in poset.cw_cosets(stratum_index)
     ]
 
 
@@ -217,15 +216,6 @@ def n_coefficient(
                       poset.q - 1)
 
 
-def _coset_rep_map(weyl: WeylGroup, subgroup):
-    cosets = weyl.cosets(subgroup)
-    member_to_rep = {}
-    for rep, members in cosets:
-        for x in members:
-            member_to_rep[x] = rep
-    return [rep for rep, _ in cosets], member_to_rep
-
-
 def _tuple_orbits(poset: StrataPoset, stratum_index: int,
                   num_finite_places: int, cap: int):
     """Orbits of C_W(iota) by simultaneous conjugation on coset tuples,
@@ -235,8 +225,8 @@ def _tuple_orbits(poset: StrataPoset, stratum_index: int,
     moves tuples by the generators of C_W(iota) only.
     """
     weyl = poset.weyl
-    wiota = poset.wiota_indices(stratum_index)
-    reps, to_rep = _coset_rep_map(weyl, wiota)
+    base = poset.strata[stratum_index].subsystem.base_indices
+    reps = poset.wiota_cosets(stratum_index)
     total = len(reps) ** num_finite_places
     if total > cap:
         raise CapExceeded(
@@ -248,7 +238,8 @@ def _tuple_orbits(poset: StrataPoset, stratum_index: int,
     conj = {}
     for c in gens:
         cinv = weyl.inv(c)
-        conj[c] = {g: to_rep[weyl.mul(weyl.mul(cinv, g), c)] for g in reps}
+        conj[c] = {g: weyl.coset_rep(base, weyl.mul(weyl.mul(cinv, g), c))
+                   for g in reps}
     seen = set()
     out = []
     for tup in itertools.product(reps, repeat=num_finite_places):

@@ -375,8 +375,7 @@ class StrataPoset:
             for j in range(len(sets))
         ]
         self.mobius_table = _mobius(self._below)
-        self._cw: dict[int, tuple[int, ...]] = {}
-        self._wiota: dict[int, tuple[int, ...]] = {}
+        self._wiota_cosets: dict[int, tuple[int, ...]] = {}
 
     def __len__(self):
         return len(self.strata)
@@ -398,19 +397,26 @@ class StrataPoset:
             if st.key == key
         ]
 
-    def cw_indices(self, i: int) -> tuple[int, ...]:
-        """C_W(iota): Weyl elements stabilizing the subsystem subset."""
-        cached = self._cw.get(i)
+    def wiota_cosets(self, i: int) -> tuple[int, ...]:
+        """Minimal-length representatives of W_iota\\W (``WeylGroup.cosets``
+        on the base of the subsystem), computed once per stratum."""
+        cached = self._wiota_cosets.get(i)
         if cached is None:
-            sub = self.strata[i].subsystem
-            # a full-rank subsystem has >= 2 roots, so images is a tuple
-            images = itemgetter(*sub.key)
-            cached = tuple(
-                w for w, perm in enumerate(self.weyl.perms)
-                if sub.indices.issuperset(images(perm))
-            )
-            self._cw[i] = cached
+            cached = tuple(self.weyl.cosets(
+                self.strata[i].subsystem.base_indices))
+            self._wiota_cosets[i] = cached
         return cached
+
+    def stabilizer(self, i: int) -> list[int]:
+        """Stab(Delta_iota), the elements mapping the base onto itself.
+
+        Such an element sends the positive roots of iota to positive
+        roots, so it is one of the W_iota\\W representatives.
+        """
+        base = self.strata[i].subsystem.base_indices
+        perms = self.weyl.perms
+        return [x for x in self.wiota_cosets(i)
+                if all(perms[x][t] in base for t in base)]
 
     def cw_generators(self, i: int) -> tuple[int, ...]:
         """Generators of C_W(iota) = W_iota x| Stab(Delta_iota).
@@ -423,24 +429,22 @@ class StrataPoset:
         (index 0) are listed.
         """
         base = self.strata[i].subsystem.base_indices
-        base_set = set(base)
-        weyl = self.weyl
-        diagram = [
-            c for c in self.cw_indices(i)
-            if c and all(weyl.perms[c][t] in base_set for t in base)
-        ]
-        return tuple([weyl.reflection(t) for t in base] + diagram)
+        return tuple([self.weyl.reflection(t) for t in base]
+                     + self.stabilizer(i)[1:])
 
-    def wiota_indices(self, i: int) -> tuple[int, ...]:
-        """W_iota: subgroup generated by the reflections in the base of
-        the subsystem, which generate the reflections in all its roots."""
-        cached = self._wiota.get(i)
-        if cached is None:
-            sub = self.strata[i].subsystem
-            gens = [self.weyl.reflection(t) for t in sub.base_indices]
-            cached = self.weyl.subgroup_closure(gens)
-            self._wiota[i] = cached
-        return cached
+    def cw_cosets(self, i: int) -> list[int]:
+        """Canonical representatives of C_W(iota)\\W, the members of least
+        (length, index), in increasing index order.
+
+        C_W(iota) x is the union of the W_iota d x over d in
+        Stab(Delta_iota), and d x is the shortest member of W_iota d x
+        when x is, so the representative is the least d x.
+        """
+        weyl = self.weyl
+        stab = self.stabilizer(i)
+        return sorted({min((weyl.mul(d, x) for d in stab),
+                           key=lambda w: (weyl.length(w), w))
+                       for x in self.wiota_cosets(i)})
 
     def summary(self) -> list[dict]:
         """One row per stratum, from class data: W-conjugate strata (equal

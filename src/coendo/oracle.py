@@ -197,12 +197,10 @@ def direct_n_coefficient(
     convention: str = "uniform-inverse",
 ) -> int | None:
     """The row coefficient by explicit point summation (no Möbius step)."""
-    cw = poset.cw_indices(stratum_index)
-    reps = [rep for rep, _ in poset.weyl.cosets(cw)]
     m = poset.q - 1
     hist: dict[int, int] = {}
     points = _stratum_residues(poset, stratum_index)
-    for w in reps:
+    for w in poset.cw_cosets(stratum_index):
         lam = total_character(datum, poset.weyl, spec, gamma, w, convention)
         for v in points:
             e = sum(a * b for a, b in zip(lam, v)) % m

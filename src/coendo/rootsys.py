@@ -361,7 +361,6 @@ class WeylGroup:
         self.order = len(self.perms)
         self._lengths = tuple(lengths)
         self._inv: dict[int, int] = {}
-        self._cosets: dict[tuple[int, ...], list] = {}
 
     def mul(self, i: int, j: int) -> int:
         """Index of w_i w_j; its permutation is perms[i] o perms[j]."""
@@ -386,34 +385,30 @@ class WeylGroup:
         """Element index of the reflection in the given root."""
         return self.index[self.rs.reflection_perm(root_index)]
 
-    def subgroup_closure(self, generators) -> tuple[int, ...]:
-        """Closure of the given element indices, as a sorted index tuple."""
-        return tuple(sorted(closure(
-            [0], lambda a: [self.mul(g, a) for g in generators])))
+    def cosets(self, base) -> list[int]:
+        """Minimal-length representatives of the right cosets W_iota\\W, in
+        increasing index order, for the reflection subgroup W_iota whose
+        simple roots are the root indices ``base``.
 
-    def cosets(self, subgroup) -> list[tuple[int, tuple[int, ...]]]:
-        """Right cosets H\\W as (canonical representative, members) pairs.
-
-        The representative is the member of minimal length (ties broken by
-        element index); pairs are listed by representative index.  The
-        decomposition is computed once per subgroup.
+        W_iota x holds exactly one element of minimal length, the x with
+        x^-1(beta) > 0 for every beta in the base (M. Dyer, J. Algebra
+        1990), so the representatives are the inverses of the y that send
+        the base to positive roots.  Roots are sorted by height, so a root
+        is positive exactly when its index is at least half their number.
         """
-        sub = tuple(subgroup)
-        cached = self._cosets.get(sub)
-        if cached is None:
-            seen = [False] * self.order
-            cached = []
-            for w in range(self.order):
-                if seen[w]:
-                    continue
-                members = sorted({self.mul(h, w) for h in sub})
-                for x in members:
-                    seen[x] = True
-                rep = min(members, key=lambda x: (self.length(x), x))
-                cached.append((rep, tuple(members)))
-            cached.sort(key=lambda pair: pair[0])
-            self._cosets[sub] = cached
-        return list(cached)
+        half = self.rs.num_roots // 2
+        return sorted(self.inv(y) for y, perm in enumerate(self.perms)
+                      if all(perm[b] >= half for b in base))
+
+    def coset_rep(self, base, x: int) -> int:
+        """The representative in ``cosets(base)`` of W_iota x: while
+        x^-1(beta) < 0 for some beta in the base, s_beta x is shorter."""
+        half = self.rs.num_roots // 2
+        perm = self.perms[x]
+        while (beta := next((b for b in base if perm.index(b) < half),
+                            None)) is not None:
+            perm = itemgetter(*perm)(self.rs.reflection_perm(beta))
+        return self.index[perm]
 
 
 def weyl_generate(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:

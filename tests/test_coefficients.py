@@ -13,8 +13,9 @@ from coendo import intlinalg as il
 from coendo import oracle as O
 from coendo import rootsys as R
 from coendo import torus as T
-from test_rootsys import cochar_data
-from test_torus import weyl_matrix
+from test_rootsys import cached_weyl, cochar_data
+from test_torus import (coset_partition, generated_subgroup,
+                        reflection_closure, subset_stabilizer, weyl_matrix)
 
 
 def setup_group(name, lat, q):
@@ -133,7 +134,7 @@ def test_n_all_trivial_counts_cosets():
     datum, weyl, poset = setup_group("G2", "ad", 7)
     trivial = K.CharacterSpec.trivial(2, 1)
     for si in poset.class_representatives():
-        cw = poset.cw_indices(si)
+        cw = subset_stabilizer(weyl, poset.strata[si].subsystem)
         cosets = weyl.order // len(cw)
         got = K.n_coefficient(datum, poset, si, (0,), trivial)
         assert got == cosets * poset.strata[si].s_size
@@ -145,8 +146,9 @@ def test_coset_independence_in_wiota():
     datum, weyl, poset = setup_group("B2", "sc", 13)
     spec = O.random_spec(2, 1, rng)
     for si in poset.class_representatives():
-        wiota = poset.wiota_indices(si)
-        reps = [rep for rep, _ in weyl.cosets(wiota)]
+        wiota = reflection_closure(
+            weyl, poset.strata[si].subsystem.base_indices)
+        reps = [rep for rep, _ in coset_partition(weyl, wiota)]
         for rep in reps:
             base = K.n_coefficient(datum, poset, si, (rep,), spec)
             for u in wiota:
@@ -168,7 +170,7 @@ def test_orbit_decomposition_examples():
     assert len(orbits) == 4
     assert all(size == 1 for _, size in orbits)
     sizes = sum(size for _, size in orbit_decomposition(poset, i1, 1))
-    wiota = poset.wiota_indices(i1)
+    wiota = reflection_closure(weyl, poset.strata[i1].subsystem.base_indices)
     assert sizes == weyl.order // len(wiota)
 
 
@@ -261,18 +263,20 @@ def test_bound_dominates_tables():
 # and C_W(iota) acting by every one of its elements.
 
 def reference_wiota(poset, si):
-    weyl = poset.weyl
-    gens = [weyl.reflection(t)
-            for t in poset.strata[si].subsystem.positive_indices]
-    return weyl.subgroup_closure(gens)
+    return reflection_closure(poset.weyl,
+                              poset.strata[si].subsystem.positive_indices)
+
+
+def reference_cw(poset, si):
+    return subset_stabilizer(poset.weyl, poset.strata[si].subsystem)
 
 
 def reference_orbits(poset, si, num_finite):
     weyl = poset.weyl
-    cosets = weyl.cosets(reference_wiota(poset, si))
+    cosets = coset_partition(weyl, reference_wiota(poset, si))
     to_rep = {x: rep for rep, members in cosets for x in members}
     reps = [rep for rep, _ in cosets]
-    cw = poset.cw_indices(si)
+    cw = reference_cw(poset, si)
     out = []
     seen = set()
     for tup in itertools.product(reps, repeat=num_finite):
@@ -291,25 +295,69 @@ EQUIVALENCE_GRID = [
     (["A2"], "sc", 7), (["B2"], "sc", 5), (["B3"], "sc", 5),
     (["C3"], "ad", 9), (["G2"], "ad", 7), (["A2", "A1"], "ad", 7),
 ]
+EQUIVALENCE_IDS = ["A2", "B2", "B3", "C3", "G2", "A2xA1"]
 
 
 @pytest.mark.parametrize("factors,lat,q", EQUIVALENCE_GRID,
-                         ids=["A2", "B2", "B3", "C3", "G2", "A2xA1"])
+                         ids=EQUIVALENCE_IDS)
+def test_coset_rules_match_partitions(factors, lat, q):
+    # the representatives from Dyer's criterion, the descent in coset_rep
+    # and the least d x for C_W(iota) against the shortest members of a
+    # partition of W into cosets
+    datum = R.make_datum(factors, lat, R.characteristic_of(q))
+    poset = C.strata_poset(datum, q, "classify")
+    weyl = poset.weyl
+    for si in range(len(poset)):
+        base = poset.strata[si].subsystem.base_indices
+        cosets = coset_partition(weyl, reference_wiota(poset, si))
+        for _, members in cosets:
+            shortest = min(map(weyl.length, members))
+            assert [weyl.length(x) for x in members].count(shortest) == 1
+        assert weyl.cosets(base) == [rep for rep, _ in cosets]
+        assert poset.wiota_cosets(si) == tuple(rep for rep, _ in cosets)
+        to_rep = {x: rep for rep, members in cosets for x in members}
+        assert all(weyl.coset_rep(base, x) == to_rep[x]
+                   for x in range(weyl.order))
+        cw = reference_cw(poset, si)
+        assert poset.cw_cosets(si) == [
+            rep for rep, _ in coset_partition(weyl, cw)]
+        assert poset.stabilizer(si) == [
+            c for c in cw if {weyl.perms[c][t] for t in base} == set(base)]
+
+
+@functools.cache
+def class_representatives(name):
+    rs = cached_weyl((name,)).rs
+    subs = C.equal_rank_subsystems(rs)
+    return [sub for sub, key in zip(subs, subs.class_keys) if sub.key == key]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["F4", "E6", "B4", "D4", "C3", "G2"]), st.data())
+def test_coset_count_times_wiota_order_is_weyl_order(name, data):
+    sub = data.draw(st.sampled_from(class_representatives(name)))
+    weyl = cached_weyl((name,))
+    assert len(weyl.cosets(sub.base_indices)) * sub.weyl_order == weyl.order
+
+
+@pytest.mark.parametrize("factors,lat,q", EQUIVALENCE_GRID,
+                         ids=EQUIVALENCE_IDS)
 def test_orbits_and_wiota_match_reference(factors, lat, q):
     datum = R.make_datum(factors, lat, R.characteristic_of(q))
     poset = C.strata_poset(datum, q, "classify")
     weyl = poset.weyl
     for si in range(len(poset)):
-        assert poset.wiota_indices(si) == reference_wiota(poset, si)
-        cw = poset.cw_indices(si)
-        assert weyl.subgroup_closure(poset.cw_generators(si)) == cw
+        base = poset.strata[si].subsystem.base_indices
+        assert reflection_closure(weyl, base) == reference_wiota(poset, si)
+        cw = reference_cw(poset, si)
+        assert generated_subgroup(weyl, poset.cw_generators(si)) == cw
         for nf in (1, 2):
             ref = reference_orbits(poset, si, nf)
             assert K._tuple_orbits(poset, si, nf, K.DEFAULT_ORBIT_CAP) == ref
 
 
 @pytest.mark.parametrize("factors,lat,q", EQUIVALENCE_GRID,
-                         ids=["A2", "B2", "B3", "C3", "G2", "A2xA1"])
+                         ids=EQUIVALENCE_IDS)
 def test_n_table_rows_match_per_row_routes(factors, lat, q):
     datum = R.make_datum(factors, lat, R.characteristic_of(q))
     poset = C.strata_poset(datum, q, "enumerate")

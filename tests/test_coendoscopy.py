@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from coendo import coendoscopy as C
 from coendo import rootsys as R
 from coendo import torus as T
+from test_torus import reflection_closure, subset_stabilizer
 
 
 def datum_for(name, lat, q):
@@ -377,8 +378,8 @@ def test_stratum_invariants():
     poset = C.strata_poset(datum, 7, "enumerate")
     for i, st in enumerate(poset.strata):
         assert st.s_size <= st.z_order
-        cw = poset.cw_indices(i)
-        wiota = poset.wiota_indices(i)
+        cw = subset_stabilizer(poset.weyl, st.subsystem)
+        wiota = reflection_closure(poset.weyl, st.subsystem.base_indices)
         assert set(wiota) <= set(cw)
         assert len(wiota) == st.subsystem.weyl_order
         assert poset.weyl.order % len(cw) == 0

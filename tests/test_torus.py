@@ -64,8 +64,40 @@ def weyl_stabilizer(datum, weyl, q, v):
                for x, y in zip(il.matvec(weyl_matrix_x(datum, weyl, i), v), v))
     )
     sub = T.centralizer_subsystem(datum, q, v)
-    refl = weyl.subgroup_closure([weyl.reflection(i) for i in sub.base_indices])
-    return stab, refl
+    return stab, reflection_closure(weyl, sub.base_indices)
+
+
+def generated_subgroup(weyl, gens):
+    """The subgroup generated by the given elements, closed the direct way
+    under multiplication, as a sorted index tuple."""
+    return tuple(sorted(R.closure([0], lambda a: [weyl.mul(g, a)
+                                                  for g in gens])))
+
+
+def reflection_closure(weyl, roots):
+    """The subgroup generated by the reflections in the given roots."""
+    return generated_subgroup(weyl, [weyl.reflection(k) for k in roots])
+
+
+def subset_stabilizer(weyl, sub):
+    """C_W(iota) by a scan of W: the elements that map the roots of the
+    subsystem into themselves, as a sorted index tuple."""
+    return tuple(w for w, perm in enumerate(weyl.perms)
+                 if sub.indices.issuperset(perm[k] for k in sub.indices))
+
+
+def coset_partition(weyl, subgroup):
+    """Right cosets H\\W as (member of least (length, index), sorted
+    members) pairs, listed by representative."""
+    seen = set()
+    out = []
+    for w in range(weyl.order):
+        if w not in seen:
+            members = sorted({weyl.mul(h, w) for h in subgroup})
+            seen.update(members)
+            out.append((min(members, key=lambda x: (weyl.length(x), x)),
+                        members))
+    return sorted(out)
 
 
 def pi0_order(datum, weyl, q, v):
@@ -173,14 +205,15 @@ def test_pi0_divides_weyl_order():
 def test_weyl_stabilizer_reflection_part_matches_all_reflections(
         factors, lat, q):
     # W_iota from the base reflections equals the closure over the
-    # reflections in every positive root of the stratum's subsystem
+    # reflections in every positive root of the stratum's subsystem, and
+    # the poset has one W_iota coset representative per coset
     datum = R.make_datum(factors, lat, R.characteristic_of(q))
     w = R.weyl_generate(datum.root_system)
     poset = C.strata_poset(datum, q, "enumerate", weyl=w)
     for i, st in enumerate(poset.strata):
-        ref = w.subgroup_closure(
-            [w.reflection(k) for k in st.subsystem.positive_indices])
-        assert poset.wiota_indices(i) == ref
+        ref = reflection_closure(w, st.subsystem.positive_indices)
+        assert reflection_closure(w, st.subsystem.base_indices) == ref
+        assert len(poset.wiota_cosets(i)) * len(ref) == w.order
 
 
 def test_subgroup_points_center_examples():
