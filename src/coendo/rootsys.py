@@ -348,9 +348,10 @@ def weyl_order(rs: RootSystem) -> int:
 class WeylGroup:
     """A fully enumerated Weyl group.
 
-    Element i is stored as its permutation ``perms[i]`` of the root indices
-    (w sends root k to root ``perms[i][k]``); W acts faithfully on the
-    roots, so products, inverses, lengths and the action on characters
+    Element i is stored as its permutation ``perms[i]`` of the root indices,
+    a byte string (w sends root k to root ``perms[i][k]``), so that
+    ``bytes.translate`` composes two in C.  W acts faithfully on the roots,
+    so products, inverses, lengths and the action on characters
     (``coefficients.act_character``) need no matrices.
     """
 
@@ -360,21 +361,16 @@ class WeylGroup:
         self.index = {p: i for i, p in enumerate(self.perms)}
         self.order = len(self.perms)
         self._lengths = tuple(lengths)
-        self._inv: dict[int, int] = {}
+        self._pad = bytes(256 - rs.num_roots)
 
     def mul(self, i: int, j: int) -> int:
-        """Index of w_i w_j; its permutation is perms[i] o perms[j]."""
-        return self.index[itemgetter(*self.perms[j])(self.perms[i])]
+        """Index of w_i w_j; its permutation is perms[i] o perms[j], and
+        b.translate(a + pad), with zeros padding a to 256 bytes, is a o b."""
+        return self.index[self.perms[j].translate(self.perms[i] + self._pad)]
 
     def inv(self, i: int) -> int:
-        cached = self._inv.get(i)
-        if cached is None:
-            out = [0] * self.rs.num_roots
-            for k, x in enumerate(self.perms[i]):
-                out[x] = k
-            cached = self.index[tuple(out)]
-            self._inv[i] = cached
-        return cached
+        n = self.rs.num_roots  # maketrans(perm, identity) sends perm[k] to k
+        return self.index[bytes.maketrans(self.perms[i], self.perms[0])[:n]]
 
     def length(self, i: int) -> int:
         """Coxeter length: the number of positive roots sent to negative
@@ -383,12 +379,12 @@ class WeylGroup:
 
     def reflection(self, root_index: int) -> int:
         """Element index of the reflection in the given root."""
-        return self.index[self.rs.reflection_perm(root_index)]
+        return self.index[bytes(self.rs.reflection_perm(root_index))]
 
     def cosets(self, base) -> list[int]:
         """Minimal-length representatives of the right cosets W_iota\\W, in
         increasing index order, for the reflection subgroup W_iota whose
-        simple roots are the root indices ``base``.
+        simple roots are the root indices ``base`` (not empty).
 
         W_iota x holds exactly one element of minimal length, the x with
         x^-1(beta) > 0 for every beta in the base (M. Dyer, J. Algebra
@@ -397,8 +393,9 @@ class WeylGroup:
         is positive exactly when its index is at least half their number.
         """
         half = self.rs.num_roots // 2
+        getter = itemgetter(*base, base[0])  # a tuple for any base
         return sorted(self.inv(y) for y, perm in enumerate(self.perms)
-                      if all(perm[b] >= half for b in base))
+                      if min(getter(perm)) >= half)
 
     def coset_rep(self, base, x: int) -> int:
         """The representative in ``cosets(base)`` of W_iota x: while
@@ -407,7 +404,8 @@ class WeylGroup:
         perm = self.perms[x]
         while (beta := next((b for b in base if perm.index(b) < half),
                             None)) is not None:
-            perm = itemgetter(*perm)(self.rs.reflection_perm(beta))
+            reflect = bytes(self.rs.reflection_perm(beta)) + self._pad
+            perm = perm.translate(reflect)
         return self.index[perm]
 
 
@@ -417,15 +415,22 @@ def weyl_generate(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
 
     Each element is right-multiplied by the simple reflections in node
     order, so the elements at distance d are exactly those of length d.
+    An element is a byte string, so it indexes at most 255 roots; a W with
+    more has at least 3.3 * 10^10 elements (E8 x B3), past the default cap.
     """
     order = weyl_order(rs)
     if order > cap:
         raise CapExceeded(f"|W| = {order} exceeds cap {cap} (caps.weyl)",
                           order=order)
-    # itemgetter(*g)(a) is the composite a o g as a tuple (num_roots >= 2)
-    gens = [itemgetter(*g) for g in rs.simple_reflection_perms]
-    lengths = closure([tuple(range(rs.num_roots))],
-                      lambda a: [g(a) for g in gens])
+    n = rs.num_roots
+    if n > 255:
+        raise CapExceeded(f"|W| = {order} has {n} roots, more than the 255 "
+                          f"a Weyl element can index", order=order)
+    pad = bytes(256 - n)
+    gens = [bytes(g) for g in rs.simple_reflection_perms]
+    # g.translate(a + pad) is a o g; one table serves every g
+    lengths = closure([bytes(range(n))], lambda a: [
+        g.translate(table) for table in [a + pad] for g in gens])
     group = WeylGroup(rs, lengths.keys(), lengths.values())
     if group.order != order:
         raise AssertionError(

@@ -338,47 +338,40 @@ def centralizer_masks(rows, m, least):
 
 def full_rank_test(rs, pos):
     """The test mask -> "the roots of mask have full rank", for masks over
-    the positive roots ``pos`` (bit b for root pos[b]) that are the
-    positive part of a closed, negation-stable root set, as the roots that
-    kill a point are.
+    the positive roots ``pos`` (bit b for root pos[b], in height order)
+    that are the positive part of a closed, negation-stable root set, as
+    the roots that kill a point are.
 
-    Such a set is a root system, and its positive part's simple roots are
-    the ones that are not the sum of two of its positive roots (Bourbaki,
-    Lie VI §1.6), so its rank is the count of those.  The sums come from
-    ``rs.sums``: ``partners[j]`` has bit l set for each l < j with
-    pos[l] + pos[j] = pos[k], and ``sum_bit[j][1 << l]`` is 1 << k.  A
-    test visits each bit j of the mask and the partners of j inside it,
-    so it costs the pairs inside the mask; each distinct mask is tested
-    once.
+    Such a set is a root system; a positive root of it is a simple root
+    plus a lower positive root of it unless it is simple (Bourbaki, Lie VI
+    §1.6), and no difference of two simple roots is a root.  The set is
+    closed, so beta - s is in it when it is a root.  A test walks the
+    mask's bits upward, calls a bit simple unless pos[j] - s is a root for
+    a simple s found before (``lower[j]`` has bit l when pos[j] - pos[l]
+    is a root), and stops at r of them: one AND per bit, once per mask.
     """
     r = rs.rank
     bit = {i: b for b, i in enumerate(pos)}
-    partners = [0] * len(pos)
-    sum_bit = [{} for _ in pos]
-    for j, i in enumerate(pos):
-        for li, ki in rs.sums[i]:
-            l = bit.get(li)
-            if l is not None and l < j:
-                partners[j] |= 1 << l
-                sum_bit[j][1 << l] = 1 << bit[ki]
+    lower = [0] * len(pos)
+    for l, i in enumerate(pos):
+        for _, t in rs.sums[i]:
+            j = bit.get(t)
+            if j is not None:
+                lower[j] |= 1 << l
     cache = {}
 
     def test(mask):
         full = cache.get(mask)
         if full is None:
-            sums = 0
+            simple = count = 0
             rest = mask
-            while rest:
+            while rest and count < r:
                 low = rest & -rest
-                j = low.bit_length() - 1
-                inner = mask & partners[j]
-                table = sum_bit[j]
-                while inner:
-                    lb = inner & -inner
-                    sums |= table[lb]
-                    inner ^= lb
+                if not lower[low.bit_length() - 1] & simple:
+                    simple |= low
+                    count += 1
                 rest ^= low
-            full = cache[mask] = (mask & ~sums).bit_count() == r
+            full = cache[mask] = count == r
         return full
 
     return test

@@ -1,12 +1,14 @@
 import functools
 import random
 import time
+from operator import itemgetter
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coendo import coendoscopy as C
 from coendo import intlinalg as il
 from coendo import rootsys as R
 from test_torus import intermediate_data, weyl_matrix
@@ -185,13 +187,25 @@ def test_weyl_group_structure():
     rs = R.build_root_system(["B2"])
     w = R.weyl_generate(rs)
     assert weyl_matrix(w, 0) == il.identity(2)
-    assert w.perms[0] == tuple(range(rs.num_roots))
+    assert tuple(w.perms[0]) == tuple(range(rs.num_roots))
     for i in range(w.order):
         perm = w.perms[i]
         assert sorted(perm) == list(range(rs.num_roots))
         assert w.mul(i, w.inv(i)) == 0
     lengths = sorted(w.length(i) for i in range(w.order))
     assert lengths[0] == 0 and lengths[-1] == len(rs.positive_indices)
+
+
+def test_weyl_generate_refuses_more_than_255_roots():
+    # a byte indexes at most 255 roots; the guard fires before any element
+    # is enumerated, even with the order cap raised past |W|
+    rs = R.build_root_system(["E8", "E8"])
+    t0 = time.time()
+    with pytest.raises(R.CapExceeded) as info:
+        R.weyl_generate(rs, cap=10**40)
+    assert time.time() - t0 < 1.0
+    assert info.value.order == 696729600 ** 2
+    assert "480 roots" in str(info.value)
 
 
 def test_weyl_cap_reports_exact_order():
@@ -244,9 +258,9 @@ def matrix_bfs_closure(rs):
     return order
 
 
-@pytest.mark.parametrize("name", ["B2", "B3", "G2"])
+@pytest.mark.parametrize("name", ["B2", "B3", "G2", "F4", "A2,A1"])
 def test_weyl_enumeration_order_matches_matrix_bfs(name):
-    rs = R.build_root_system([name])
+    rs = R.build_root_system(name.split(","))
     w = R.weyl_generate(rs)
     assert [weyl_matrix(w, i) for i in range(w.order)] == \
         matrix_bfs_closure(rs)
@@ -272,9 +286,71 @@ def test_weyl_permutation_representation(data):
     positive = set(rs.positive_indices)
     by_coroot = {rt.coroot_ambient: rt.index for rt in rs.roots}
     images = [by_coroot[il.matvec(mi, rt.coroot_ambient)] for rt in rs.roots]
-    assert w.perms[i] == tuple(images)
+    assert tuple(w.perms[i]) == tuple(images)
     assert w.length(i) == sum(
         1 for k in rs.positive_indices if images[k] not in positive)
+
+
+WEYL_TYPES = [("B3",), ("G2",), ("A2", "A1"), ("D4",), ("F4",)]
+
+
+def tuple_inverse(perm):
+    """The inverse of a permutation tuple, entry by entry."""
+    out = [0] * len(perm)
+    for k, x in enumerate(perm):
+        out[x] = k
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_tuple_inverses(factors):
+    return [tuple_inverse(tuple(perm)) for perm in cached_weyl(factors).perms]
+
+
+@functools.lru_cache(maxsize=None)
+def cached_bases(factors):
+    """The bases of the equal-rank subsystems, one per subsystem."""
+    return [sub.base_indices for sub in
+            C.equal_rank_subsystems(cached_weyl(factors).rs)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_weyl_products_and_inverses_match_tuples(data):
+    factors = data.draw(st.sampled_from(WEYL_TYPES))
+    w = cached_weyl(factors)
+    i = data.draw(st.integers(0, w.order - 1))
+    j = data.draw(st.integers(0, w.order - 1))
+    a, b = tuple(w.perms[i]), tuple(w.perms[j])
+    # itemgetter(*b)(a) is a o b: root k goes to a[b[k]]
+    assert tuple(w.perms[w.mul(i, j)]) == itemgetter(*b)(a)
+    assert tuple(w.perms[w.inv(i)]) == tuple_inverse(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_weyl_cosets_match_tuple_scan_and_descent(data):
+    # the base of an equal-rank subsystem, or a nonempty part of it: the
+    # simple system of a parabolic subgroup of that subsystem's W
+    factors = data.draw(st.sampled_from(WEYL_TYPES))
+    w = cached_weyl(factors)
+    rs = w.rs
+    base = data.draw(st.sampled_from(cached_bases(factors)))
+    base = base[data.draw(st.integers(0, len(base) - 1)):]
+    half = rs.num_roots // 2
+    inverses = cached_tuple_inverses(factors)
+    scan = [x for x in range(w.order)
+            if all(inverses[x][b] >= half for b in base)]
+    assert w.cosets(base) == scan
+    x = data.draw(st.integers(0, w.order - 1))
+    perm = tuple(w.perms[x])
+    while (beta := next((b for b in base if tuple_inverse(perm)[b] < half),
+                        None)) is not None:
+        refl = rs.reflection_perm(beta)
+        perm = tuple(refl[k] for k in perm)
+    rep = w.coset_rep(base, x)
+    assert tuple(w.perms[rep]) == perm
+    assert rep in scan
 
 
 @st.composite
