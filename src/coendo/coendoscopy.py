@@ -219,18 +219,16 @@ def _prime_steps(rs: RootSystem, sub: Subsystem) -> list[tuple[int, int, Subsyst
     base = sub.base_indices
     # a root c = e A on the base rows A has e = c adj(A) / det A
     adj, d = il.adjugate([rs.roots[i].coeffs for i in base])
+    comp_of = {t: c for c, comp in enumerate(sub.components) for t in comp}
+    # the support of a positive root lies in one component
+    comp_roots = [[] for _ in sub.components]
+    for i in sub.positive_indices:
+        exp = tuple(x // d for x in il.vecmat(rs.roots[i].coeffs, adj))
+        comp_roots[comp_of[next(t for t, x in enumerate(exp) if x)]].append(
+            (sum(exp), i, exp))
     out = []
-    for comp in sub.components:
-        comp_set = set(comp)
-        best = None
-        best_exp = None
-        for i in sub.positive_indices:
-            exp = tuple(x // d for x in il.vecmat(rs.roots[i].coeffs, adj))
-            if {t for t, x in enumerate(exp) if x} <= comp_set:
-                if best is None or sum(exp) > sum(best_exp):
-                    best = i
-                    best_exp = exp
-        # the base roots of comp qualify, so best is set
+    for comp, roots in zip(sub.components, comp_roots):
+        _, best, best_exp = max(roots)  # the component's highest root
         for t in comp:
             h = best_exp[t]
             if h < 2 or any(h % p == 0 for p in range(2, h)):

@@ -22,7 +22,6 @@ from .rootsys import (
     make_datum,
     very_good_check,
     weyl_generate,
-    weyl_order,
 )
 from .torus import (
     DEFAULT_POINT_CAP,
@@ -379,8 +378,7 @@ def admissible_q(t: SimpleType, q: int) -> bool:
         return False
     if (q - 1) ** t.rank > DEFAULT_POINT_CAP:
         return False
-    rs = make_datum([repr(t)], "sc", p).root_system
-    return weyl_order(rs) <= DEFAULT_WEYL_CAP
+    return t.weyl_order <= DEFAULT_WEYL_CAP
 
 
 # ---------------------------------------------------------------------------

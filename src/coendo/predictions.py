@@ -3,7 +3,8 @@
 All quantities are exact.  Dimensions and exponents are integers: the
 root count |Phi| is even, so every halving below is exact.  Assembled
 predictions are lists of (exponent, integer coefficient) terms in q plus
-their exact rational value.
+their exact rational value.  Component counts are lattice indices, read
+as ratios of determinants.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from . import intlinalg as il
-from .rootsys import GroupDatum, Lattice, lattice_quotient, pi1_order
+from .rootsys import GroupDatum, coroot_index, pi1_order
 from .torus import Subsystem, subgroup_points
 from .coefficients import MissingCount, NTable
 
@@ -103,16 +103,7 @@ def leading_term(datum: GroupDatum, q: int, curve: CurveData) -> dict:
 def component_count(datum: GroupDatum, subsystem: Subsystem | None = None) -> int:
     """Number of connected components of the (coendoscopic) moduli space:
     the index of the subsystem's coroot lattice in X_*(T)."""
-    if subsystem is None or len(subsystem.indices) == len(
-        datum.root_system.roots
-    ):
-        return pi1_order(datum)
-    base = subsystem.base_indices
-    cols = [datum.root_system.roots[i].coroot_ambient for i in base]
-    if len(cols) != datum.root_system.rank:
-        raise ValueError("subsystem is not of full rank")
-    sub_coroot = Lattice("sub-coroot", il.from_columns(cols))
-    return lattice_quotient(datum.cochar, sub_coroot).order
+    return pi1_order(datum) if subsystem is None else coroot_index(datum, subsystem)
 
 
 LEADING_TERM_APPROX = "LEADING_TERM_APPROX"

@@ -12,7 +12,10 @@ of the (product) root system.  In these coordinates:
 * every lattice between them (any cocharacter lattice of a semisimple
   group) has an integer basis matrix B, and a lattice holds the integer
   pair (adj B, det B) in place of B^-1, so membership and coordinates
-  need no fractions.
+  need no fractions;
+* the index of a full-rank sublattice is a ratio of determinants
+  (``coroot_index``), and only the quotient group with its generators
+  (``lattice_quotient``) takes a Smith normal form.
 
 Weyl elements are permutations of the roots.  The characteristic of q
 comes from integer roots of q and a deterministic Miller-Rabin test.
@@ -636,20 +639,28 @@ def make_datum(factors, lattice="sc", p: int = 5) -> GroupDatum:
 
 def pi1_order(datum: GroupDatum) -> int:
     """|X_*/(coroot lattice)| = order of the fundamental group."""
-    q = lattice_quotient(datum.cochar, coroot_lattice(datum.root_system))
-    return q.order
+    return coroot_index(datum, datum.root_system.simple_indices)
 
 
-def geometric_center_order(datum: GroupDatum, sub) -> int:
-    """Order of the geometric center of the subgroup with the given roots.
-
-    ``sub`` is a subsystem (anything with ``base_indices``) or a raw base
-    index sequence.  The order is the index of X_* in the coweight lattice
-    of the subsystem; the base must span the whole space (elliptic case).
-    """
-    funcs = datum.root_functionals
-    a = [funcs[i] for i in getattr(sub, "base_indices", sub)]
-    d = il.det(a) if len(a) == datum.root_system.rank else 0
+def _base_det(datum: GroupDatum, sub, vectors) -> int:
+    """|det| of the given vectors of the base roots of ``sub``, a subsystem
+    (anything with ``base_indices``) or a raw base index sequence; the
+    base must span the whole space (elliptic case)."""
+    rows = [vectors[i] for i in getattr(sub, "base_indices", sub)]
+    d = il.det(rows) if len(rows) == datum.root_system.rank else 0
     if not d:
         raise NotFullRank("subsystem base does not span the ambient space")
     return abs(d)
+
+
+def coroot_index(datum: GroupDatum, sub) -> int:
+    """[X_* : coroot lattice of the subgroup with the given roots], the
+    ratio |det(base coroots)| / |det B| for the X_* basis B."""
+    coroots = [rt.coroot_ambient for rt in datum.root_system.roots]
+    return _base_det(datum, sub, coroots) // abs(datum.cochar.adjugate[1])
+
+
+def geometric_center_order(datum: GroupDatum, sub) -> int:
+    """Order of the geometric center of the subgroup with the given roots:
+    the index of X_* in the coweight lattice of the subsystem."""
+    return _base_det(datum, sub, datum.root_functionals)

@@ -15,7 +15,8 @@ kills each part; a joined point is kept when its roots have full rank.
 Ranks are counted from simple roots (``full_rank_test``), with no
 elimination.  A point is named by its sweep index, a mixed-radix
 Chinese-remainder index over the parts; ``point_from_index`` gives its
-residue vector.
+residue vector.  A subsystem's components are typed from their Dynkin
+diagrams (``identify_cartan``).
 """
 
 from __future__ import annotations
@@ -186,50 +187,30 @@ class Subsystem:
 
 
 def identify_cartan(cartan) -> SimpleType:
-    """Identify an irreducible Cartan matrix up to simultaneous permutation."""
+    """The type of an irreducible Cartan matrix, read off its Dynkin diagram
+    (N. Bourbaki, Lie IV-VI, Plates I-IX).
+
+    A -3 entry is G2.  At a double bond, with a the long node and b the
+    short one (c[a][b] = -2), the type is B when b is an end node (so B2
+    at rank 2), C when a is, and F4 otherwise.  A simply-laced diagram is
+    A when it has no branch node, D when at least two arms at the branch
+    node are single nodes, and E otherwise.
+    """
+    if any(-3 in row for row in cartan):
+        return SimpleType("G", 2)
     n = len(cartan)
-    candidates = []
-    for fam in ("A", "B", "C", "D", "E", "F", "G"):
-        try:
-            candidates.append(SimpleType(fam, n))
-        except Exception:
-            continue
-    for t in candidates:
-        ref = t.cartan()
-        if _cartan_isomorphic(cartan, ref):
-            return t
-    raise ValueError(f"unrecognized Cartan matrix {cartan}")
-
-
-def _cartan_isomorphic(a, b) -> bool:
-    """Is a = P b P^-1 for a permutation P?  Backtracking on node images."""
-    n = len(a)
-    if sorted(sorted(row) for row in a) != sorted(sorted(row) for row in b):
-        return False
-    assign = [-1] * n
-    used = [False] * n
-
-    def extend(i):
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j]:
-                continue
-            ok = True
-            for k in range(i):
-                if a[i][k] != b[j][assign[k]] or a[k][i] != b[assign[k]][j]:
-                    ok = False
-                    break
-            if ok and a[i][i] == b[j][j]:
-                assign[i] = j
-                used[j] = True
-                if extend(i + 1):
-                    return True
-                used[j] = False
-                assign[i] = -1
-        return False
-
-    return extend(0)
+    degree = [sum(1 for x in row if x < 0) for row in cartan]
+    ends = {i for i in range(n) if degree[i] == 1}
+    double = [(a, b) for a in range(n) for b in range(n) if cartan[a][b] == -2]
+    if double:
+        (a, b), = double
+        family = "B" if b in ends else "C" if a in ends else "F"
+        return SimpleType(family, n)
+    branch = [i for i in range(n) if degree[i] > 2]
+    if not branch:
+        return SimpleType("A", n)
+    arms = [j for j in range(n) if cartan[branch[0]][j] < 0]
+    return SimpleType("D" if len(ends.intersection(arms)) >= 2 else "E", n)
 
 
 def centralizer_subsystem(datum: GroupDatum, q: int, residues) -> Subsystem:

@@ -5,9 +5,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coendo import coendoscopy as C
+from coendo import intlinalg as il
+from coendo import oracle as O
 from coendo import rootsys as R
 from coendo import torus as T
-from test_torus import reflection_closure, subset_stabilizer
+from test_torus import equal_rank_subsets, reflection_closure, subset_stabilizer
 
 
 def datum_for(name, lat, q):
@@ -574,6 +576,43 @@ def test_equal_rank_subsystems_match_canonical_worklist(factors):
     rs = R.build_root_system(factors)
     assert [sub.key for sub in C.equal_rank_subsystems(rs)] == \
         _worklist_by_canonical_keys(rs)
+
+
+def reference_prime_steps(rs, sub):
+    """Prime-node deletion steps as (t, h, indices), finding the highest
+    root of each component by its own pass over the positive roots."""
+    base = sub.base_indices
+    adj, d = il.adjugate([rs.roots[i].coeffs for i in base])
+    out = []
+    for comp in sub.components:
+        best, best_exp = None, None
+        for i in sub.positive_indices:
+            exp = tuple(x // d for x in il.vecmat(rs.roots[i].coeffs, adj))
+            support = {t for t, x in enumerate(exp) if x}
+            if support <= set(comp) and (best is None
+                                         or sum(exp) > sum(best_exp)):
+                best, best_exp = i, exp
+        for t in comp:
+            h = best_exp[t]
+            if h in (2, 3, 5):  # highest-root marks are at most 6
+                new_base = [b for s, b in enumerate(base) if s != t]
+                out.append((t, h, C.subsystem_from_base(
+                    rs, new_base + [rs.negate[best]]).indices))
+    return out
+
+
+STEP_TYPES = [[name] for name in O.GRID_TYPES] + [
+    ["B4"], ["C4"], ["D5"], ["E6"], ["E8"], ["A2", "A1"]]
+
+
+@pytest.mark.parametrize("factors", STEP_TYPES,
+                         ids=[",".join(f) for f in STEP_TYPES])
+def test_prime_steps_match_per_component_search(factors):
+    rs = R.build_root_system(factors)
+    for indices in equal_rank_subsets(rs):
+        sub = T.Subsystem(rs, indices)
+        assert [(t, h, step.indices) for t, h, step in C._prime_steps(rs, sub)] \
+            == reference_prime_steps(rs, sub)
 
 
 # Products and simple types, E7 the largest, for the maximal-member test.

@@ -5,8 +5,11 @@ import pytest
 
 from coendo import coefficients as K
 from coendo import coendoscopy as C
+from coendo import intlinalg as il
+from coendo import oracle as O
 from coendo import predictions as P
 from coendo import rootsys as R
+from test_intlinalg import random_unimodular
 
 
 def test_curve_validation():
@@ -104,6 +107,38 @@ def test_component_count():
     sub_ad = [st.subsystem for st in poset_ad.strata
               if st.signature == "A1xA1"][0]
     assert P.component_count(so5, sub_ad) == 2
+
+
+def custom_datum(name):
+    """X_* generated by the coroots and the last fundamental coweight, in a
+    basis changed by a unimodular matrix of determinant -1."""
+    rs = R.build_root_system([name])
+    r = rs.rank
+    last = tuple(int(i == r - 1) for i in range(r))
+    d, u, _ = il.snf_transform(il.from_columns(il.columns(rs.cartan) + [last]))
+    # u is unimodular, so adj(u) = ±u^-1 spans the same lattice
+    basis = il.matmul(il.adjugate(u)[0], [row[:r] for row in d])
+    basis = il.matmul(basis, random_unimodular(random.Random(name), r))
+    flipped = [[-row[0], *row[1:]] for row in basis]
+    return R.make_datum([name], flipped, 7)
+
+
+@pytest.mark.parametrize("lattice", ["sc", "ad", "custom"])
+@pytest.mark.parametrize("name", O.GRID_TYPES)
+def test_lattice_indices_match_smith_forms(name, lattice):
+    # indices by determinants against the order of a Smith-form quotient
+    if lattice == "custom":
+        datum = custom_datum(name)
+    else:
+        datum = R.make_datum([name], lattice, 7)
+    rs = datum.root_system
+    assert R.pi1_order(datum) == P.component_count(datum) == \
+        R.lattice_quotient(datum.cochar, R.coroot_lattice(rs)).order
+    for sub in C.equal_rank_subsystems(rs):
+        coroots = il.from_columns(
+            [rs.roots[i].coroot_ambient for i in sub.base_indices])
+        assert P.component_count(datum, sub) == R.lattice_quotient(
+            datum.cochar, R.Lattice("sub-coroot", coroots)).order
 
 
 def _table(name, lat, q, spec=None):

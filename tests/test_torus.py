@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -480,6 +481,90 @@ def test_identify_cartan_canonical_names():
     assert repr(identify_cartan([[2, -2], [-1, 2]])) == "B2"
     assert repr(identify_cartan([[2, -1], [-2, 2]])) == "B2"
     assert repr(identify_cartan([[2, -1], [-3, 2]])) == "G2"
+
+
+SIMPLE_TYPE_NAMES = ([f"A{n}" for n in range(1, 9)]
+                     + [f"B{n}" for n in range(2, 9)]
+                     + [f"C{n}" for n in range(3, 9)]
+                     + [f"D{n}" for n in range(4, 9)]
+                     + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def cartan_isomorphic(a, b) -> bool:
+    """Is a = P b P^-1 for a permutation P?  Backtracking on node images."""
+    n = len(a)
+    if sorted(sorted(row) for row in a) != sorted(sorted(row) for row in b):
+        return False
+    assign = [-1] * n
+    used = [False] * n
+
+    def extend(i):
+        if i == n:
+            return True
+        for j in range(n):
+            if not used[j] and a[i][i] == b[j][j] and all(
+                    a[i][k] == b[j][assign[k]] and a[k][i] == b[assign[k]][j]
+                    for k in range(i)):
+                assign[i] = j
+                used[j] = True
+                if extend(i + 1):
+                    return True
+                used[j] = False
+        return False
+
+    return extend(0)
+
+
+@functools.cache
+def reference_type(cartan):
+    """The legal type of this rank whose Cartan matrix (a tuple of rows) is
+    a simultaneous permutation of this one, by search over the families."""
+    for family in R.FAMILIES:
+        try:
+            t = R.SimpleType(family, len(cartan))
+        except R.IllegalType:
+            continue
+        if cartan_isomorphic(cartan, t.cartan()):
+            return t
+    raise AssertionError(f"no type has Cartan matrix {cartan}")
+
+
+def step_closure(rs):
+    """The root subsets that prime-node deletion steps reach from the whole
+    system, with no Weyl action: at least one of each W-class of full-rank
+    closed subsystems (28 subsets for E8, against 132,462 in all)."""
+    return list(R.closure(
+        [frozenset(range(len(rs.roots)))],
+        lambda s: [x.indices for _, _, x in C._prime_steps(rs, T.Subsystem(rs, s))]))
+
+
+def equal_rank_subsets(rs):
+    """Every full-rank closed subsystem, or the step closure for E8."""
+    if repr(rs) == "E8":
+        return step_closure(rs)
+    return [sub.indices for sub in C.equal_rank_subsystems(rs)]
+
+
+@pytest.mark.parametrize("name", SIMPLE_TYPE_NAMES)
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_identify_cartan_under_node_permutations(name, data):
+    t = R.SimpleType.parse(name)
+    cartan = t.cartan()
+    perm = data.draw(st.permutations(range(t.rank)))
+    permuted = [[cartan[i][j] for j in perm] for i in perm]
+    assert T.identify_cartan(permuted) == t
+
+
+@pytest.mark.parametrize("name", SIMPLE_TYPE_NAMES)
+def test_component_types_match_isomorphism_search(name):
+    rs = R.build_root_system([name])
+    for indices in equal_rank_subsets(rs):
+        sub = T.Subsystem(rs, indices)
+        cart = sub.base_cartan
+        assert sub.component_types == tuple(
+            reference_type(tuple(tuple(cart[a][b] for b in comp) for a in comp))
+            for comp in sub.components)
 
 
 def vanishing(rows, m, v):
