@@ -7,7 +7,7 @@ residue pairing as the exponent <lambda, v> mod q-1 of a fixed primitive
 computed exactly by Möbius inversion over the strata poset plus character
 orthogonality on the finite groups Z_j(F_q): no floating point and no
 cyclotomic reduction anywhere on this route.  A Weyl element moves a
-character through its permutation of the roots (``act_character``), with
+character through its permutation of the roots (``character_action``), with
 no matrix.
 
 A character is trivial on Z_j iff its key k_j(lambda) = (<lambda, g> mod q-1
@@ -25,6 +25,7 @@ infinity place at the point itself is exposed as ``mixed-inverse``
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from operator import mul
@@ -108,21 +109,26 @@ class CharacterSpec:
         return {"places": [p.to_record() for p in self.places]}
 
 
-def act_character(datum: GroupDatum, weyl: WeylGroup, w: int, lam):
-    """w . lambda, i.e. (w.lambda)(x) = lambda(w^-1 x), in X^* coordinates.
+def character_action(datum: GroupDatum, weyl: WeylGroup, lam):
+    """w -> w . lambda, i.e. (w.lambda)(x) = lambda(w^-1 x), in X^* coords.
 
     On the coweight space lambda is sum_j c_j alpha_j, where d c = lambda
-    adj(B) for the X_* basis B and d = det B; so d w.lambda is the sum of
-    d c_j times the X_* functional of the root w(alpha_j), exactly.
+    adj(B) for the X_* basis B and d = det B, solved once per lambda; so d
+    w.lambda is the sum of d c_j times the X_* functional of w(alpha_j).
     """
     adj, d = datum.cochar.adjugate
-    perm = weyl.perms[w]
     funcs = datum.root_functionals
-    out = [0] * len(lam)
-    for c, s in zip(il.vecmat(lam, adj), datum.root_system.simple_indices):
-        if c:
+    terms = [(c, s) for c, s in zip(il.vecmat(lam, adj),
+                                    datum.root_system.simple_indices) if c]
+
+    def act(w: int) -> tuple[int, ...]:
+        perm = weyl.perms[w]
+        out = [0] * len(lam)
+        for c, s in terms:
             out = [x + c * y for x, y in zip(out, funcs[perm[s]])]
-    return tuple(x // d for x in out)
+        return tuple(x // d for x in out)
+
+    return act
 
 
 def _key(lam, group, m: int) -> tuple[int, ...]:
@@ -180,22 +186,17 @@ def _infinity_terms(datum: GroupDatum, poset: StrataPoset,
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     sign = -1 if convention == "uniform-inverse" else 1
-    return [
-        tuple(sign * x for x in
-              act_character(datum, poset.weyl, w, spec.infinity.lam))
-        for w in poset.cw_cosets(stratum_index)
-    ]
+    act = character_action(datum, poset.weyl, spec.infinity.lam)
+    return [tuple(sign * x for x in act(w))
+            for w in poset.cw_cosets(stratum_index)]
 
 
-def _finite_term(datum: GroupDatum, weyl: WeylGroup, spec: CharacterSpec,
-                 reps, moved) -> list[int]:
-    """-sum_v gamma_v.lambda_v, the part of the total character free of w.
-    ``moved`` maps (gamma, v) to gamma.lambda_v and is filled on first use."""
+def _finite_term(datum: GroupDatum, acts, reps) -> list[int]:
+    """-sum_v gamma_v.lambda_v, the part of the total character free of w;
+    ``acts[v]`` is the ``character_action`` of lambda_v."""
     lam = [0] * datum.root_system.rank
-    for v, (g, place) in enumerate(zip(reps, spec.finite)):
-        if (g, v) not in moved:
-            moved[g, v] = act_character(datum, weyl, g, place.lam)
-        lam = [a - b for a, b in zip(lam, moved[g, v])]
+    for g, act in zip(reps, acts):
+        lam = [a - b for a, b in zip(lam, act(g))]
     return lam
 
 
@@ -211,7 +212,8 @@ def n_coefficient(
     over canonical C_W(iota)\\W representatives w of the stratum sums of
     the total character of (gamma, w)."""
     terms = _infinity_terms(datum, poset, stratum_index, spec, convention)
-    finite = _finite_term(datum, poset.weyl, spec, gamma, {})
+    acts = [character_action(datum, poset.weyl, p.lam) for p in spec.finite]
+    finite = _finite_term(datum, acts, gamma)
     return _row_value(_histograms(poset, stratum_index, terms), finite,
                       poset.q - 1)
 
@@ -322,16 +324,14 @@ def n_table(
     rows = []
     nf = len(spec.finite)
     m = poset.q - 1
+    acts = [functools.cache(character_action(datum, poset.weyl, p.lam))
+            for p in spec.finite]
     for si in poset.class_representatives():
         hists = _histograms(
             poset, si, _infinity_terms(datum, poset, si, spec, convention))
-        moved = {}
         for rep, members in _tuple_orbits(poset, si, nf, orbit_cap):
-            values = [
-                _row_value(hists, _finite_term(datum, poset.weyl, spec, t,
-                                               moved), m)
-                for t in members
-            ]
+            values = [_row_value(hists, _finite_term(datum, acts, t), m)
+                      for t in members]
             rows.append(
                 NTableRow(
                     si, poset.strata[si], rep, len(members),

@@ -29,13 +29,6 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
 
-def matmul(a, b):
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def matvec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
@@ -46,10 +39,6 @@ def vecmat(v, a):
 
 def columns(a: Matrix) -> list[Vector]:
     return [tuple(row[j] for row in a) for j in range(len(a[0]))] if a else []
-
-
-def from_columns(cols: Sequence[Vector]) -> Matrix:
-    return tuple(tuple(col[i] for col in cols) for i in range(len(cols[0])))
 
 
 def _eliminate(rows, n: int):

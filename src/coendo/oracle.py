@@ -44,7 +44,7 @@ from .coefficients import (
     CONVENTIONS,
     CharacterSpec,
     PlaceData,
-    act_character,
+    character_action,
     n_table,
     stratum_sum,
 )
@@ -177,9 +177,9 @@ def total_character(
     rank = datum.root_system.rank
     lam = [0] * rank
     for g, place in zip(gamma, spec.finite):
-        moved = act_character(datum, weyl, g, place.lam)
+        moved = character_action(datum, weyl, place.lam)(g)
         lam = [a - b for a, b in zip(lam, moved)]
-    inf = act_character(datum, weyl, w, spec.infinity.lam)
+    inf = character_action(datum, weyl, spec.infinity.lam)(w)
     if convention == "uniform-inverse":
         lam = [a - b for a, b in zip(lam, inf)]
     else:

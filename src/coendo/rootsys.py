@@ -14,8 +14,7 @@ of the (product) root system.  In these coordinates:
   pair (adj B, det B) in place of B^-1, so membership and coordinates
   need no fractions;
 * the index of a full-rank sublattice is a ratio of determinants
-  (``coroot_index``), and only the quotient group with its generators
-  (``lattice_quotient``) takes a Smith normal form.
+  (``coroot_index``), with no Smith normal form.
 
 Weyl elements are permutations of the roots.  The characteristic of q
 comes from integer roots of q and a deterministic Miller-Rabin test.
@@ -270,19 +269,42 @@ class RootSystem:
     def dim_g(self) -> int:
         return len(self.roots) + self.rank
 
-    def reflection_perm(self, root_index: int) -> tuple[int, ...]:
-        """Root-index permutation of the reflection in the given root."""
-        cached = self._reflection_perms.get(root_index)
-        if cached is None:
-            mirror = self.roots[root_index]
-            out = []
+    @cached_property
+    def simple_reflection_perms(self) -> tuple[tuple[int, ...], ...]:
+        """Root-index permutations of the simple reflections, in node order,
+        from s_j(alpha) = alpha - <alpha, alpha_j^vee> alpha_j."""
+        out = []
+        for s in self.simple_indices:
+            mirror = self.roots[s]
+            perm = []
             for rt in self.roots:
                 pair = sum(a * b for a, b in zip(rt.coeffs, mirror.coroot_ambient))
-                out.append(self.index_of[
+                perm.append(self.index_of[
                     tuple(c - pair * m for c, m in zip(rt.coeffs, mirror.coeffs))
                 ])
-            cached = tuple(out)
-            self._reflection_perms[root_index] = cached
+            out.append(tuple(perm))
+            self._reflection_perms[s] = self._reflection_perms[
+                self.negate[s]] = out[-1]
+        return tuple(out)
+
+    def reflection_perm(self, root_index: int) -> tuple[int, ...]:
+        """Root-index permutation of the reflection in the given root.
+
+        s_beta = s_-beta, so both share one entry.  A positive root beta
+        that is not simple has a simple root alpha_j with
+        <beta, alpha_j^vee> > 0, so gamma = s_j beta is a positive root of
+        smaller height (a smaller index, roots being sorted by height), and
+        s_beta = s_j s_gamma s_j: two compositions of tuples, memoised.
+        """
+        simple = self.simple_reflection_perms  # caches the simple ones
+        cached = self._reflection_perms.get(root_index)
+        if cached is None:
+            beta = max(root_index, self.negate[root_index])  # the positive one
+            s = next(p for p in simple if p[beta] < beta)
+            gamma = self.reflection_perm(s[beta])
+            cached = tuple(map(s.__getitem__, map(gamma.__getitem__, s)))
+            self._reflection_perms[beta] = self._reflection_perms[
+                self.negate[beta]] = cached
         return cached
 
     @cached_property
@@ -304,11 +326,6 @@ class RootSystem:
                   if k is not None)
             for a in keys
         )
-
-    @property
-    def simple_reflection_perms(self) -> tuple[tuple[int, ...], ...]:
-        """Root-index permutations of the simple reflections, in node order."""
-        return tuple(self.reflection_perm(s) for s in self.simple_indices)
 
     def __repr__(self):
         return "x".join(map(repr, self.simple_factors))
@@ -355,7 +372,7 @@ class WeylGroup:
     a byte string (w sends root k to root ``perms[i][k]``), so that
     ``bytes.translate`` composes two in C.  W acts faithfully on the roots,
     so products, inverses, lengths and the action on characters
-    (``coefficients.act_character``) need no matrices.
+    (``coefficients.character_action``) need no matrices.
     """
 
     def __init__(self, rs: RootSystem, perms, lengths):
@@ -380,9 +397,16 @@ class WeylGroup:
         ones, equal to the BFS depth at which the element was enumerated."""
         return self._lengths[i]
 
+    @cached_property
+    def _tables(self) -> list[bytes]:
+        """The reflection s_beta of each root as a translate table
+        (s_beta padded to 256 bytes): p.translate(table) is s_beta o p."""
+        return [bytes(self.rs.reflection_perm(i)) + self._pad
+                for i in range(self.rs.num_roots)]
+
     def reflection(self, root_index: int) -> int:
         """Element index of the reflection in the given root."""
-        return self.index[bytes(self.rs.reflection_perm(root_index))]
+        return self.index[self._tables[root_index][:self.rs.num_roots]]
 
     def cosets(self, base) -> list[int]:
         """Minimal-length representatives of the right cosets W_iota\\W, in
@@ -391,25 +415,35 @@ class WeylGroup:
 
         W_iota x holds exactly one element of minimal length, the x with
         x^-1(beta) > 0 for every beta in the base (M. Dyer, J. Algebra
-        1990), so the representatives are the inverses of the y that send
-        the base to positive roots.  Roots are sorted by height, so a root
-        is positive exactly when its index is at least half their number.
+        1990): the inverses of Y = {y : y(base) > 0}.  As s_j makes only
+        alpha_j negative, s_j y is in Y for y in Y iff alpha_j is not in
+        y(base); so Y is closed under left descent (if y^-1(alpha_j) < 0
+        then y(beta) = alpha_j would give y^-1(alpha_j) = beta > 0), and a
+        walk by y -> s_j y from the identity finds all of it.
         """
-        half = self.rs.num_roots // 2
-        getter = itemgetter(*base, base[0])  # a tuple for any base
-        return sorted(self.inv(y) for y, perm in enumerate(self.perms)
-                      if min(getter(perm)) >= half)
+        n = self.rs.num_roots
+        steps = [(s, self._tables[s]) for s in self.rs.simple_indices]
+        image = itemgetter(*base, base[0])  # a tuple for any base
+        walk = closure([self.perms[0]], lambda y: [
+            y.translate(table) for sent in [image(y)]
+            for s, table in steps if s not in sent])
+        return sorted(self.index[bytes.maketrans(y, self.perms[0])[:n]]
+                      for y in walk)
 
     def coset_rep(self, base, x: int) -> int:
         """The representative in ``cosets(base)`` of W_iota x: while
-        x^-1(beta) < 0 for some beta in the base, s_beta x is shorter."""
+        x^-1(beta) < 0 for some beta in the base, s_beta x is shorter.  Each
+        step lowers the W_iota-length of the W_iota-component of x, so past
+        |Phi^+| steps ``base`` is not a simple system and is refused."""
         half = self.rs.num_roots // 2
         perm = self.perms[x]
-        while (beta := next((b for b in base if perm.index(b) < half),
-                            None)) is not None:
-            reflect = bytes(self.rs.reflection_perm(beta)) + self._pad
-            perm = perm.translate(reflect)
-        return self.index[perm]
+        for _ in range(half + 1):
+            beta = next((b for b in base if perm.index(b) < half), None)
+            if beta is None:
+                return self.index[perm]
+            perm = perm.translate(self._tables[beta])
+        raise ValueError(f"coset_rep: no representative after {half} descent "
+                         f"steps; {list(base)} is not a simple system")
 
 
 def weyl_generate(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
@@ -462,10 +496,6 @@ class Lattice:
         return f"Lattice({self.name})"
 
 
-def coroot_lattice(rs: RootSystem) -> Lattice:
-    return Lattice("coroot", rs.cartan)
-
-
 class FiniteAbelianGroup:
     """Invariant factors d_1 | d_2 | ... (each > 1) with matching generators."""
 
@@ -497,27 +527,6 @@ class FiniteAbelianGroup:
 
     def __hash__(self):
         return hash(self.invariants)
-
-
-def lattice_quotient(big: Lattice, small: Lattice) -> FiniteAbelianGroup:
-    """big/small via the Smith normal form of the inclusion matrix."""
-    n = len(big.basis)
-    adj, det = big.adjugate
-    scaled = il.matmul(adj, small.basis)
-    if any(x % det for row in scaled for x in row):
-        raise NotASublattice(f"{small.name} is not contained in {big.name}")
-    d, u, _ = il.snf_transform([[x // det for x in row] for row in scaled])
-    # u is unimodular, so u^-1 = adj(u) / det(u) = det(u) adj(u)
-    adj_u, det_u = il.adjugate(u)
-    new_basis = il.matmul(big.basis, [[det_u * x for x in row] for row in adj_u])
-    invariants = []
-    generators = []
-    for j in range(n):
-        dj = d[j][j]
-        if dj > 1:
-            invariants.append(dj)
-            generators.append(tuple(row[j] for row in new_basis))
-    return FiniteAbelianGroup(invariants, generators)
 
 
 class VeryGoodVerdict:

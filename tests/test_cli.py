@@ -43,6 +43,23 @@ def test_classify_a3_only_whole(capsys):
     assert [c["signature"] for c in report["classes"]] == ["A3"]
 
 
+def test_classify_past_255_roots(capsys):
+    # E8 x A4 has 260 roots; A4 has no prime highest-root coefficient, so
+    # its classes are E8's with an A4 factor, at the same nodes
+    code, out, _ = run(["classify", "--type", "E8,A4", "--q", "31"], capsys)
+    assert code == 0
+    product = json.loads(out)["classes"]
+    code, out, _ = run(["classify", "--type", "E8", "--q", "31"], capsys)
+    assert code == 0
+    e8 = json.loads(out)["classes"]
+    assert len(product) == len(e8) == 6
+    assert [c["signature"] for c in product] == [
+        "x".join(sorted(c["signature"].split("x") + ["A4"])) for c in e8]
+    assert "A4xD8" in [c["signature"] for c in product]
+    for key in ("deleted_node", "rational"):
+        assert [c[key] for c in product] == [c[key] for c in e8]
+
+
 def test_malformed_type_exits_2(capsys):
     code, _, err = run(["classify", "--type", "Z9", "--q", "5"], capsys)
     assert code == 2

@@ -13,6 +13,7 @@ from coendo import intlinalg as il
 from coendo import oracle as O
 from coendo import rootsys as R
 from coendo import torus as T
+from test_intlinalg import matmul
 from test_rootsys import cached_weyl, cochar_data
 from test_torus import (coset_partition, generated_subgroup,
                         reflection_closure, subset_stabilizer, weyl_matrix)
@@ -66,7 +67,7 @@ def test_total_character_examples():
     assert O.total_character(datum, weyl, spec, gamma, 0) == (-3,)
     # the nontrivial reflection negates the weight
     refl = 1
-    assert K.act_character(datum, weyl, refl, (1,)) == (-1,)
+    assert K.character_action(datum, weyl, (1,))(refl) == (-1,)
     assert O.total_character(datum, weyl, spec, gamma, refl) == (-1,)
     # mixed-inverse flips the infinity sign
     assert O.total_character(datum, weyl, spec, gamma, 0,
@@ -79,11 +80,11 @@ def test_act_character_matches_rational_conjugation(datum, data):
     weyl = R.weyl_generate(datum.root_system)
     b = datum.cochar.basis
     adj, d = datum.cochar.adjugate
-    assert il.matmul(adj, b) == tuple(tuple(d * x for x in row)
-                                      for row in il.identity(len(b)))
+    assert matmul(adj, b) == tuple(tuple(d * x for x in row)
+                                   for row in il.identity(len(b)))
     i = data.draw(st.integers(0, weyl.order - 1))
     lam = data.draw(st.tuples(*[st.integers(-9, 9)] * len(b)))
-    got = K.act_character(datum, weyl, i, lam)
+    got = K.character_action(datum, weyl, lam)(i)
     assert all(type(x) is int for x in got)
     # (w.lambda)(x) = lambda(w^-1 x): the row lambda B^-1 M B, with M the
     # matrix of w^-1 on the coweight space

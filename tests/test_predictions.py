@@ -9,7 +9,8 @@ from coendo import intlinalg as il
 from coendo import oracle as O
 from coendo import predictions as P
 from coendo import rootsys as R
-from test_intlinalg import random_unimodular
+from test_intlinalg import from_columns, matmul, random_unimodular
+from test_rootsys import coroot_lattice, lattice_quotient
 
 
 def test_curve_validation():
@@ -115,10 +116,10 @@ def custom_datum(name):
     rs = R.build_root_system([name])
     r = rs.rank
     last = tuple(int(i == r - 1) for i in range(r))
-    d, u, _ = il.snf_transform(il.from_columns(il.columns(rs.cartan) + [last]))
+    d, u, _ = il.snf_transform(from_columns(il.columns(rs.cartan) + [last]))
     # u is unimodular, so adj(u) = ±u^-1 spans the same lattice
-    basis = il.matmul(il.adjugate(u)[0], [row[:r] for row in d])
-    basis = il.matmul(basis, random_unimodular(random.Random(name), r))
+    basis = matmul(il.adjugate(u)[0], [row[:r] for row in d])
+    basis = matmul(basis, random_unimodular(random.Random(name), r))
     flipped = [[-row[0], *row[1:]] for row in basis]
     return R.make_datum([name], flipped, 7)
 
@@ -133,11 +134,11 @@ def test_lattice_indices_match_smith_forms(name, lattice):
         datum = R.make_datum([name], lattice, 7)
     rs = datum.root_system
     assert R.pi1_order(datum) == P.component_count(datum) == \
-        R.lattice_quotient(datum.cochar, R.coroot_lattice(rs)).order
+        lattice_quotient(datum.cochar, coroot_lattice(rs)).order
     for sub in C.equal_rank_subsystems(rs):
-        coroots = il.from_columns(
+        coroots = from_columns(
             [rs.roots[i].coroot_ambient for i in sub.base_indices])
-        assert P.component_count(datum, sub) == R.lattice_quotient(
+        assert P.component_count(datum, sub) == lattice_quotient(
             datum.cochar, R.Lattice("sub-coroot", coroots)).order
 
 

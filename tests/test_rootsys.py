@@ -1,7 +1,11 @@
 import functools
+import os
 import random
+import subprocess
+import sys
 import time
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 import sympy
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 from coendo import coendoscopy as C
 from coendo import intlinalg as il
 from coendo import rootsys as R
+from test_intlinalg import matmul
 from test_torus import intermediate_data, weyl_matrix
 
 ALL_SIMPLE = (
@@ -249,7 +254,7 @@ def matrix_bfs_closure(rs):
         new = []
         for a in frontier:
             for g in gens:
-                prod = il.matmul(a, g)
+                prod = matmul(a, g)
                 if prod not in seen:
                     seen.add(prod)
                     order.append(prod)
@@ -281,7 +286,7 @@ def test_weyl_permutation_representation(data):
     i = data.draw(st.integers(0, w.order - 1))
     j = data.draw(st.integers(0, w.order - 1))
     mi = weyl_matrix(w, i)
-    assert weyl_matrix(w, w.mul(i, j)) == il.matmul(mi, weyl_matrix(w, j))
+    assert weyl_matrix(w, w.mul(i, j)) == matmul(mi, weyl_matrix(w, j))
     assert w.mul(i, w.inv(i)) == 0
     positive = set(rs.positive_indices)
     by_coroot = {rt.coroot_ambient: rt.index for rt in rs.roots}
@@ -392,6 +397,49 @@ def test_weyl_reflection_lookup():
     assert [w.reflection(s) for s in rs.simple_indices] == [1, 2, 3]
 
 
+def reflection_by_formula(rs, root_index):
+    """s_beta(alpha) = alpha - <alpha, beta^vee> beta, root by root."""
+    mirror = rs.roots[root_index]
+    out = []
+    for rt in rs.roots:
+        pair = sum(a * b for a, b in zip(rt.coeffs, mirror.coroot_ambient))
+        out.append(rs.index_of[
+            tuple(c - pair * m for c, m in zip(rt.coeffs, mirror.coeffs))
+        ])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("factors", [[name] for name in ALL_SIMPLE]
+                         + [["E8", "A4"]], ids=repr)
+def test_reflections_by_conjugation_match_formula(factors):
+    # E8 x A4 has 260 roots, more than a byte can index
+    rs = R.build_root_system(factors)
+    for i in range(rs.num_roots):
+        assert rs.reflection_perm(i) == reflection_by_formula(rs, i)
+    assert rs.simple_reflection_perms == tuple(
+        reflection_by_formula(rs, s) for s in rs.simple_indices)
+
+
+def test_coset_rep_descent_is_bounded():
+    # one of beta, -beta is always sent to a negative root, so descending
+    # by s_beta = s_-beta never ends: the |Phi^+| bound refuses the base.
+    # It runs in a child process, so that a missing bound fails, not hangs.
+    src = Path(R.__file__).resolve().parents[1]
+    code = ("from coendo import rootsys as R\n"
+            "w = R.weyl_generate(R.build_root_system(['B2']))\n"
+            "beta = w.rs.positive_indices[0]\n"
+            "try:\n"
+            "    w.coset_rep([beta, w.rs.negate[beta]], 0)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True,
+                          timeout=30)
+    assert "after 4 descent steps" in done.stdout
+    assert done.stdout.count("\n") == 1
+
+
 def test_characteristic_of_large_prime_is_fast():
     t0 = time.time()
     assert R.characteristic_of(1000000007) == 1000000007
@@ -422,35 +470,60 @@ def coweight_lattice(rs):
     return R.Lattice("coweight", il.identity(rs.rank))
 
 
+def coroot_lattice(rs):
+    return R.Lattice("coroot", rs.cartan)
+
+
+def lattice_quotient(big, small):
+    """big/small via the Smith normal form of the inclusion matrix."""
+    n = len(big.basis)
+    adj, det = big.adjugate
+    scaled = matmul(adj, small.basis)
+    if any(x % det for row in scaled for x in row):
+        raise R.NotASublattice(f"{small.name} is not contained in {big.name}")
+    d, u, _ = il.snf_transform([[x // det for x in row] for row in scaled])
+    # u is unimodular, so u^-1 = adj(u) / det(u) = det(u) adj(u)
+    adj_u, det_u = il.adjugate(u)
+    new_basis = matmul(big.basis, [[det_u * x for x in row] for row in adj_u])
+    invariants = []
+    generators = []
+    for j in range(n):
+        dj = d[j][j]
+        if dj > 1:
+            invariants.append(dj)
+            generators.append(tuple(row[j] for row in new_basis))
+    return R.FiniteAbelianGroup(invariants, generators)
+
+
 @pytest.mark.parametrize("name,expected", QUOTIENTS)
 def test_coweight_coroot_quotients(name, expected):
     rs = R.build_root_system([name])
-    q = R.lattice_quotient(coweight_lattice(rs), R.coroot_lattice(rs))
+    q = lattice_quotient(coweight_lattice(rs), coroot_lattice(rs))
     assert q.invariants == expected
 
 
 def test_lattice_quotient_trivial_and_errors():
     rs = R.build_root_system(["A2"])
-    lat = R.coroot_lattice(rs)
-    assert R.lattice_quotient(lat, lat).order == 1
+    lat = coroot_lattice(rs)
+    assert lattice_quotient(lat, lat).order == 1
     with pytest.raises(R.NotASublattice):
-        R.lattice_quotient(lat, coweight_lattice(rs))
+        lattice_quotient(lat, coweight_lattice(rs))
 
 
 def test_lattice_quotient_basis_independent():
     rng = random.Random(5)
     rs = R.build_root_system(["D4"])
     big = coweight_lattice(rs)
-    small = R.coroot_lattice(rs)
-    base = R.lattice_quotient(big, small).invariants
+    small = coroot_lattice(rs)
+    base = lattice_quotient(big, small).invariants
     from test_intlinalg import random_unimodular
 
     for _ in range(10):
         u = random_unimodular(rng, 4)
         v = random_unimodular(rng, 4)
-        big2 = R.Lattice("big2", il.matmul(big.basis, u))
-        small2 = R.Lattice("small2", il.matmul(small.basis, v))
-        assert R.lattice_quotient(big2, small2).invariants == base
+        big2 = R.Lattice("big2", matmul(big.basis, u))
+        small2 = R.Lattice("small2", matmul(small.basis, v))
+        assert lattice_quotient(big2, small2).invariants == base
 
 
 def square_matrices(n, bound):
@@ -465,8 +538,8 @@ def test_lattice_quotient_order_is_index(mats):
     basis, m = (il.mat(x) for x in mats)
     assume(il.det(basis) != 0 and il.det(m) != 0)
     big = R.Lattice("big", basis)
-    small = R.Lattice("small", il.matmul(basis, m))
-    group = R.lattice_quotient(big, small)
+    small = R.Lattice("small", matmul(basis, m))
+    group = lattice_quotient(big, small)
     assert group.order == abs(il.det(m))
     for d, g in zip(group.invariants, group.generators):
         assert big.contains(g)
@@ -502,8 +575,8 @@ def test_pi1_sc_ad_extremes(name):
     sc = R.GroupDatum(rs, R.Lattice("sc", rs.cartan), p)
     ad = R.GroupDatum(rs, R.Lattice("ad", il.identity(rs.rank)), p)
     assert R.pi1_order(sc) == 1
-    assert R.pi1_order(ad) == R.lattice_quotient(
-        coweight_lattice(rs), R.coroot_lattice(rs)).order
+    assert R.pi1_order(ad) == lattice_quotient(
+        coweight_lattice(rs), coroot_lattice(rs)).order
 
 
 def test_geometric_center_orders():

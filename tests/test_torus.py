@@ -10,7 +10,7 @@ from coendo import coendoscopy as C
 from coendo import intlinalg as il
 from coendo import rootsys as R
 from coendo import torus as T
-from test_intlinalg import random_unimodular
+from test_intlinalg import from_columns, matmul, random_unimodular
 
 
 def enumerate_points(datum, q):
@@ -50,7 +50,7 @@ def weyl_matrix_x(datum, weyl, i):
     """Matrix B^-1 M B of element i in the X_* basis B, from its matrix M
     on the coweight space: adj(B) M B / det B, exactly."""
     adj, d = datum.cochar.adjugate
-    m = il.matmul(adj, il.matmul(weyl_matrix(weyl, i), datum.cochar.basis))
+    m = matmul(adj, matmul(weyl_matrix(weyl, i), datum.cochar.basis))
     return tuple(tuple(x // d for x in row) for row in m)
 
 
@@ -285,11 +285,11 @@ def intermediate_data(draw):
     r = rs.rank
     extra = draw(st.lists(st.lists(st.integers(-2, 2), min_size=r, max_size=r),
                           max_size=2))
-    gens = il.from_columns(il.columns(rs.cartan) + [tuple(x) for x in extra])
+    gens = from_columns(il.columns(rs.cartan) + [tuple(x) for x in extra])
     d, u, _ = il.snf_transform(gens)
     # u is unimodular, so adj(u) = ±u^-1 spans the same lattice
-    basis = il.matmul(il.adjugate(u)[0], [row[:r] for row in d])
-    basis = il.matmul(basis, random_unimodular(draw(st.randoms()), r))
+    basis = matmul(il.adjugate(u)[0], [row[:r] for row in d])
+    basis = matmul(basis, random_unimodular(draw(st.randoms()), r))
     return R.GroupDatum(rs, R.Lattice("custom", basis), R.characteristic_of(q)), q
 
 
