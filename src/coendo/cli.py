@@ -331,8 +331,7 @@ class Context:
         if self._poset is None:
             self._poset = coendoscopy.strata_poset(
                 self.datum, self.q, self.route,
-                point_cap=self.point_cap, weyl_cap=self.weyl_cap,
-                candidate_cap=self.candidate_cap,
+                point_cap=self.point_cap, candidate_cap=self.candidate_cap,
             )
         return self._poset
 
@@ -386,7 +385,7 @@ def cmd_coeffs(ctx: Context) -> dict:
     report = ctx.envelope("coeffs")
     table = coefficients.n_table(
         ctx.datum, ctx.q, ctx.spec, ctx.poset, ctx.convention,
-        orbit_cap=ctx.orbit_cap,
+        orbit_cap=ctx.orbit_cap, weyl_cap=ctx.weyl_cap,
     )
     report["central_product_trivial"] = coefficients.central_product_test(
         ctx.spec, ctx.datum, ctx.q
@@ -407,7 +406,7 @@ def cmd_predict(ctx: Context, counts_path: str | None, approx: bool) -> dict:
         counts = load_counts(counts_path)
     table = coefficients.n_table(
         ctx.datum, ctx.q, ctx.spec, ctx.poset, ctx.convention,
-        orbit_cap=ctx.orbit_cap,
+        orbit_cap=ctx.orbit_cap, weyl_cap=ctx.weyl_cap,
     )
     pred = predictions.assemble_prediction(
         ctx.datum, ctx.q, ctx.curve, table, counts

@@ -32,11 +32,13 @@ from operator import mul
 
 from . import intlinalg as il
 from .rootsys import (
+    DEFAULT_WEYL_CAP,
     CapExceeded,
     GroupDatum,
     WeylGroup,
     closure,
     geometric_center_order,
+    weyl_generate,
     weyl_order,
 )
 from .coendoscopy import DEFAULT_CANDIDATE_CAP, StrataPoset, Stratum, \
@@ -178,17 +180,17 @@ def stratum_sum(lam, poset: StrataPoset, stratum_index: int) -> int:
                       (0,) * len(lam), poset.q - 1)
 
 
-def _infinity_terms(datum: GroupDatum, poset: StrataPoset,
-                    stratum_index: int, spec: CharacterSpec,
+def _infinity_terms(datum: GroupDatum, weyl: WeylGroup, base,
+                    spec: CharacterSpec,
                     convention: str) -> list[tuple[int, ...]]:
     """The w.lambda_inf term of the total character, with its sign, for each
-    canonical C_W(iota)\\W representative w in order."""
+    canonical C_W(iota)\\W representative w in order, iota having the
+    simple roots ``base``."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     sign = -1 if convention == "uniform-inverse" else 1
-    act = character_action(datum, poset.weyl, spec.infinity.lam)
-    return [tuple(sign * x for x in act(w))
-            for w in poset.cw_cosets(stratum_index)]
+    act = character_action(datum, weyl, spec.infinity.lam)
+    return [tuple(sign * x for x in act(w)) for w in weyl.cw_cosets(base)]
 
 
 def _finite_term(datum: GroupDatum, acts, reps) -> list[int]:
@@ -202,6 +204,7 @@ def _finite_term(datum: GroupDatum, acts, reps) -> list[int]:
 
 def n_coefficient(
     datum: GroupDatum,
+    weyl: WeylGroup,
     poset: StrataPoset,
     stratum_index: int,
     gamma: tuple[int, ...],
@@ -211,24 +214,23 @@ def n_coefficient(
     """The integer coefficient of one (stratum, coset tuple) row: the sum
     over canonical C_W(iota)\\W representatives w of the stratum sums of
     the total character of (gamma, w)."""
-    terms = _infinity_terms(datum, poset, stratum_index, spec, convention)
-    acts = [character_action(datum, poset.weyl, p.lam) for p in spec.finite]
+    base = poset.strata[stratum_index].subsystem.base_indices
+    terms = _infinity_terms(datum, weyl, base, spec, convention)
+    acts = [character_action(datum, weyl, p.lam) for p in spec.finite]
     finite = _finite_term(datum, acts, gamma)
     return _row_value(_histograms(poset, stratum_index, terms), finite,
                       poset.q - 1)
 
 
-def _tuple_orbits(poset: StrataPoset, stratum_index: int,
-                  num_finite_places: int, cap: int):
-    """Orbits of C_W(iota) by simultaneous conjugation on coset tuples,
-    as (lex-least representative tuple, sorted member list) pairs.
+def _tuple_orbits(weyl: WeylGroup, base, num_finite_places: int, cap: int):
+    """Orbits of C_W(iota) by simultaneous conjugation on tuples of
+    W_iota\\W representatives, iota having the simple roots ``base``, as
+    (lex-least representative tuple, sorted member list) pairs.
 
     An orbit of a group is an orbit of any generating set, so the search
     moves tuples by the generators of C_W(iota) only.
     """
-    weyl = poset.weyl
-    base = poset.strata[stratum_index].subsystem.base_indices
-    reps = poset.wiota_cosets(stratum_index)
+    reps = weyl.cosets(base)
     total = len(reps) ** num_finite_places
     if total > cap:
         raise CapExceeded(
@@ -236,7 +238,7 @@ def _tuple_orbits(poset: StrataPoset, stratum_index: int,
             "(caps.orbits)",
             order=total,
         )
-    gens = poset.cw_generators(stratum_index)
+    gens = weyl.cw_generators(base)
     conj = {}
     for c in gens:
         cinv = weyl.inv(c)
@@ -319,17 +321,21 @@ def n_table(
     poset: StrataPoset,
     convention: str = "uniform-inverse",
     orbit_cap: int = DEFAULT_ORBIT_CAP,
+    weyl_cap: int = DEFAULT_WEYL_CAP,
 ) -> NTable:
-    """One row per (stratum class representative, coset-tuple orbit)."""
+    """One row per (stratum class representative, coset-tuple orbit), from
+    one enumeration of W (under ``weyl_cap``)."""
+    weyl = weyl_generate(datum.root_system, weyl_cap)
     rows = []
     nf = len(spec.finite)
     m = poset.q - 1
-    acts = [functools.cache(character_action(datum, poset.weyl, p.lam))
+    acts = [functools.cache(character_action(datum, weyl, p.lam))
             for p in spec.finite]
     for si in poset.class_representatives():
+        base = poset.strata[si].subsystem.base_indices
         hists = _histograms(
-            poset, si, _infinity_terms(datum, poset, si, spec, convention))
-        for rep, members in _tuple_orbits(poset, si, nf, orbit_cap):
+            poset, si, _infinity_terms(datum, weyl, base, spec, convention))
+        for rep, members in _tuple_orbits(weyl, base, nf, orbit_cap):
             values = [_row_value(hists, _finite_term(datum, acts, t), m)
                       for t in members]
             rows.append(

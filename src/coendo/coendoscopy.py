@@ -36,15 +36,12 @@ from operator import attrgetter, itemgetter
 
 from . import intlinalg as il
 from .rootsys import (
-    DEFAULT_WEYL_CAP,
     CapExceeded,
     FiniteAbelianGroup,
     GroupDatum,
     RootSystem,
     SimpleType,
-    WeylGroup,
     closure,
-    weyl_generate,
 )
 
 from .torus import (
@@ -141,26 +138,28 @@ def borel_de_siebenthal(rs: RootSystem) -> list[CoendoscopicClass]:
     """Nontrivial coendoscopic classes: the prime-node deletions of the
     whole system, W-conjugate ones merged, combined over factors.
 
-    Options of different types are never W-conjugate, so only options
-    that share a signature are searched for conjugates.  A deletion in
-    one factor leaves the others whole, so choosing a deletion in each of
-    several factors gives the intersection of their subsystems.
+    W is the product of the factors' Weyl groups, so options in different
+    factors or of different types are never W-conjugate: only options of
+    one factor that share a signature are searched for conjugates.  A
+    deletion in one factor leaves the others whole, so choosing a
+    deletion in each of several factors gives the intersection of their
+    subsystems.
     """
     whole = Subsystem(rs, range(len(rs.roots)))
-    steps = _prime_steps(rs, whole)
-    sigs = Counter(sub.signature for _, _, sub in steps)
-    keys = iter(class_keys(rs, [sub.indices for _, _, sub in steps
-                                if sigs[sub.signature] > 1]))
+    base = whole.base_indices
+    steps = [(rs.roots[base[t]].factor, rs.simple_indices.index(base[t]), h,
+              sub) for t, h, sub in _prime_steps(rs, whole)]
+    sigs = Counter((f, sub.signature) for f, _, _, sub in steps)
+    keys = iter(class_keys(rs, [sub.indices for f, _, _, sub in steps
+                                if sigs[f, sub.signature] > 1]))
     merged = {}
-    for t, h, sub in steps:
-        key = next(keys) if sigs[sub.signature] > 1 else None
-        node = rs.simple_indices.index(whole.base_indices[t])
-        merged.setdefault((sub.signature, key), []).append((node, h, sub))
+    for f, node, h, sub in steps:
+        key = next(keys) if sigs[f, sub.signature] > 1 else None
+        merged.setdefault((f, sub.signature, key), []).append((node, h, sub))
     per_factor = [[None] for _ in rs.simple_factors]
-    for group in merged.values():
+    for (factor, _, _), group in merged.items():
         node, h, sub = min(group, key=itemgetter(0))
         nodes = tuple(sorted(n for n, _, _ in group))
-        factor = rs.roots[rs.simple_indices[node]].factor
         per_factor[factor].append(((node, h), sub, nodes))
     classes = []
     for combo in itertools.product(*per_factor):
@@ -352,16 +351,13 @@ class StrataPoset:
     """
 
     def __init__(self, datum: GroupDatum, q: int, route: str,
-                 strata: list[Stratum], weyl: WeylGroup | None = None,
-                 warnings=(), weyl_cap: int = DEFAULT_WEYL_CAP):
+                 strata: list[Stratum], warnings=()):
         self.datum = datum
         self.q = q
         self.route = route
         self.strata = sorted(
             strata, key=lambda st: (-len(st.subsystem.indices), st.key)
         )
-        self._weyl = weyl
-        self.weyl_cap = weyl_cap
         self.warnings = tuple(warnings)
         sets = [st.subsystem.indices for st in self.strata]
         # canonical_subset of each stratum: the lex-least member of its W-class
@@ -373,17 +369,9 @@ class StrataPoset:
             for j in range(len(sets))
         ]
         self.mobius_table = _mobius(self._below)
-        self._wiota_cosets: dict[int, tuple[int, ...]] = {}
 
     def __len__(self):
         return len(self.strata)
-
-    @property
-    def weyl(self) -> WeylGroup:
-        """W, enumerated on first use: building the strata never needs it."""
-        if self._weyl is None:
-            self._weyl = weyl_generate(self.datum.root_system, self.weyl_cap)
-        return self._weyl
 
     def below(self, j: int) -> tuple[int, ...]:
         return self._below[j]
@@ -394,55 +382,6 @@ class StrataPoset:
             i for i, (st, key) in enumerate(zip(self.strata, self.class_keys))
             if st.key == key
         ]
-
-    def wiota_cosets(self, i: int) -> tuple[int, ...]:
-        """Minimal-length representatives of W_iota\\W (``WeylGroup.cosets``
-        on the base of the subsystem), computed once per stratum."""
-        cached = self._wiota_cosets.get(i)
-        if cached is None:
-            cached = tuple(self.weyl.cosets(
-                self.strata[i].subsystem.base_indices))
-            self._wiota_cosets[i] = cached
-        return cached
-
-    def stabilizer(self, i: int) -> list[int]:
-        """Stab(Delta_iota), the elements mapping the base onto itself.
-
-        Such an element sends the positive roots of iota to positive
-        roots, so it is one of the W_iota\\W representatives.
-        """
-        base = self.strata[i].subsystem.base_indices
-        perms = self.weyl.perms
-        return [x for x in self.wiota_cosets(i)
-                if all(perms[x][t] in base for t in base)]
-
-    def cw_generators(self, i: int) -> tuple[int, ...]:
-        """Generators of C_W(iota) = W_iota x| Stab(Delta_iota).
-
-        For c in C_W(iota), c(Delta_iota) is a simple system of the
-        subsystem, and W_iota acts transitively on those, so c is a
-        product of an element of W_iota and one that maps Delta_iota to
-        itself.  The reflections in Delta_iota generate W_iota; the
-        elements of the second kind are few, and all but the identity
-        (index 0) are listed.
-        """
-        base = self.strata[i].subsystem.base_indices
-        return tuple([self.weyl.reflection(t) for t in base]
-                     + self.stabilizer(i)[1:])
-
-    def cw_cosets(self, i: int) -> list[int]:
-        """Canonical representatives of C_W(iota)\\W, the members of least
-        (length, index), in increasing index order.
-
-        C_W(iota) x is the union of the W_iota d x over d in
-        Stab(Delta_iota), and d x is the shortest member of W_iota d x
-        when x is, so the representative is the least d x.
-        """
-        weyl = self.weyl
-        stab = self.stabilizer(i)
-        return sorted({min((weyl.mul(d, x) for d in stab),
-                           key=lambda w: (weyl.length(w), w))
-                       for x in self.wiota_cosets(i)})
 
     def summary(self) -> list[dict]:
         """One row per stratum, from class data: W-conjugate strata (equal
@@ -482,27 +421,24 @@ def strata_poset(
     datum: GroupDatum,
     q: int,
     route: str = "enumerate",
-    weyl: WeylGroup | None = None,
     point_cap: int = DEFAULT_POINT_CAP,
-    weyl_cap: int = DEFAULT_WEYL_CAP,
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> StrataPoset:
     """Build the realized elliptic strata poset at q by either route.
 
-    ``weyl`` may be passed in to share one enumeration of W; otherwise the
-    poset enumerates W (under ``weyl_cap``) only when a stage needs it.
+    Neither route enumerates W: the strata are W-classes of root subsets,
+    found by orbit searches under the simple reflections.
     """
     if route == "enumerate":
-        poset = _strata_by_enumeration(datum, q, weyl, weyl_cap, point_cap)
+        poset = _strata_by_enumeration(datum, q, point_cap)
     elif route == "classify":
-        poset = _strata_by_classification(datum, q, weyl, weyl_cap,
-                                          candidate_cap)
+        poset = _strata_by_classification(datum, q, candidate_cap)
     else:
         raise ValueError(f"unknown route {route!r}")
     return poset
 
 
-def _strata_by_enumeration(datum, q, weyl, weyl_cap, point_cap) -> StrataPoset:
+def _strata_by_enumeration(datum, q, point_cap) -> StrataPoset:
     rs = datum.root_system
     # only the elliptic points come back, so each distinct mask is a stratum
     _, masks, pos = centralizer_masks_for(datum, q, cap=point_cap)
@@ -518,15 +454,13 @@ def _strata_by_enumeration(datum, q, weyl, weyl_cap, point_cap) -> StrataPoset:
     z_of = _class_groups(datum, q, subs, keys)
     strata = [Stratum(datum, q, sub, key, z_of[key], len(pts), tuple(pts))
               for sub, key, pts in zip(subs, keys, groups.values())]
-    poset = StrataPoset(datum, q, "enumerate", strata, weyl,
-                        weyl_cap=weyl_cap)
+    poset = StrataPoset(datum, q, "enumerate", strata)
     poset._masks = masks
     poset._mask_of = dict(zip((sub.key for sub in subs), groups))
     return poset
 
 
-def _strata_by_classification(datum, q, weyl, weyl_cap,
-                              candidate_cap) -> StrataPoset:
+def _strata_by_classification(datum, q, candidate_cap) -> StrataPoset:
     rs = datum.root_system
     cands = equal_rank_subsystems(rs, candidate_cap)
     z_of = _class_groups(datum, q, cands, cands.class_keys)
@@ -553,7 +487,7 @@ def _strata_by_classification(datum, q, weyl, weyl_cap,
                 f"{t}: divisibility {need} | q-1 fails at q={q}; sizes "
                 "recovered by inversion remain exact"
             )
-    return StrataPoset(datum, q, "classify", strata, weyl, warnings, weyl_cap)
+    return StrataPoset(datum, q, "classify", strata, warnings)
 
 
 # ---------------------------------------------------------------------------

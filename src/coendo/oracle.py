@@ -21,7 +21,6 @@ from .rootsys import (
     geometric_center_order,
     make_datum,
     very_good_check,
-    weyl_generate,
 )
 from .torus import (
     DEFAULT_POINT_CAP,
@@ -189,6 +188,7 @@ def total_character(
 
 def direct_n_coefficient(
     datum: GroupDatum,
+    weyl: WeylGroup,
     poset: StrataPoset,
     stratum_index: int,
     gamma: tuple[int, ...],
@@ -199,8 +199,9 @@ def direct_n_coefficient(
     m = poset.q - 1
     hist: dict[int, int] = {}
     points = _stratum_residues(poset, stratum_index)
-    for w in poset.cw_cosets(stratum_index):
-        lam = total_character(datum, poset.weyl, spec, gamma, w, convention)
+    base = poset.strata[stratum_index].subsystem.base_indices
+    for w in weyl.cw_cosets(base):
+        lam = total_character(datum, weyl, spec, gamma, w, convention)
         for v in points:
             e = sum(a * b for a, b in zip(lam, v)) % m
             hist[e] = hist.get(e, 0) + 1
@@ -227,7 +228,7 @@ def _maximal_proper_strata(poset: StrataPoset) -> list[int]:
     return out
 
 
-def brute_strata_check(datum: GroupDatum, q: int, weyl=None) -> Verdict:
+def brute_strata_check(datum: GroupDatum, q: int) -> Verdict:
     """Enumerate T(F_q), group by centralizer, and verify:
 
     (a) maximal proper elliptic strata are exactly the W-translates of the
@@ -237,12 +238,11 @@ def brute_strata_check(datum: GroupDatum, q: int, weyl=None) -> Verdict:
         first point's directly recomputed centralizer matches;
     (d) the classify-route poset is identical to the enumerated one.
 
-    None of these needs W: a ``weyl`` passed in is only handed on to the
-    posets, which enumerate W on first use otherwise.
+    None of these enumerates W.
     """
     rs = datum.root_system
     inst = f"{rs}@q={q}({datum.cochar.name})"
-    poset = strata_poset(datum, q, "enumerate", weyl=weyl)
+    poset = strata_poset(datum, q, "enumerate")
 
     # (a) maximal proper strata vs rational classes, as canonical subsets:
     # the poset's class keys against a fresh orbit search per class
@@ -281,7 +281,7 @@ def brute_strata_check(datum: GroupDatum, q: int, weyl=None) -> Verdict:
                                     "reason": "kernel/direct mismatch"})
 
     # (d) route agreement
-    other = strata_poset(datum, q, "classify", weyl=weyl)
+    other = strata_poset(datum, q, "classify")
     here = [(st.key, st.s_size, st.z_order) for st in poset.strata]
     there = [(st.key, st.s_size, st.z_order) for st in other.strata]
     if here != there or poset.mobius_table != other.mobius_table:
@@ -336,20 +336,18 @@ def centers_stable(datum: GroupDatum, q: int) -> bool:
 
 
 def field_extension_check(datum: GroupDatum, spec: CharacterSpec, q: int,
-                          n: int, weyl=None,
+                          n: int,
                           convention: str = "uniform-inverse") -> Verdict:
     """Row-for-row equality of the coefficient table at q and at q^n."""
     inst = f"{datum.root_system}@q={q}^{n}"
-    if weyl is None:
-        weyl = weyl_generate(datum.root_system)
     if not centers_stable(datum, q):
         return Verdict("field_extension", inst, False,
                        witness="precondition failed: centers not stable at q")
     qn = q**n
-    table_q = n_table(datum, q, spec,
-                      strata_poset(datum, q, "classify", weyl=weyl), convention)
-    table_qn = n_table(datum, qn, spec,
-                       strata_poset(datum, qn, "classify", weyl=weyl), convention)
+    table_q = n_table(datum, q, spec, strata_poset(datum, q, "classify"),
+                      convention)
+    table_qn = n_table(datum, qn, spec, strata_poset(datum, qn, "classify"),
+                       convention)
     rows_q = {r.key(): (r.n, r.n_sum, r.orbit_size) for r in table_q.rows}
     rows_qn = {r.key(): (r.n, r.n_sum, r.orbit_size) for r in table_qn.rows}
     ok = rows_q == rows_qn

@@ -156,14 +156,14 @@ class SimpleType:
 
 
 class Root:
-    """A root with its coroot, in simple-root / simple-coroot coefficients."""
+    """A root in simple-root coefficients, with its coroot in fundamental
+    coweight coordinates."""
 
-    __slots__ = ("coeffs", "coroot", "factor", "height", "index", "coroot_ambient")
+    __slots__ = ("coeffs", "factor", "height", "index", "coroot_ambient")
 
-    def __init__(self, coeffs: Vector, coroot: Vector, factor: int, index: int,
+    def __init__(self, coeffs: Vector, factor: int, index: int,
                  coroot_ambient: Vector):
         self.coeffs = coeffs
-        self.coroot = coroot
         self.factor = factor
         self.height = sum(coeffs)
         self.index = index
@@ -200,22 +200,6 @@ def closure(seeds, neighbours) -> dict:
     return dist
 
 
-def _factor_closure(cartan: Matrix) -> list[tuple[Vector, Vector]]:
-    """Reflection closure of the simple (root, coroot) pairs."""
-    r = len(cartan)
-
-    def reflect(pair):
-        c, k = pair
-        for j in range(r):
-            pair_cj = sum(c[i] * cartan[i][j] for i in range(r))
-            pair_jk = sum(cartan[j][i] * k[i] for i in range(r))
-            yield (tuple(ci - pair_cj * (i == j) for i, ci in enumerate(c)),
-                   tuple(ki - pair_jk * (i == j) for i, ki in enumerate(k)))
-
-    simple = [(tuple(int(i == t) for t in range(r)),) * 2 for i in range(r)]
-    return sorted(closure(simple, reflect), key=lambda p: (sum(p[0]), p[0]))
-
-
 class RootSystem:
     """Product of simple root systems; see module docstring for coordinates."""
 
@@ -223,43 +207,55 @@ class RootSystem:
         if not factors:
             raise IllegalType("empty factor list")
         self.simple_factors = tuple(factors)
-        self.rank = sum(t.rank for t in factors)
-        blocks = [t.cartan() for t in factors]
-        r = self.rank
-        cart = [[0] * r for _ in range(r)]
-        offsets = []
-        off = 0
-        for t, blk in zip(factors, blocks):
-            offsets.append(off)
-            for i in range(t.rank):
-                for j in range(t.rank):
-                    cart[off + i][off + j] = blk[i][j]
-            off += t.rank
-        self.cartan = il.mat(cart)
+        self.rank = r = sum(t.rank for t in factors)
+        cart, factor_of = [], []
+        for fi, t in enumerate(factors):
+            off = len(cart)
+            cart += [(0,) * off + row + (0,) * (r - off - t.rank)
+                     for row in t.cartan()]
+            factor_of += [fi] * t.rank
+        self.cartan = cart = tuple(cart)
+        cols = tuple(zip(*cart))
 
-        roots: list[Root] = []
-        for fi, (t, blk) in enumerate(zip(factors, blocks)):
-            off = offsets[fi]
-            for c, k in _factor_closure(blk):
-                cc = [0] * r
-                kk = [0] * r
-                cc[off:off + t.rank] = c
-                kk[off:off + t.rank] = k
-                roots.append(Root(tuple(cc), tuple(kk), fi, -1, ()))
-        roots.sort(key=lambda rt: (rt.height, rt.coeffs))
-        for i, rt in enumerate(roots):
-            rt.index = i
-            rt.coroot_ambient = il.matvec(self.cartan, rt.coroot)
-        self.roots = tuple(roots)
-        self.index_of = {rt.coeffs: rt.index for rt in roots}
-        self.simple_indices = tuple(
-            self.index_of[tuple(int(t == j) for t in range(r))] for j in range(r)
-        )
-        self.positive_indices = tuple(rt.index for rt in roots if rt.positive)
-        self.negate = tuple(
-            self.index_of[tuple(-x for x in rt.coeffs)] for rt in roots
-        )
+        # a root c (simple-root coefficients) carries its pairing row
+        # p = c C, p_j = <c, alpha_j^vee>, and its coroot x in coweight
+        # coordinates, and s_j sends (c, p, x) to
+        # (c - p_j e_j, p - p_j C[j], x - x_j C^T[j])
+        simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+        pair = dict(zip(simple, zip(cart, cols)))
+
+        def image(c, j):
+            """s_j c, recording its pairing row and coroot when new."""
+            p, x = pair[c]
+            pj = p[j]
+            if not pj:
+                return c
+            d = c[:j] + (c[j] - pj,) + c[j + 1:]
+            if d not in pair:
+                xj = x[j]
+                pair[d] = (tuple(a - pj * b for a, b in zip(p, cart[j])),
+                           tuple(a - xj * b for a, b in zip(x, cols[j])))
+            return d
+
+        found = sorted(closure(simple, lambda c: [image(c, j)
+                                                  for j in range(r)]),
+                       key=lambda c: (sum(c), c))
+        self.roots = tuple(
+            Root(c, factor_of[next(t for t, v in enumerate(c) if v)], i,
+                 pair[c][1])
+            for i, c in enumerate(found))
+        self.index_of = index_of = {c: i for i, c in enumerate(found)}
+        self.simple_indices = tuple(index_of[c] for c in simple)
+        self.positive_indices = tuple(rt.index for rt in self.roots
+                                      if rt.positive)
+        self.negate = tuple(index_of[tuple(-v for v in c)] for c in found)
+        # root-index permutations of the simple reflections, in node order
+        self.simple_reflection_perms = tuple(
+            tuple(index_of[image(c, j)] for c in found) for j in range(r))
         self._reflection_perms: dict[int, tuple[int, ...]] = {}
+        for s, perm in zip(self.simple_indices, self.simple_reflection_perms):
+            self._reflection_perms[s] = self._reflection_perms[
+                self.negate[s]] = perm
 
     @property
     def num_roots(self) -> int:
@@ -268,24 +264,6 @@ class RootSystem:
     @property
     def dim_g(self) -> int:
         return len(self.roots) + self.rank
-
-    @cached_property
-    def simple_reflection_perms(self) -> tuple[tuple[int, ...], ...]:
-        """Root-index permutations of the simple reflections, in node order,
-        from s_j(alpha) = alpha - <alpha, alpha_j^vee> alpha_j."""
-        out = []
-        for s in self.simple_indices:
-            mirror = self.roots[s]
-            perm = []
-            for rt in self.roots:
-                pair = sum(a * b for a, b in zip(rt.coeffs, mirror.coroot_ambient))
-                perm.append(self.index_of[
-                    tuple(c - pair * m for c, m in zip(rt.coeffs, mirror.coeffs))
-                ])
-            out.append(tuple(perm))
-            self._reflection_perms[s] = self._reflection_perms[
-                self.negate[s]] = out[-1]
-        return tuple(out)
 
     def reflection_perm(self, root_index: int) -> tuple[int, ...]:
         """Root-index permutation of the reflection in the given root.
@@ -296,11 +274,11 @@ class RootSystem:
         smaller height (a smaller index, roots being sorted by height), and
         s_beta = s_j s_gamma s_j: two compositions of tuples, memoised.
         """
-        simple = self.simple_reflection_perms  # caches the simple ones
         cached = self._reflection_perms.get(root_index)
         if cached is None:
             beta = max(root_index, self.negate[root_index])  # the positive one
-            s = next(p for p in simple if p[beta] < beta)
+            s = next(p for p in self.simple_reflection_perms
+                     if p[beta] < beta)
             gamma = self.reflection_perm(s[beta])
             cached = tuple(map(s.__getitem__, map(gamma.__getitem__, s)))
             self._reflection_perms[beta] = self._reflection_perms[
@@ -382,6 +360,7 @@ class WeylGroup:
         self.order = len(self.perms)
         self._lengths = tuple(lengths)
         self._pad = bytes(256 - rs.num_roots)
+        self._cosets: dict[tuple[int, ...], list[int]] = {}
 
     def mul(self, i: int, j: int) -> int:
         """Index of w_i w_j; its permutation is perms[i] o perms[j], and
@@ -411,7 +390,8 @@ class WeylGroup:
     def cosets(self, base) -> list[int]:
         """Minimal-length representatives of the right cosets W_iota\\W, in
         increasing index order, for the reflection subgroup W_iota whose
-        simple roots are the root indices ``base`` (not empty).
+        simple roots are the root indices ``base`` (not empty); walked once
+        per base, and the same list returned on every later call.
 
         W_iota x holds exactly one element of minimal length, the x with
         x^-1(beta) > 0 for every beta in the base (M. Dyer, J. Algebra
@@ -421,14 +401,55 @@ class WeylGroup:
         then y(beta) = alpha_j would give y^-1(alpha_j) = beta > 0), and a
         walk by y -> s_j y from the identity finds all of it.
         """
-        n = self.rs.num_roots
-        steps = [(s, self._tables[s]) for s in self.rs.simple_indices]
-        image = itemgetter(*base, base[0])  # a tuple for any base
-        walk = closure([self.perms[0]], lambda y: [
-            y.translate(table) for sent in [image(y)]
-            for s, table in steps if s not in sent])
-        return sorted(self.index[bytes.maketrans(y, self.perms[0])[:n]]
-                      for y in walk)
+        base = tuple(base)
+        found = self._cosets.get(base)
+        if found is None:
+            n = self.rs.num_roots
+            steps = [(s, self._tables[s]) for s in self.rs.simple_indices]
+            image = itemgetter(*base, base[0])  # a tuple for any base
+            walk = closure([self.perms[0]], lambda y: [
+                y.translate(table) for sent in [image(y)]
+                for s, table in steps if s not in sent])
+            found = self._cosets[base] = sorted(
+                self.index[bytes.maketrans(y, self.perms[0])[:n]]
+                for y in walk)
+        return found
+
+    def stabilizer(self, base) -> list[int]:
+        """Stab(Delta_iota), the elements mapping the base onto itself.
+
+        Such an element sends the positive roots of iota to positive
+        roots, so it is one of the W_iota\\W representatives.
+        """
+        perms = self.perms
+        return [x for x in self.cosets(base)
+                if all(perms[x][t] in base for t in base)]
+
+    def cw_generators(self, base) -> tuple[int, ...]:
+        """Generators of C_W(iota) = W_iota x| Stab(Delta_iota).
+
+        For c in C_W(iota), c(Delta_iota) is a simple system of the
+        subsystem, and W_iota acts transitively on those, so c is a
+        product of an element of W_iota and one that maps Delta_iota to
+        itself.  The reflections in Delta_iota generate W_iota; the
+        elements of the second kind are few, and all but the identity
+        (index 0) are listed.
+        """
+        return tuple([self.reflection(t) for t in base]
+                     + self.stabilizer(base)[1:])
+
+    def cw_cosets(self, base) -> list[int]:
+        """Canonical representatives of C_W(iota)\\W, the members of least
+        (length, index), in increasing index order.
+
+        C_W(iota) x is the union of the W_iota d x over d in
+        Stab(Delta_iota), and d x is the shortest member of W_iota d x
+        when x is, so the representative is the least d x.
+        """
+        stab = self.stabilizer(base)
+        return sorted({min((self.mul(d, x) for d in stab),
+                           key=lambda w: (self.length(w), w))
+                       for x in self.cosets(base)})
 
     def coset_rep(self, base, x: int) -> int:
         """The representative in ``cosets(base)`` of W_iota x: while

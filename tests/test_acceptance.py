@@ -99,9 +99,8 @@ def _grid():
         for q in O.DEFAULT_QS:
             if O.admissible_q(t, q):
                 datum = R.make_datum([name], "sc", R.characteristic_of(q))
-                weyl = R.weyl_generate(datum.root_system)
-                poset = C.strata_poset(datum, q, "enumerate", weyl=weyl)
-                GRID_POSETS[(name, q)] = (datum, weyl, poset)
+                poset = C.strata_poset(datum, q, "enumerate")
+                GRID_POSETS[(name, q)] = (datum, poset)
     return GRID_POSETS
 
 
@@ -111,11 +110,11 @@ def test_criterion_3_classification_cross_validation():
     t0 = time.time()
     failures = []
     grid = _grid()
-    for (name, q), (datum, weyl, poset) in grid.items():
-        v = O.brute_strata_check(datum, q, weyl=weyl)
+    for (name, q), (datum, poset) in grid.items():
+        v = O.brute_strata_check(datum, q)
         if not v.passed:
             failures.append((name, q, "brute", v.witness))
-        pc = C.strata_poset(datum, q, "classify", weyl=weyl)
+        pc = C.strata_poset(datum, q, "classify")
         same = (
             [(s.key, s.s_size, s.z_order) for s in poset.strata]
             == [(s.key, s.s_size, s.z_order) for s in pc.strata]
@@ -137,7 +136,7 @@ def test_criterion_3_classification_cross_validation():
 def test_criterion_4_reeder_partition():
     """Partition identity Z_i(F_q) = disjoint union of S_j, exactly."""
     failures = []
-    for (name, q), (datum, weyl, poset) in _grid().items():
+    for (name, q), (datum, poset) in _grid().items():
         v = C.reeder_partition_check(poset)
         if not v.passed:
             failures.append((name, q, v.witness))
@@ -160,17 +159,19 @@ def test_criterion_5_coefficient_correctness():
         for q in COEFF_QS:
             datum = R.make_datum([name], lat, R.characteristic_of(q))
             weyl = R.weyl_generate(datum.root_system)
-            poset = C.strata_poset(datum, q, "enumerate", weyl=weyl)
+            poset = C.strata_poset(datum, q, "enumerate")
             rank = datum.root_system.rank
             for _ in range(100):
                 spec = O.random_spec(rank, rng.randint(1, 2), rng,
                                      bound=3 * q)
                 for si in poset.class_representatives():
+                    base = poset.strata[si].subsystem.base_indices
                     for rep, _members in K._tuple_orbits(
-                            poset, si, len(spec.finite), K.DEFAULT_ORBIT_CAP):
-                        routed = K.n_coefficient(datum, poset, si, rep, spec)
+                            weyl, base, len(spec.finite), K.DEFAULT_ORBIT_CAP):
+                        routed = K.n_coefficient(datum, weyl, poset, si, rep,
+                                                 spec)
                         direct = O.direct_n_coefficient(
-                            datum, poset, si, rep, spec)
+                            datum, weyl, poset, si, rep, spec)
                         checked += 1
                         if direct is None or routed != direct or \
                                 not isinstance(routed, int):
@@ -191,17 +192,18 @@ def test_criterion_6_minimal_stratum_value():
         for q in COEFF_QS:
             datum = R.make_datum([name], lat, R.characteristic_of(q))
             weyl = R.weyl_generate(datum.root_system)
-            poset = C.strata_poset(datum, q, "classify", weyl=weyl)
+            poset = C.strata_poset(datum, q, "classify")
             i0 = 0  # the minimal stratum comes first
             center = poset.strata[i0].z_order
             rank = datum.root_system.rank
             gamma = ()
             spec0 = K.CharacterSpec([K.PlaceData("inf", (0,) * rank)])
-            assert K.n_coefficient(datum, poset, i0, gamma, spec0) == center
+            assert K.n_coefficient(datum, weyl, poset, i0, gamma,
+                                   spec0) == center
             for _ in range(60):
                 nf = rng.randint(1, 2)
                 spec = O.random_spec(rank, nf, rng, bound=2 * q)
-                n = K.n_coefficient(datum, poset, i0, (0,) * nf, spec)
+                n = K.n_coefficient(datum, weyl, poset, i0, (0,) * nf, spec)
                 want = center if K.central_product_test(spec, datum, q) else 0
                 checked += 1
                 if n != want:
@@ -218,8 +220,7 @@ def test_criterion_7_bound():
     for name, lat in COEFF_GROUPS:
         for q in COEFF_QS:
             datum = R.make_datum([name], lat, R.characteristic_of(q))
-            weyl = R.weyl_generate(datum.root_system)
-            poset = C.strata_poset(datum, q, "classify", weyl=weyl)
+            poset = C.strata_poset(datum, q, "classify")
             for nf in (1, 2):
                 bound = K.bound_constant(datum, nf + 1)
                 for _ in range(20):

@@ -22,15 +22,22 @@ from test_torus import (coset_partition, generated_subgroup,
 def setup_group(name, lat, q):
     datum = R.make_datum([name], lat, R.characteristic_of(q))
     weyl = R.weyl_generate(datum.root_system)
-    poset = C.strata_poset(datum, q, "enumerate", weyl=weyl)
+    poset = C.strata_poset(datum, q, "enumerate")
     return datum, weyl, poset
 
 
-def orbit_decomposition(poset, si, num_finite, cap=K.DEFAULT_ORBIT_CAP):
+def tuple_orbits(weyl, poset, si, num_finite, cap=K.DEFAULT_ORBIT_CAP):
+    """K._tuple_orbits on the base of stratum si."""
+    return K._tuple_orbits(weyl, poset.strata[si].subsystem.base_indices,
+                           num_finite, cap)
+
+
+def orbit_decomposition(weyl, poset, si, num_finite,
+                        cap=K.DEFAULT_ORBIT_CAP):
     """(lex-least representative, orbit size) of each C_W(iota)-orbit on
     tuples of W_iota cosets."""
     return [(rep, len(members))
-            for rep, members in K._tuple_orbits(poset, si, num_finite, cap)]
+            for rep, members in tuple_orbits(weyl, poset, si, num_finite, cap)]
 
 
 def test_spec_validation():
@@ -124,10 +131,10 @@ def test_n_minimal_stratum_rule():
     gamma = (0,)
     passing = K.CharacterSpec([K.PlaceData("inf", (3,)), K.PlaceData("v1", (1,))])
     assert K.central_product_test(passing, datum, 5)
-    assert K.n_coefficient(datum, poset, i0, gamma, passing) == 2
+    assert K.n_coefficient(datum, weyl, poset, i0, gamma, passing) == 2
     failing = K.CharacterSpec([K.PlaceData("inf", (2,)), K.PlaceData("v1", (1,))])
     assert not K.central_product_test(failing, datum, 5)
-    assert K.n_coefficient(datum, poset, i0, gamma, failing) == 0
+    assert K.n_coefficient(datum, weyl, poset, i0, gamma, failing) == 0
 
 
 def test_n_all_trivial_counts_cosets():
@@ -137,7 +144,7 @@ def test_n_all_trivial_counts_cosets():
     for si in poset.class_representatives():
         cw = subset_stabilizer(weyl, poset.strata[si].subsystem)
         cosets = weyl.order // len(cw)
-        got = K.n_coefficient(datum, poset, si, (0,), trivial)
+        got = K.n_coefficient(datum, weyl, poset, si, (0,), trivial)
         assert got == cosets * poset.strata[si].s_size
 
 
@@ -151,10 +158,10 @@ def test_coset_independence_in_wiota():
             weyl, poset.strata[si].subsystem.base_indices)
         reps = [rep for rep, _ in coset_partition(weyl, wiota)]
         for rep in reps:
-            base = K.n_coefficient(datum, poset, si, (rep,), spec)
+            base = K.n_coefficient(datum, weyl, poset, si, (rep,), spec)
             for u in wiota:
                 other = weyl.mul(u, rep)
-                got = K.n_coefficient(datum, poset, si,
+                got = K.n_coefficient(datum, weyl, poset, si,
                                       (other,), spec)
                 assert got == base
 
@@ -163,14 +170,14 @@ def test_orbit_decomposition_examples():
     datum, weyl, poset = setup_group("B2", "sc", 5)
     i0 = 0  # the minimal stratum comes first
     # minimal stratum: single coset, single orbit of size 1
-    assert orbit_decomposition(poset, i0, 1) == [((0,), 1)]
+    assert orbit_decomposition(weyl, poset, i0, 1) == [((0,), 1)]
     # A1xA1 stratum: two cosets per place, conjugation is trivial on the
     # 2-element quotient, so four singleton orbits over two places
     i1 = [i for i in range(len(poset)) if i != i0][0]
-    orbits = orbit_decomposition(poset, i1, 2)
+    orbits = orbit_decomposition(weyl, poset, i1, 2)
     assert len(orbits) == 4
     assert all(size == 1 for _, size in orbits)
-    sizes = sum(size for _, size in orbit_decomposition(poset, i1, 1))
+    sizes = sum(size for _, size in orbit_decomposition(weyl, poset, i1, 1))
     wiota = reflection_closure(weyl, poset.strata[i1].subsystem.base_indices)
     assert sizes == weyl.order // len(wiota)
 
@@ -179,7 +186,7 @@ def test_orbit_cap():
     datum, weyl, poset = setup_group("B2", "sc", 5)
     i1 = 1  # the A1xA1 stratum
     with pytest.raises(R.CapExceeded):
-        orbit_decomposition(poset, i1, 30, cap=1000)
+        orbit_decomposition(weyl, poset, i1, 30, cap=1000)
 
 
 def test_n_table_structure():
@@ -197,7 +204,7 @@ def test_n_table_structure():
     assert set(per_stratum) == set(reps)
     # row count per stratum equals the number of orbits
     for si in reps:
-        assert per_stratum[si] == len(orbit_decomposition(poset, si, 2))
+        assert per_stratum[si] == len(orbit_decomposition(weyl, poset, si, 2))
 
 
 def test_n_table_type_a_single_row():
@@ -224,11 +231,12 @@ def test_literal_convention_oracle_agreement():
     for _ in range(15):
         spec = O.random_spec(2, 1, rng)
         for si in poset.class_representatives():
-            for rep, _ in orbit_decomposition(poset, si, 1):
+            for rep, _ in orbit_decomposition(weyl, poset, si, 1):
                 for conv in K.CONVENTIONS:
-                    routed = K.n_coefficient(datum, poset, si, rep, spec, conv)
-                    direct = O.direct_n_coefficient(datum, poset, si, rep,
-                                                    spec, conv)
+                    routed = K.n_coefficient(datum, weyl, poset, si, rep,
+                                             spec, conv)
+                    direct = O.direct_n_coefficient(datum, weyl, poset, si,
+                                                    rep, spec, conv)
                     assert routed == direct
 
 
@@ -242,9 +250,9 @@ def test_uniform_inverse_is_the_convention_fixing_the_center_rule():
     assert K.central_product_test(spec, datum, 7)
     i0 = 0  # the minimal stratum comes first
     gamma = (0,)
-    assert K.n_coefficient(datum, poset, i0, gamma, spec,
+    assert K.n_coefficient(datum, weyl, poset, i0, gamma, spec,
                            "uniform-inverse") == 3
-    assert K.n_coefficient(datum, poset, i0, gamma, spec,
+    assert K.n_coefficient(datum, weyl, poset, i0, gamma, spec,
                            "mixed-inverse") == 0
 
 
@@ -263,21 +271,20 @@ def test_bound_dominates_tables():
 # direct way: W_iota closed over the reflections in all its positive roots,
 # and C_W(iota) acting by every one of its elements.
 
-def reference_wiota(poset, si):
-    return reflection_closure(poset.weyl,
+def reference_wiota(weyl, poset, si):
+    return reflection_closure(weyl,
                               poset.strata[si].subsystem.positive_indices)
 
 
-def reference_cw(poset, si):
-    return subset_stabilizer(poset.weyl, poset.strata[si].subsystem)
+def reference_cw(weyl, poset, si):
+    return subset_stabilizer(weyl, poset.strata[si].subsystem)
 
 
-def reference_orbits(poset, si, num_finite):
-    weyl = poset.weyl
-    cosets = coset_partition(weyl, reference_wiota(poset, si))
+def reference_orbits(weyl, poset, si, num_finite):
+    cosets = coset_partition(weyl, reference_wiota(weyl, poset, si))
     to_rep = {x: rep for rep, members in cosets for x in members}
     reps = [rep for rep, _ in cosets]
-    cw = reference_cw(poset, si)
+    cw = reference_cw(weyl, poset, si)
     out = []
     seen = set()
     for tup in itertools.product(reps, repeat=num_finite):
@@ -307,22 +314,22 @@ def test_coset_rules_match_partitions(factors, lat, q):
     # partition of W into cosets
     datum = R.make_datum(factors, lat, R.characteristic_of(q))
     poset = C.strata_poset(datum, q, "classify")
-    weyl = poset.weyl
+    weyl = R.weyl_generate(datum.root_system)
     for si in range(len(poset)):
         base = poset.strata[si].subsystem.base_indices
-        cosets = coset_partition(weyl, reference_wiota(poset, si))
+        cosets = coset_partition(weyl, reference_wiota(weyl, poset, si))
         for _, members in cosets:
             shortest = min(map(weyl.length, members))
             assert [weyl.length(x) for x in members].count(shortest) == 1
         assert weyl.cosets(base) == [rep for rep, _ in cosets]
-        assert poset.wiota_cosets(si) == tuple(rep for rep, _ in cosets)
+        assert weyl.cosets(base) is weyl.cosets(base)  # walked once
         to_rep = {x: rep for rep, members in cosets for x in members}
         assert all(weyl.coset_rep(base, x) == to_rep[x]
                    for x in range(weyl.order))
-        cw = reference_cw(poset, si)
-        assert poset.cw_cosets(si) == [
+        cw = reference_cw(weyl, poset, si)
+        assert weyl.cw_cosets(base) == [
             rep for rep, _ in coset_partition(weyl, cw)]
-        assert poset.stabilizer(si) == [
+        assert weyl.stabilizer(base) == [
             c for c in cw if {weyl.perms[c][t] for t in base} == set(base)]
 
 
@@ -346,15 +353,16 @@ def test_coset_count_times_wiota_order_is_weyl_order(name, data):
 def test_orbits_and_wiota_match_reference(factors, lat, q):
     datum = R.make_datum(factors, lat, R.characteristic_of(q))
     poset = C.strata_poset(datum, q, "classify")
-    weyl = poset.weyl
+    weyl = R.weyl_generate(datum.root_system)
     for si in range(len(poset)):
         base = poset.strata[si].subsystem.base_indices
-        assert reflection_closure(weyl, base) == reference_wiota(poset, si)
-        cw = reference_cw(poset, si)
-        assert generated_subgroup(weyl, poset.cw_generators(si)) == cw
+        assert reflection_closure(weyl, base) == reference_wiota(weyl, poset,
+                                                                 si)
+        cw = reference_cw(weyl, poset, si)
+        assert generated_subgroup(weyl, weyl.cw_generators(base)) == cw
         for nf in (1, 2):
-            ref = reference_orbits(poset, si, nf)
-            assert K._tuple_orbits(poset, si, nf, K.DEFAULT_ORBIT_CAP) == ref
+            ref = reference_orbits(weyl, poset, si, nf)
+            assert tuple_orbits(weyl, poset, si, nf) == ref
 
 
 @pytest.mark.parametrize("factors,lat,q", EQUIVALENCE_GRID,
@@ -363,6 +371,7 @@ def test_n_table_rows_match_per_row_routes(factors, lat, q):
     datum = R.make_datum(factors, lat, R.characteristic_of(q))
     poset = C.strata_poset(datum, q, "enumerate")
     classified = C.strata_poset(datum, q, "classify")
+    weyl = R.weyl_generate(datum.root_system)
     rng = random.Random(q * 31 + len(factors))
     rank = datum.root_system.rank
     # nf = 0 is a one-place curve; three finite places on the small types
@@ -375,15 +384,49 @@ def test_n_table_rows_match_per_row_routes(factors, lat, q):
                 datum, q, spec, classified, conv).to_records()
             for row in table.rows:
                 si = row.stratum_index
-                args = (datum, poset, si, row.orbit_rep, spec, conv)
+                args = (datum, weyl, poset, si, row.orbit_rep, spec, conv)
                 assert row.n == K.n_coefficient(*args)
                 assert row.n == O.direct_n_coefficient(*args)
-                members = dict(K._tuple_orbits(
-                    poset, si, nf, K.DEFAULT_ORBIT_CAP))[row.orbit_rep]
-                values = [K.n_coefficient(datum, poset, si, t,
+                members = dict(tuple_orbits(weyl, poset, si, nf))[
+                    row.orbit_rep]
+                values = [K.n_coefficient(datum, weyl, poset, si, t,
                                           spec, conv) for t in members]
                 assert row.n_sum == sum(values)
                 assert row.n_abs_sum == sum(map(abs, values))
+
+
+def test_n_table_enumerates_w_once_and_walks_each_base_once(monkeypatch):
+    # each table enumerates W once, and walks the cosets of each class
+    # representative's base once (R.closure also runs once inside
+    # weyl_generate)
+    groups, walks = [], []
+    weyl_generate, closure = R.weyl_generate, R.closure
+
+    def counted_weyl(*args):
+        groups.append(weyl_generate(*args))
+        return groups[-1]
+
+    def counted_closure(*args):
+        walks.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(K, "weyl_generate", counted_weyl)
+    monkeypatch.setattr(R, "closure", counted_closure)
+    rng = random.Random(8)
+    for name, lat, q, nf in [("G2", "ad", 7, 2), ("B3", "sc", 5, 1),
+                             ("C3", "ad", 9, 2)]:
+        datum = R.make_datum([name], lat, R.characteristic_of(q))
+        poset = C.strata_poset(datum, q, "classify")
+        bases = {poset.strata[si].subsystem.base_indices
+                 for si in poset.class_representatives()}
+        spec = O.random_spec(datum.root_system.rank, nf, rng)
+        for _ in range(2):
+            groups.clear()
+            walks.clear()
+            K.n_table(datum, q, spec, poset)
+            assert len(groups) == 1
+            assert len(walks) == 1 + len(bases)
+            assert set(groups[0]._cosets) == bases
 
 
 @pytest.mark.parametrize("lattice", ["sc", "ad"])

@@ -9,6 +9,7 @@ from coendo import intlinalg as il
 from coendo import oracle as O
 from coendo import rootsys as R
 from coendo import torus as T
+from test_oracle import refuse_weyl
 from test_torus import equal_rank_subsets, reflection_closure, subset_stabilizer
 
 
@@ -73,6 +74,27 @@ def test_bds_product_combinations():
     for cl in cls:
         assert cl.subsystem.rank == 4
         assert not cl.is_whole_group
+
+
+@pytest.mark.parametrize("name,visited", [("C3", 3), ("E7", 399),
+                                          ("E8", 0)])
+def test_bds_searches_within_one_factor(monkeypatch, name, visited):
+    # W is the product of the factors' Weyl groups, so on a square the
+    # conjugacy search visits exactly the orbit members of each factor
+    counts = []
+    orbit_of_subset = C.orbit_of_subset
+
+    def counted(rs, indices):
+        orbit = orbit_of_subset(rs, indices)
+        counts.append(len(orbit))
+        return orbit
+
+    monkeypatch.setattr(C, "orbit_of_subset", counted)
+    C.borel_de_siebenthal(R.build_root_system([name]))
+    assert sum(counts) == visited
+    counts.clear()
+    C.borel_de_siebenthal(R.build_root_system([name, name]))
+    assert sum(counts) == 2 * visited
 
 
 def representative_point(cl):
@@ -157,9 +179,8 @@ GRID = [("A1", 5), ("A1", 9), ("A2", 7), ("B2", 5), ("B2", 13), ("B3", 5),
 @pytest.mark.parametrize("name,q", GRID)
 def test_routes_agree(name, q):
     datum = datum_for(name, "sc", q)
-    w = R.weyl_generate(datum.root_system)
-    pe = C.strata_poset(datum, q, "enumerate", weyl=w)
-    pc = C.strata_poset(datum, q, "classify", weyl=w)
+    pe = C.strata_poset(datum, q, "enumerate")
+    pc = C.strata_poset(datum, q, "classify")
     assert [(s.key, s.s_size, s.z_order) for s in pe.strata] == \
         [(s.key, s.s_size, s.z_order) for s in pc.strata]
     assert pe.mobius_table == pc.mobius_table
@@ -168,9 +189,8 @@ def test_routes_agree(name, q):
 def test_e6_routes_agree():
     # beyond the rank-4 grid: 77 strata (E6, 36 x A1A5, 40 x 3A2)
     datum = R.make_datum(["E6"], "sc", 7)
-    w = R.weyl_generate(datum.root_system)
-    pe = C.strata_poset(datum, 7, "enumerate", weyl=w)
-    pc = C.strata_poset(datum, 7, "classify", weyl=w)
+    pe = C.strata_poset(datum, 7, "enumerate")
+    pc = C.strata_poset(datum, 7, "classify")
     assert [(s.key, s.s_size, s.z_order) for s in pe.strata] == \
         [(s.key, s.s_size, s.z_order) for s in pc.strata]
     assert len(pe) == 77
@@ -179,8 +199,9 @@ def test_e6_routes_agree():
     assert C.reeder_partition_check(pe).passed
 
 
-def test_e7_routes_agree():
+def test_e7_routes_agree(monkeypatch):
     # 730 strata in 4 W-classes, built without enumerating W
+    refuse_weyl(monkeypatch)
     datum = R.make_datum(["E7"], "sc", 5)
     pe = C.strata_poset(datum, 5, "enumerate")
     pc = C.strata_poset(datum, 5, "classify")
@@ -188,7 +209,6 @@ def test_e7_routes_agree():
         [(s.key, s.s_size, s.z_order) for s in pc.strata]
     assert pe.mobius_table == pc.mobius_table
     assert len(pe) == 730 and len(set(pe.class_keys)) == 4
-    assert pe._weyl is None and pc._weyl is None
 
 
 def test_wide_mask_routes_agree():
@@ -220,17 +240,16 @@ def test_classify_route_scales_past_enumeration_cap():
     from coendo import coefficients as K
 
     datum = R.make_datum(["B2"], "sc", 1009)
-    w = R.weyl_generate(datum.root_system)
     with pytest.raises(R.CapExceeded):
-        C.strata_poset(datum, 1009, "enumerate", weyl=w)
-    poset = C.strata_poset(datum, 1009, "classify", weyl=w)
+        C.strata_poset(datum, 1009, "enumerate")
+    poset = C.strata_poset(datum, 1009, "classify")
     assert [(s.signature, s.s_size, s.z_order) for s in poset.strata] == \
         [("B2", 2, 2), ("A1xA1", 2, 4)]
     # the coefficient table is field-stable against a small admissible q
     spec = K.CharacterSpec.trivial(2, 1)
     big = K.n_table(datum, 1009, spec, poset)
     small = K.n_table(datum, 5, spec,
-                      C.strata_poset(datum, 5, "classify", weyl=w))
+                      C.strata_poset(datum, 5, "classify"))
     assert {r.key(): (r.n, r.n_sum) for r in big.rows} == \
         {r.key(): (r.n, r.n_sum) for r in small.rows}
 
@@ -238,9 +257,8 @@ def test_classify_route_scales_past_enumeration_cap():
 def test_product_group_routes_and_partition():
     # factor-wise deletion on a product, validated against enumeration
     datum = R.make_datum(["B2", "A1"], "sc", 5)
-    w = R.weyl_generate(datum.root_system)
-    pe = C.strata_poset(datum, 5, "enumerate", weyl=w)
-    pc = C.strata_poset(datum, 5, "classify", weyl=w)
+    pe = C.strata_poset(datum, 5, "enumerate")
+    pc = C.strata_poset(datum, 5, "classify")
     assert [(s.key, s.s_size, s.z_order) for s in pe.strata] == \
         [(s.key, s.s_size, s.z_order) for s in pc.strata]
     assert C.reeder_partition_check(pe).passed
@@ -378,13 +396,14 @@ def test_reeder_needs_points():
 def test_stratum_invariants():
     datum = datum_for("G2", "ad", 7)
     poset = C.strata_poset(datum, 7, "enumerate")
+    weyl = R.weyl_generate(datum.root_system)
     for i, st in enumerate(poset.strata):
         assert st.s_size <= st.z_order
-        cw = subset_stabilizer(poset.weyl, st.subsystem)
-        wiota = reflection_closure(poset.weyl, st.subsystem.base_indices)
+        cw = subset_stabilizer(weyl, st.subsystem)
+        wiota = reflection_closure(weyl, st.subsystem.base_indices)
         assert set(wiota) <= set(cw)
         assert len(wiota) == st.subsystem.weyl_order
-        assert poset.weyl.order % len(cw) == 0
+        assert weyl.order % len(cw) == 0
 
 
 def test_canonical_class_representatives():

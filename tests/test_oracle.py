@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -56,13 +57,25 @@ def test_brute_strata_check_composite_q_minus_1(name, q, lat):
     assert verdict.passed, (verdict.instance, verdict.witness)
 
 
-def test_strata_oracles_never_enumerate_weyl(monkeypatch):
-    # strata, Reeder, classify and stratum sums never read poset.weyl
+def refuse_weyl(monkeypatch):
+    """Make weyl_generate raise in every coendo module that binds it, and
+    return the names of those modules."""
     def refuse(*args, **kwargs):
         raise AssertionError("W was enumerated")
 
-    for module in (R, C, O):
-        monkeypatch.setattr(module, "weyl_generate", refuse)
+    bound = [name for name, module in sorted(sys.modules.items())
+             if name.split(".")[0] == "coendo"
+             and getattr(module, "weyl_generate", None) is R.weyl_generate]
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "weyl_generate", refuse)
+    return bound
+
+
+def test_strata_oracles_never_enumerate_weyl(monkeypatch):
+    # strata, Reeder, classify and stratum sums never enumerate W; only
+    # the coefficient tables hold a binding of weyl_generate
+    assert refuse_weyl(monkeypatch) == ["coendo.coefficients",
+                                        "coendo.rootsys"]
     datum = R.make_datum(["B2"], "sc", 5)
     assert O.brute_strata_check(datum, 5).passed
     assert O.bds_cross_check("G2", 7).passed
@@ -115,10 +128,9 @@ def test_field_extension_randomized():
     rng = random.Random(31)
     for name, lat, q in [("B2", "sc", 5), ("G2", "ad", 7)]:
         datum = R.make_datum([name], lat, R.characteristic_of(q))
-        weyl = R.weyl_generate(datum.root_system)
         for _ in range(5):
             spec = O.random_spec(2, rng.randint(1, 2), rng)
-            v = O.field_extension_check(datum, spec, q, 2, weyl=weyl)
+            v = O.field_extension_check(datum, spec, q, 2)
             assert v.passed, v.witness
 
 

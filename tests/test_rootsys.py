@@ -1,4 +1,5 @@
 import functools
+import operator
 import os
 import random
 import subprocess
@@ -418,6 +419,58 @@ def test_reflections_by_conjugation_match_formula(factors):
         assert rs.reflection_perm(i) == reflection_by_formula(rs, i)
     assert rs.simple_reflection_perms == tuple(
         reflection_by_formula(rs, s) for s in rs.simple_indices)
+
+
+def pair_closure(factors):
+    """The roots of a product the direct way, as (coefficients, factor,
+    coroot in coweight coordinates), sorted by height: per factor, the
+    reflection closure of the simple (root, coroot) pairs in simple-root
+    and simple-coroot coefficients, every pairing a sum over the Cartan
+    matrix, embedded at the factor's offset."""
+    r = sum(t.rank for t in factors)
+    out = []
+    off = 0
+    for fi, t in enumerate(factors):
+        cartan = t.cartan()
+        n = t.rank
+
+        def reflect(pair):
+            c, k = pair
+            for j in range(n):
+                pair_cj = sum(c[i] * cartan[i][j] for i in range(n))
+                pair_jk = sum(cartan[j][i] * k[i] for i in range(n))
+                yield (tuple(ci - pair_cj * (i == j) for i, ci in enumerate(c)),
+                       tuple(ki - pair_jk * (i == j) for i, ki in enumerate(k)))
+
+        simple = [(tuple(int(i == j) for j in range(n)),) * 2
+                  for i in range(n)]
+        before, after = (0,) * off, (0,) * (r - off - n)
+        for c, k in R.closure(simple, reflect):
+            # the coroot sum_j k_j alpha_j^vee, alpha_j^vee being column j
+            # of the Cartan matrix
+            coroot = tuple(sum(cartan[i][j] * k[j] for j in range(n))
+                           for i in range(n))
+            out.append((before + c + after, fi, before + coroot + after))
+        off += n
+    return sorted(out, key=lambda root: (sum(root[0]), root[0]))
+
+
+@pytest.mark.parametrize("factors", [[name] for name in ALL_SIMPLE]
+                         + [["A1", "A1"], ["E8", "A4"]], ids=repr)
+def test_one_closure_matches_pair_closure(factors):
+    rs = R.build_root_system(factors)
+    ref = pair_closure(rs.simple_factors)
+    assert [(rt.coeffs, rt.factor, rt.coroot_ambient)
+            for rt in rs.roots] == ref
+    index = {c: i for i, (c, _, _) in enumerate(ref)}
+    assert rs.negate == tuple(index[tuple(-x for x in c)] for c, _, _ in ref)
+    simple = [index[tuple(int(i == j) for j in range(rs.rank))]
+              for i in range(rs.rank)]
+    assert rs.simple_reflection_perms == tuple(
+        tuple(index[tuple(a - sum(map(operator.mul, c, ref[s][2])) * b
+                          for a, b in zip(c, ref[s][0]))]
+              for c, _, _ in ref)
+        for s in simple)
 
 
 def test_coset_rep_descent_is_bounded():

@@ -210,11 +210,11 @@ def test_weyl_stabilizer_reflection_part_matches_all_reflections(
     # the poset has one W_iota coset representative per coset
     datum = R.make_datum(factors, lat, R.characteristic_of(q))
     w = R.weyl_generate(datum.root_system)
-    poset = C.strata_poset(datum, q, "enumerate", weyl=w)
-    for i, st in enumerate(poset.strata):
+    poset = C.strata_poset(datum, q, "enumerate")
+    for st in poset.strata:
         ref = reflection_closure(w, st.subsystem.positive_indices)
         assert reflection_closure(w, st.subsystem.base_indices) == ref
-        assert len(poset.wiota_cosets(i)) * len(ref) == w.order
+        assert len(w.cosets(st.subsystem.base_indices)) * len(ref) == w.order
 
 
 def test_subgroup_points_center_examples():
