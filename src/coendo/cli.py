@@ -392,9 +392,11 @@ def cmd_coeffs(ctx: Context) -> dict:
     )
     report["rows"] = table.to_records()
     report["total_abs"] = table.total_abs
+    # a classify-route poset holds the candidates (never an empty list)
+    candidates = ctx.poset.candidates or coendoscopy.equal_rank_subsystems(
+        ctx.datum.root_system, ctx.candidate_cap)
     report["bound_constant"] = coefficients.bound_constant(
-        ctx.datum, ctx.spec.num_places, ctx.candidate_cap
-    )
+        ctx.datum, ctx.spec.num_places, candidates)
     return report
 
 

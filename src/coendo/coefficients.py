@@ -41,8 +41,7 @@ from .rootsys import (
     weyl_generate,
     weyl_order,
 )
-from .coendoscopy import DEFAULT_CANDIDATE_CAP, StrataPoset, Stratum, \
-    equal_rank_subsystems
+from .coendoscopy import StrataPoset, Stratum, equal_rank_subsystems
 from .torus import Subsystem, subgroup_points
 
 CONVENTIONS = ("uniform-inverse", "mixed-inverse")
@@ -349,14 +348,16 @@ def n_table(
 
 
 def bound_constant(datum: GroupDatum, num_places: int,
-                   candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> int:
+                   candidates=None) -> int:
     """Explicit q-independent bound: over geometric subsystem classes,
-    |W|^|S| |W_iota|^|S| |Z_iota(geometric)| summed up."""
+    |W|^|S| |W_iota|^|S| |Z_iota(geometric)| summed up, over
+    ``candidates`` (by default ``equal_rank_subsystems`` of the system)."""
     rs = datum.root_system
     w_order = weyl_order(rs)
-    subs = equal_rank_subsystems(rs, candidate_cap)
+    if candidates is None:
+        candidates = equal_rank_subsystems(rs)
     total = 0
-    for sub, key in zip(subs, subs.class_keys):
+    for sub, key in zip(candidates, candidates.class_keys):
         if sub.key != key:
             continue
         z_geo = geometric_center_order(datum, sub)

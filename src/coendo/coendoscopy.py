@@ -9,16 +9,18 @@ subsystems:
   set of roots they kill;
 * CLASSIFY generates every full-rank closed subsystem geometrically (by
   iterating the extended-diagram node-deletion step with prime highest-root
-  coefficient, closing under the Weyl action) and recovers the stratum
+  coefficient, a filter on base coordinates by Kac's rule, closing under
+  the Weyl action) and recovers the stratum
   sizes from the partition identity |Z_c(F_q)| = sum of |S_d| over the
   subsystems d containing c (M. Reeder, Enseign. Math. 2010).  Walking the
   candidates from the most roots to the fewest, |S_c| = |Z_c| minus the
   sizes of the strata already found that properly contain c: Möbius
   inversion done by back-substitution, with no candidate-level order
   matrix.  On E7 at q = 5 (1,516 candidates, 730 strata) the classify-route
-  `strata` command takes 0.37-0.46 s on a 2-vCPU machine.
+  `strata` command takes 0.26-0.36 s on a 2-vCPU machine.
 
-Both routes solve one Smith form per W-class, for its representative:
+Both routes read subsystem structure off the roots' integer keys and
+solve one Smith form per W-class, for its representative:
 |Z_c(F_q)| and its invariant factors are class data, as w·Z_c = Z_{w·c}.
 The poset of realized strata computes its Möbius function once, from the
 lower sets of its elements.
@@ -30,11 +32,11 @@ cross-validation of the whole artifact.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from functools import cached_property
 from operator import attrgetter, itemgetter
 
-from . import intlinalg as il
 from .rootsys import (
     CapExceeded,
     FiniteAbelianGroup,
@@ -55,25 +57,25 @@ from .torus import (
 # subset machinery
 
 
-def subsystem_from_base(rs: RootSystem, base_indices) -> Subsystem:
-    """Closed subsystem generated by a simple system, by reflection closure."""
-    perms = [rs.reflection_perm(b) for b in base_indices]
-    seen = closure(base_indices, lambda i: [perm[i] for perm in perms])
-    return Subsystem(rs, [*seen, *(rs.negate[i] for i in seen)])
-
-
-def orbit_of_subset(rs: RootSystem, indices) -> list[frozenset]:
-    """W-orbit of a root subset, via the simple-reflection permutations."""
-    perms = rs.simple_reflection_perms
-    orbit = closure([frozenset(indices)],
-                    lambda s: [frozenset(perm[i] for i in s) for perm in perms])
+def orbit_of_subset(rs: RootSystem, indices,
+                    limit=math.inf) -> list[frozenset]:
+    """W-orbit of a closed, negation-stable root set, in key order, via the
+    simple-reflection permutations.  s_j fixes such a set that holds
+    alpha_j (it is a reflection of the set's own root system), so it moves
+    only members without alpha_j.  Past ``limit`` members the search stops
+    at the end of a level and returns part of the orbit."""
+    steps = list(zip(rs.simple_indices, rs.simple_reflection_perms))
+    orbit = closure([frozenset(indices)], lambda s: [
+        frozenset(map(perm.__getitem__, s)) for a, perm in steps
+        if a not in s], limit)
     return sorted(orbit, key=lambda s: tuple(sorted(s)))
 
 
-def keyed_orbit(rs: RootSystem, indices) -> dict[frozenset, tuple[int, ...]]:
-    """Every member of the W-orbit of a root subset, mapped to the class
-    key: the lexicographically least member, as a sorted tuple."""
-    orbit = orbit_of_subset(rs, indices)
+def keyed_orbit(rs: RootSystem, indices,
+                limit=math.inf) -> dict[frozenset, tuple[int, ...]]:
+    """Every member of the W-orbit of a root subset (part of it past
+    ``limit``), mapped to the least member, as a sorted tuple."""
+    orbit = orbit_of_subset(rs, indices, limit)
     return dict.fromkeys(orbit, tuple(sorted(orbit[0])))
 
 
@@ -207,34 +209,46 @@ def classify(datum: GroupDatum, q: int) -> list[CoendoscopicClass]:
 # full-rank closed subsystems by iterated deletion
 
 
+def _base_coordinates(rs: RootSystem, sub: Subsystem) -> dict:
+    """Each positive root of sub, in height order, mapped to (t, e): e holds
+    its coordinates in sub's base, found by descent.  A positive root beta
+    that is not simple is (beta - b) + b for a simple root b of sub, at base
+    position t, with beta - b a lower positive root of sub (Bourbaki, Lie VI
+    §1.6), so found before: one key lookup per simple root tried."""
+    keys = rs.keys
+    simple = [(t, keys[b]) for t, b in enumerate(sub.base_indices)]
+    found = {k: (t, [int(s == t) for s, _ in simple]) for t, k in simple}
+    for k in map(keys.__getitem__, sub.positive_indices):
+        if k not in found:
+            t, b = next((t, b) for t, b in simple if k - b in found)
+            found[k] = t, [x + (s == t) for s, x in enumerate(found[k - b][1])]
+    return {i: found[keys[i]] for i in sub.positive_indices}
+
+
 def _prime_steps(rs: RootSystem, sub: Subsystem) -> list[tuple[int, int, Subsystem]]:
     """Every prime-coefficient deletion step on sub, as (t, h, subsystem).
 
     For each component of sub and each base position t in it whose
-    coefficient h in the component's highest root is prime, the base loses
-    t and gains the negative of that highest root (A. Borel and J. de
-    Siebenthal, 1949); the other components stay whole.
+    coefficient h in the component's highest root theta is prime, the base
+    loses t and gains -theta (A. Borel and J. de Siebenthal, 1949); the
+    other components stay whole.  That subsystem centralizes the
+    automorphism with Kac coordinate 1 at t and 0 elsewhere (V. Kac,
+    Infinite-dimensional Lie algebras, Prop. 8.6): it keeps the component's
+    roots whose coordinate at t is 0 mod h, a filter with no closure; the
+    other components' roots have coordinate 0 there.
     """
-    base = sub.base_indices
-    # a root c = e A on the base rows A has e = c adj(A) / det A
-    adj, d = il.adjugate([rs.roots[i].coeffs for i in base])
+    coords = _base_coordinates(rs, sub)
     comp_of = {t: c for c, comp in enumerate(sub.components) for t in comp}
-    # the support of a positive root lies in one component
-    comp_roots = [[] for _ in sub.components]
-    for i in sub.positive_indices:
-        exp = tuple(x // d for x in il.vecmat(rs.roots[i].coeffs, adj))
-        comp_roots[comp_of[next(t for t, x in enumerate(exp) if x)]].append(
-            (sum(exp), i, exp))
+    # every root of a component lies below theta, so theta comes last
+    highest = {comp_of[t]: e for t, e in coords.values()}
     out = []
-    for comp, roots in zip(sub.components, comp_roots):
-        _, best, best_exp = max(roots)  # the component's highest root
+    for c, comp in enumerate(sub.components):
         for t in comp:
-            h = best_exp[t]
+            h = highest[c][t]
             if h < 2 or any(h % p == 0 for p in range(2, h)):
                 continue
-            new_base = [b for s, b in enumerate(base) if s != t]
-            new_base.append(rs.negate[best])
-            out.append((t, h, subsystem_from_base(rs, new_base)))
+            kept = [i for i, (_, e) in coords.items() if e[t] % h == 0]
+            out.append((t, h, Subsystem(rs, kept + [rs.negate[i] for i in kept])))
     return out
 
 
@@ -257,18 +271,16 @@ def equal_rank_subsystems(rs: RootSystem,
     Closure of the whole system under prime-node deletion steps and the
     Weyl action, one orbit search per W-class, which keys every member of
     the class.  CapExceeded is raised as soon as more than ``cap``
-    subsystems are found; a complete list is cached on the root system.
+    subsystems are found: a new orbit is disjoint from the classes keyed
+    before it, so its search stops once it passes what the cap leaves.
     """
-    cached = getattr(rs, "_equal_rank_subs", None)
-    if cached is not None and len(cached) <= cap:
-        return cached
     keys = {}
     worklist = [frozenset(range(len(rs.roots)))]
     while worklist:
         s = worklist.pop()
         if s in keys:
             continue
-        orbit = keyed_orbit(rs, s)
+        orbit = keyed_orbit(rs, s, cap - len(keys))
         keys.update(orbit)
         if len(keys) > cap:
             raise CapExceeded(
@@ -277,9 +289,7 @@ def equal_rank_subsystems(rs: RootSystem,
         worklist += [step.indices
                      for _, _, step in _prime_steps(rs, Subsystem(rs, orbit[s]))]
     subs = sorted((Subsystem(rs, s) for s in keys), key=attrgetter("key"))
-    out = Candidates(subs, [keys[sub.indices] for sub in subs])
-    rs._equal_rank_subs = out
-    return out
+    return Candidates(subs, [keys[sub.indices] for sub in subs])
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +361,11 @@ class StrataPoset:
     """
 
     def __init__(self, datum: GroupDatum, q: int, route: str,
-                 strata: list[Stratum], warnings=()):
+                 strata: list[Stratum], warnings=(), candidates=None):
         self.datum = datum
         self.q = q
         self.route = route
+        self.candidates = candidates  # those the classify route inverted
         self.strata = sorted(
             strata, key=lambda st: (-len(st.subsystem.indices), st.key)
         )
@@ -383,24 +394,29 @@ class StrataPoset:
             if st.key == key
         ]
 
-    def summary(self) -> list[dict]:
-        """One row per stratum, from class data: W-conjugate strata (equal
-        class keys) have the same type, so each class's signature is
-        computed once, and no generators of Z are solved."""
+    def class_signatures(self) -> list[str]:
+        """The signature of each stratum, computed once per W-class:
+        W-conjugate strata (equal class keys) have the same type."""
         signatures = {}
         for st, key in zip(self.strata, self.class_keys):
             if key not in signatures:
                 signatures[key] = st.signature
+        return [signatures[key] for key in self.class_keys]
+
+    def summary(self) -> list[dict]:
+        """One row per stratum, from class data: each class's signature is
+        computed once, and no generators of Z are solved."""
         return [
             {
-                "signature": signatures[key],
+                "signature": signature,
                 "roots": len(st.subsystem.indices),
                 "z_invariants": list(st.z_invariants),
                 "z_order": st.z_order,
                 "s_size": st.s_size,
                 "canonical": st.key == key,
             }
-            for st, key in zip(self.strata, self.class_keys)
+            for st, key, signature in zip(self.strata, self.class_keys,
+                                          self.class_signatures())
         ]
 
 
@@ -423,8 +439,11 @@ def strata_poset(
     route: str = "enumerate",
     point_cap: int = DEFAULT_POINT_CAP,
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
+    candidates=None,
 ) -> StrataPoset:
-    """Build the realized elliptic strata poset at q by either route.
+    """Build the realized elliptic strata poset at q by either route; the
+    classify route inverts over ``candidates``, by default those
+    ``equal_rank_subsystems`` finds under ``candidate_cap``.
 
     Neither route enumerates W: the strata are W-classes of root subsets,
     found by orbit searches under the simple reflections.
@@ -432,7 +451,9 @@ def strata_poset(
     if route == "enumerate":
         poset = _strata_by_enumeration(datum, q, point_cap)
     elif route == "classify":
-        poset = _strata_by_classification(datum, q, candidate_cap)
+        cands = candidates or equal_rank_subsystems(datum.root_system,
+                                                    candidate_cap)
+        poset = _strata_by_classification(datum, q, cands)
     else:
         raise ValueError(f"unknown route {route!r}")
     return poset
@@ -460,9 +481,8 @@ def _strata_by_enumeration(datum, q, point_cap) -> StrataPoset:
     return poset
 
 
-def _strata_by_classification(datum, q, candidate_cap) -> StrataPoset:
+def _strata_by_classification(datum, q, cands) -> StrataPoset:
     rs = datum.root_system
-    cands = equal_rank_subsystems(rs, candidate_cap)
     z_of = _class_groups(datum, q, cands, cands.class_keys)
     # Möbius inversion of |Z_c| = sum of |S_d| over d >= c, by
     # back-substitution: a candidate with more roots comes first, so every
@@ -487,7 +507,7 @@ def _strata_by_classification(datum, q, candidate_cap) -> StrataPoset:
                 f"{t}: divisibility {need} | q-1 fails at q={q}; sizes "
                 "recovered by inversion remain exact"
             )
-    return StrataPoset(datum, q, "classify", strata, warnings)
+    return StrataPoset(datum, q, "classify", strata, warnings, cands)
 
 
 # ---------------------------------------------------------------------------

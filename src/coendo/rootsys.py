@@ -177,18 +177,19 @@ class Root:
         return f"Root{self.coeffs}"
 
 
-def closure(seeds, neighbours) -> dict:
+def closure(seeds, neighbours, limit=math.inf) -> dict:
     """Everything reachable from ``seeds`` by ``neighbours``, mapped to its
     distance from the seeds.
 
     Keys are in breadth-first discovery order: the seeds first (a repeated
     seed once), then level by level, each element's neighbours in the order
-    the callable yields them.
+    the callable yields them.  Once more than ``limit`` are found, the
+    search stops at the end of that level and returns what it found.
     """
     dist = dict.fromkeys(seeds, 0)
     frontier = list(dist)
     depth = 0
-    while frontier:
+    while frontier and len(dist) <= limit:
         depth += 1
         new = []
         for x in frontier:
@@ -245,10 +246,16 @@ class RootSystem:
                  pair[c][1])
             for i, c in enumerate(found))
         self.index_of = index_of = {c: i for i, c in enumerate(found)}
+        # a root's key is its coefficients as base-32 digits, so keys add as
+        # roots do; marks are at most 6, so a sum or difference of two roots
+        # (coefficients in -12..12) is a root iff its key is a root's key
+        self.keys = keys = tuple(sum(v << 5 * t for t, v in enumerate(c))
+                                 for c in found)
+        self.key_index = key_index = dict(zip(keys, range(len(keys))))
         self.simple_indices = tuple(index_of[c] for c in simple)
         self.positive_indices = tuple(rt.index for rt in self.roots
                                       if rt.positive)
-        self.negate = tuple(index_of[tuple(-v for v in c)] for c in found)
+        self.negate = tuple(key_index[-k] for k in keys)
         # root-index permutations of the simple reflections, in node order
         self.simple_reflection_perms = tuple(
             tuple(index_of[image(c, j)] for c in found) for j in range(r))
@@ -284,26 +291,6 @@ class RootSystem:
             self._reflection_perms[beta] = self._reflection_perms[
                 self.negate[beta]] = cached
         return cached
-
-    @cached_property
-    def sums(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """For each root i, the pairs (j, k) with root i + root j = root k.
-
-        Built on integer keys: the root with simple-root coefficients c has
-        key sum_t c_t 32^t, and keys add when roots add.  Highest-root
-        marks are at most 6, so a sum of two roots has coefficients in
-        -12..12; two such vectors differ by less than 32 in every
-        coefficient, so equal keys mean equal vectors and a sum's key is a
-        root's key only when the sum is that root.
-        """
-        keys = [sum(c << 5 * t for t, c in enumerate(rt.coeffs))
-                for rt in self.roots]
-        index = {key: i for i, key in enumerate(keys)}.get
-        return tuple(
-            tuple((j, k) for j, k in enumerate(map(index, [a + b for b in keys]))
-                  if k is not None)
-            for a in keys
-        )
 
     def __repr__(self):
         return "x".join(map(repr, self.simple_factors))

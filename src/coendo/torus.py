@@ -25,7 +25,9 @@ import math
 import re
 import sys
 from array import array
+from bisect import bisect_left
 from functools import cached_property
+from operator import mul
 
 from . import intlinalg as il
 from .rootsys import (
@@ -92,7 +94,8 @@ class Subsystem:
 
     @cached_property
     def positive_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in self.key if self.rs.roots[i].positive)
+        # roots are sorted by height, so the positive ones come last
+        return self.key[bisect_left(self.key, len(self.rs.roots) // 2):]
 
     @cached_property
     def rank(self) -> int:
@@ -108,39 +111,34 @@ class Subsystem:
 
     @cached_property
     def base_indices(self) -> tuple[int, ...]:
-        """Positive roots of the subsystem not sums of two of its positive roots."""
+        """Positive roots of the set not the sum of two of its positive
+        roots, for any root set: beta is one iff key(beta) - key(alpha) is
+        the key of a positive root of the set for none of those alpha."""
+        keys = self.rs.keys
         pos = self.positive_indices
-        inside = set(pos)
-        sums = self.rs.sums
-        decomposable = {k for j in pos for l, k in sums[j] if l in inside}
-        return tuple(i for i in pos if i not in decomposable)
+        inside = {keys[i] for i in pos}
+        return tuple(i for i in pos
+                     if inside.isdisjoint(map(keys[i].__sub__, inside)))
 
     def is_closed(self) -> bool:
         """alpha, beta in the set and alpha+beta a root  =>  alpha+beta in the
-        set; and the set is negation-stable."""
-        have = self.indices
-        negate = self.rs.negate
-        sums = self.rs.sums
-        return (all(negate[i] in have for i in have)
-                and all(k in have for i in have
-                        for j, k in sums[i] if j in have))
+        set; and the set is negation-stable.  Read off the roots' keys."""
+        keys = self.rs.keys
+        have = {keys[i] for i in self.indices}
+        # a + b = c for a root c outside the set iff b = c - a.  In a
+        # negation-stable set, a > 0 and c > 0 suffice: a + b = c < 0 with
+        # a > 0 has b < 0, and then (-b) + (-a) = -c > 0 with -b > 0.
+        outside = [c for c in keys[len(keys) // 2:] if c not in have]
+        return (all(-k in have for k in have)
+                and all(have.isdisjoint(map(keys[i].__rsub__, outside))
+                        for i in self.positive_indices))
 
     @cached_property
     def base_cartan(self):
         base = self.base_indices
         roots = self.rs.roots
-        return il.mat(
-            [
-                [
-                    sum(
-                        roots[i].coeffs[t] * roots[j].coroot_ambient[t]
-                        for t in range(self.rs.rank)
-                    )
-                    for j in base
-                ]
-                for i in base
-            ]
-        )
+        return il.mat([[sum(map(mul, roots[i].coeffs, roots[j].coroot_ambient))
+                        for j in base] for i in base])
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -219,7 +217,7 @@ def centralizer_subsystem(datum: GroupDatum, q: int, residues) -> Subsystem:
     m = q - 1
     return Subsystem(datum.root_system, [
         i for i, row in enumerate(datum.root_functionals)
-        if sum(a * b for a, b in zip(row, residues)) % m == 0
+        if sum(map(mul, row, residues)) % m == 0
     ])
 
 
@@ -319,7 +317,7 @@ def centralizer_masks(rows, m, least):
 
 def full_rank_test(rs, pos):
     """The test mask -> "the roots of mask have full rank", for masks over
-    the positive roots ``pos`` (bit b for root pos[b], in height order)
+    all positive roots ``pos`` in height order (bit b for root pos[b])
     that are the positive part of a closed, negation-stable root set, as
     the roots that kill a point are.
 
@@ -329,16 +327,16 @@ def full_rank_test(rs, pos):
     closed, so beta - s is in it when it is a root.  A test walks the
     mask's bits upward, calls a bit simple unless pos[j] - s is a root for
     a simple s found before (``lower[j]`` has bit l when pos[j] - pos[l]
-    is a root), and stops at r of them: one AND per bit, once per mask.
+    is a positive root, found from key differences), and stops at r of
+    them: one AND per bit, once per mask.
     """
     r = rs.rank
-    bit = {i: b for b, i in enumerate(pos)}
-    lower = [0] * len(pos)
-    for l, i in enumerate(pos):
-        for _, t in rs.sums[i]:
-            j = bit.get(t)
-            if j is not None:
-                lower[j] |= 1 << l
+    keys = [rs.keys[i] for i in pos]
+    value = {k: 1 << b for b, k in enumerate(keys)}
+    # pos[j] - pos[l] = pos[b] iff pos[j] - pos[b] = pos[l]: bit l of
+    # lower[j] is the value of the key difference with some pos[b]
+    lower = [sum(filter(None, map(value.get, map(k.__sub__, keys))))
+             for k in keys]
     cache = {}
 
     def test(mask):

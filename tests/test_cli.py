@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coendo import cli, rootsys
+from coendo import cli, coendoscopy, rootsys, torus
 
 
 def run(args, capsys):
@@ -838,3 +839,56 @@ def test_coeffs_config_fuzz_exits_cleanly(tmp_path, raw, manifest, data):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     run_clean(["verify", "--manifest", str(path)], "verify")
+
+
+SUBSYSTEM_RUNS = [
+    ["classify", "--type", "F4", "--q", "13"],
+    ["strata", "--type", "F4", "--q", "13", "--route", "enumerate"],
+    ["strata", "--type", "F4", "--q", "13", "--route", "classify"],
+    ["coeffs", "--type", "F4", "--q", "13", "--route", "enumerate"],
+    ["coeffs", "--type", "F4", "--q", "13", "--route", "classify"],
+]
+
+
+@pytest.mark.parametrize("argv", SUBSYSTEM_RUNS, ids=" ".join)
+def test_subsystem_runs_build_no_root_sum_table(monkeypatch, capsys, argv):
+    # any read of a root-sum table on a root system raises
+    def refuse(self):
+        raise AssertionError("a root-sum table was built")
+
+    monkeypatch.setattr(rootsys.RootSystem, "sums", property(refuse),
+                        raising=False)
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+
+
+def test_classify_route_coeffs_enumerates_candidates_once(monkeypatch,
+                                                          capsys):
+    calls = []
+    enumerate_ = coendoscopy.equal_rank_subsystems
+
+    def counting(rs, *cap):
+        calls.append(rs)
+        return enumerate_(rs, *cap)
+
+    monkeypatch.setattr(coendoscopy, "equal_rank_subsystems", counting)
+    code, _, err = run(SUBSYSTEM_RUNS[-1], capsys)
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+def test_classify_route_coeffs_leaves_no_root_system_cycle(capsys):
+    # with DEBUG_SAVEALL the collector keeps what it would have freed
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code, _, err = run(["coeffs", "--type", "F4", "--q", "13", "--route",
+                            "classify", "--degrees", "1,1"], capsys)
+        gc.collect()
+        cyclic = [type(x).__name__ for x in gc.garbage
+                  if isinstance(x, (torus.Subsystem, rootsys.RootSystem))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert code == 0, err
+    assert cyclic == []

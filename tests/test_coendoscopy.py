@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from coendo import oracle as O
 from coendo import rootsys as R
 from coendo import torus as T
 from test_oracle import refuse_weyl
-from test_torus import equal_rank_subsets, reflection_closure, subset_stabilizer
+from test_torus import SIMPLE_TYPE_NAMES, equal_rank_subsets, \
+    reflection_closure, step_closure, subset_stabilizer, subsystem_from_base
 
 
 def datum_for(name, lat, q):
@@ -84,8 +86,8 @@ def test_bds_searches_within_one_factor(monkeypatch, name, visited):
     counts = []
     orbit_of_subset = C.orbit_of_subset
 
-    def counted(rs, indices):
-        orbit = orbit_of_subset(rs, indices)
+    def counted(rs, indices, *limit):
+        orbit = orbit_of_subset(rs, indices, *limit)
         counts.append(len(orbit))
         return orbit
 
@@ -158,7 +160,7 @@ def test_candidate_cap_raises_and_caches_only_a_complete_list():
     with pytest.raises(R.CapExceeded, match=r"caps\.candidates"):
         C.equal_rank_subsystems(rs, cap=4)
     assert len(C.equal_rank_subsystems(rs, cap=5)) == 5
-    # a cached list longer than a later cap is not returned under it
+    # no list outlives the call, so a later, smaller cap raises again
     with pytest.raises(R.CapExceeded):
         C.equal_rank_subsystems(rs, cap=4)
 
@@ -615,7 +617,7 @@ def reference_prime_steps(rs, sub):
             h = best_exp[t]
             if h in (2, 3, 5):  # highest-root marks are at most 6
                 new_base = [b for s, b in enumerate(base) if s != t]
-                out.append((t, h, C.subsystem_from_base(
+                out.append((t, h, subsystem_from_base(
                     rs, new_base + [rs.negate[best]]).indices))
     return out
 
@@ -659,9 +661,9 @@ def test_enumerate_route_searches_each_class_once(monkeypatch):
     calls = []
     search = C.orbit_of_subset
 
-    def counting(rs, indices):
+    def counting(rs, indices, *limit):
         calls.append(indices)
-        return search(rs, indices)
+        return search(rs, indices, *limit)
 
     monkeypatch.setattr(C, "orbit_of_subset", counting)
     for factors, lattice, q in [(["F4"], "sc", 13), (["G2"], "ad", 7),
@@ -700,9 +702,9 @@ def test_bds_searches_only_options_that_share_a_signature(monkeypatch):
     calls = []
     search = C.orbit_of_subset
 
-    def counting(rs, indices):
+    def counting(rs, indices, *limit):
         calls.append(indices)
-        return search(rs, indices)
+        return search(rs, indices, *limit)
 
     monkeypatch.setattr(C, "orbit_of_subset", counting)
     # E8's five options have five types, so no W-orbit search runs
@@ -721,3 +723,94 @@ def test_bds_searches_only_options_that_share_a_signature(monkeypatch):
         cls = C.borel_de_siebenthal(R.build_root_system([name]))
         assert len(calls) == searches
         assert [cl.equivalent_nodes for cl in cls] == nodes
+
+
+def class_representatives(rs):
+    """One full-rank closed subsystem per W-class: the members keyed by
+    their own key, or the step closure for a type past the default cap."""
+    if "E8" in repr(rs):
+        return [T.Subsystem(rs, s) for s in step_closure(rs)]
+    cands = C.equal_rank_subsystems(rs)
+    return [sub for sub, key in zip(cands, cands.class_keys)
+            if sub.key == key]
+
+
+@pytest.mark.parametrize("factors", STEP_TYPES,
+                         ids=[",".join(f) for f in STEP_TYPES])
+def test_descent_coordinates_match_adjugate(factors):
+    # e = c adj(A) / det A for a root c on the base rows A
+    rs = R.build_root_system(factors)
+    for sub in class_representatives(rs):
+        base = sub.base_indices
+        adj, d = il.adjugate([rs.roots[i].coeffs for i in base])
+        coords = C._base_coordinates(rs, sub)
+        assert list(coords) == list(sub.positive_indices)
+        found = {tuple(e) for _, e in coords.values()}
+        for i, (t, e) in coords.items():
+            row = il.vecmat(rs.roots[i].coeffs, adj)
+            assert all(x % d == 0 for x in row)
+            assert e == [x // d for x in row]
+            lower = tuple(x - (s == t) for s, x in enumerate(e))
+            assert e[t] > 0 and (not any(lower) or lower in found)
+
+
+def unpruned_orbit(rs, indices, limit=math.inf):
+    """The W-orbit search with every simple reflection at every member."""
+    perms = rs.simple_reflection_perms
+    orbit = R.closure([frozenset(indices)], lambda s: [
+        frozenset(perm[i] for i in s) for perm in perms], limit)
+    return sorted(orbit, key=lambda s: tuple(sorted(s)))
+
+
+# The W-orbits of E8's full-rank closed subsystems hold 132,462 sets, and
+# searching them all both ways takes 14 s (22 s for E8 x A4) on a 2-vCPU
+# machine; there each class is compared on the levels of its search up to
+# 300 members.
+# Pruning drops only steps that fix a member, so both searches end at the
+# same level with the same sets.
+@pytest.mark.parametrize("name", SIMPLE_TYPE_NAMES + ["E8,A4"])
+def test_pruned_orbits_match_unpruned(name):
+    rs = R.build_root_system(name.split(","))
+    limit = 300 if "E8" in name else math.inf
+    for sub in class_representatives(rs):
+        assert C.orbit_of_subset(rs, sub.indices, limit) == \
+            unpruned_orbit(rs, sub.indices, limit)
+
+
+def test_prime_steps_use_no_inverse_and_no_reflection(monkeypatch):
+    # test_prime_steps_match_per_component_search checks what they return
+    def refuse(*args):
+        raise AssertionError("an inverse or a reflection was built")
+
+    monkeypatch.setattr(il, "adjugate", refuse)
+    monkeypatch.setattr(R.RootSystem, "reflection_perm", refuse)
+    for factors in STEP_TYPES:
+        rs = R.build_root_system(factors)
+        for sub in class_representatives(rs):
+            C._prime_steps(rs, sub)
+
+
+def test_candidate_cap_binds_during_the_orbit_search(monkeypatch):
+    # every subset built is a member keyed within the cap moved by one of
+    # the r simple reflections, so at most cap * r are built before the
+    # error; searching the whole orbit that crosses the cap builds more
+    built = []
+    search = C.closure
+
+    def counting(seeds, neighbours, *limit):
+        def counted(x):
+            out = neighbours(x)
+            built.extend(out)
+            return out
+        return search(seeds, counted, *limit)
+
+    monkeypatch.setattr(C, "closure", counting)
+    rs = R.build_root_system(["E7"])
+    assert len(C.equal_rank_subsystems(rs, cap=1516)) == 1516
+    for cap in (1, 40, 200, 1515):
+        built.clear()
+        with pytest.raises(R.CapExceeded) as err:
+            C.equal_rank_subsystems(rs, cap=cap)
+        assert str(err.value) == (f"full-rank closed subsystems exceed cap "
+                                  f"{cap} (caps.candidates)")
+        assert len(built) <= cap * rs.rank

@@ -184,3 +184,21 @@ def test_manifest_deterministic_and_passing():
 def test_run_instance_unknown_check():
     with pytest.raises(ValueError):
         O.run_instance({"check": "nope"})
+
+
+def test_field_extension_enumerates_candidates_once(monkeypatch):
+    # the candidates are q-independent: the precondition and both
+    # classify-route posets share one enumeration
+    calls = []
+    enumerate_ = C.equal_rank_subsystems
+
+    def counting(rs, *cap):
+        calls.append(rs)
+        return enumerate_(rs, *cap)
+
+    monkeypatch.setattr(C, "equal_rank_subsystems", counting)
+    monkeypatch.setattr(O, "equal_rank_subsystems", counting)
+    datum = R.make_datum(["G2"], "ad", 7)
+    spec = O.random_spec(2, 2, random.Random(107))
+    assert O.field_extension_check(datum, spec, 7, 2).passed
+    assert len(calls) == 1

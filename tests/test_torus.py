@@ -529,6 +529,13 @@ def reference_type(cartan):
     raise AssertionError(f"no type has Cartan matrix {cartan}")
 
 
+def subsystem_from_base(rs, base_indices):
+    """Closed subsystem generated by a simple system, by reflection closure."""
+    perms = [rs.reflection_perm(b) for b in base_indices]
+    seen = R.closure(base_indices, lambda i: [perm[i] for perm in perms])
+    return T.Subsystem(rs, [*seen, *(rs.negate[i] for i in seen)])
+
+
 def step_closure(rs):
     """The root subsets that prime-node deletion steps reach from the whole
     system, with no Weyl action: at least one of each W-class of full-rank
@@ -793,5 +800,5 @@ def test_full_rank_test_accepts_every_equal_rank_subsystem(name):
         assert mask_rank(coeffs, mask) == rs.rank
         assert full_rank(mask)
         # one base root fewer generates a closed subsystem of rank r - 1
-        short = C.subsystem_from_base(rs, sub.base_indices[1:])
+        short = subsystem_from_base(rs, sub.base_indices[1:])
         assert not full_rank(sum(1 << bit[i] for i in short.positive_indices))
