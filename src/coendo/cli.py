@@ -172,11 +172,18 @@ def load_manifest(path: str) -> list[dict]:
                 f"manifest entries need a 'check' out of "
                 f"{', '.join(oracle.MANIFEST_CHECKS)}: {inst!r}"
             )
-        missing = [key for key in oracle.MANIFEST_CHECKS[check]
-                   if key not in inst]
+        required = oracle.MANIFEST_CHECKS[check]
+        missing = [key for key in required if key not in inst]
         if missing:
             raise ConfigError(
                 f"manifest entry {inst!r} lacks {', '.join(missing)}"
+            )
+        optional = ("q",) if check == "bds_cross" else ()
+        unknown = sorted(set(inst) - {"check", *required, *optional})
+        if unknown:
+            raise ConfigError(
+                f"manifest entry {inst!r} has unknown keys "
+                f"{', '.join(unknown)}"
             )
         _check_manifest_values(inst)
     return manifest

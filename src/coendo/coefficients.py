@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from array import array
 from collections import Counter
 from operator import mul
 
@@ -224,35 +225,55 @@ def n_coefficient(
 def _tuple_orbits(weyl: WeylGroup, base, num_finite_places: int, cap: int):
     """Orbits of C_W(iota) by simultaneous conjugation on tuples of
     W_iota\\W representatives, iota having the simple roots ``base``, as
-    (lex-least representative tuple, sorted member list) pairs.
+    (lex-least representative tuple, sorted member list) pairs, in order.
 
     An orbit of a group is an orbit of any generating set, so the search
-    moves tuples by the generators of C_W(iota) only.
+    moves tuples by the generators c of C_W(iota) only, each sending
+    W_iota x to W_iota c^-1 x c.  For a reflection c = s_beta, beta in the
+    base, that is W_iota x s_beta; for c in Stab(Delta_iota) it is
+    W_iota (c^-1 x) c, and c^-1 x is already a representative.  Both are
+    right actions along a reduced word of c, one ``coset_moves`` table per
+    letter.  A tuple is coded as its coset positions read as base-n digits,
+    the first digit most significant, so code order is lex order.
     """
     reps = weyl.cosets(base)
-    total = len(reps) ** num_finite_places
+    n = len(reps)
+    total = n ** num_finite_places
     if total > cap:
         raise CapExceeded(
-            f"{len(reps)}^{num_finite_places} coset tuples exceed cap {cap} "
+            f"{n}^{num_finite_places} coset tuples exceed cap {cap} "
             "(caps.orbits)",
             order=total,
         )
+    moves = weyl.coset_moves(base)
+    at = {x: i for i, x in enumerate(reps)}
+    typecode = "I" if total <= 1 << 32 else "q"
     gens = weyl.cw_generators(base)
-    conj = {}
-    for c in gens:
-        cinv = weyl.inv(c)
-        conj[c] = {g: weyl.coset_rep(base, weyl.mul(weyl.mul(cinv, g), c))
-                   for g in reps}
-    seen = set()
+    # W_iota c^-1 x for each x: W_iota x for the reflections, which come
+    # first, and the representative c^-1 x for c in Stab(Delta_iota)
+    starts = [range(n)] * len(base) + [
+        [at[weyl.mul(weyl.inv(c), x)] for x in reps]
+        for c in gens[len(base):]]
+    images = []
+    for c, table in zip(gens, starts):
+        for j in weyl.word(c):
+            table = list(map(moves[j].__getitem__, table))
+        image = [0]
+        for _ in range(num_finite_places):
+            image = array(typecode,
+                          [a * n + b for a in image for b in table])
+        images.append(image)
+    tuples = list(itertools.product(reps, repeat=num_finite_places))
+    seen = bytearray(total)
     out = []
-    for tup in itertools.product(reps, repeat=num_finite_places):
-        if tup in seen:
+    for code in range(total):
+        if seen[code]:
             continue
-        orbit = closure([tup], lambda cur: [
-            tuple(conj[c][g] for g in cur) for c in gens])
-        seen.update(orbit)
-        out.append((min(orbit), sorted(orbit)))
-    out.sort(key=lambda pair: pair[0])
+        orbit = sorted(closure([code], lambda cur: [
+            image[cur] for image in images]))
+        for c in orbit:
+            seen[c] = 1
+        out.append((tuples[code], [tuples[c] for c in orbit]))
     return out
 
 

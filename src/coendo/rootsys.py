@@ -387,40 +387,92 @@ class WeylGroup:
         y(base); so Y is closed under left descent (if y^-1(alpha_j) < 0
         then y(beta) = alpha_j would give y^-1(alpha_j) = beta > 0), and a
         walk by y -> s_j y from the identity finds all of it.
+
+        The same walk records ``coset_moves`` and ``stabilizer``.
         """
         base = tuple(base)
         found = self._cosets.get(base)
         if found is None:
             n = self.rs.num_roots
+            ident = self.perms[0]
             steps = [(s, self._tables[s]) for s in self.rs.simple_indices]
             image = itemgetter(*base, base[0])  # a tuple for any base
-            walk = closure([self.perms[0]], lambda y: [
-                y.translate(table) for sent in [image(y)]
-                for s, table in steps if s not in sent])
-            found = self._cosets[base] = sorted(
-                self.index[bytes.maketrans(y, self.perms[0])[:n]]
-                for y in walk)
-        return found
+            baseset = set(base)
+            nexts, fixing = {}, []
+
+            def step(y):
+                sent = image(y)
+                if baseset.issuperset(sent):
+                    fixing.append(y)
+                nexts[y] = out = [None if s in sent else y.translate(table)
+                                  for s, table in steps]
+                return filter(None, out)
+
+            walk = closure([ident], step)
+            inverse = {y: self.index[bytes.maketrans(y, ident)[:n]]
+                       for y in walk}
+            ys = sorted(walk, key=inverse.__getitem__)
+            at = {y: i for i, y in enumerate(ys)}
+            moves = tuple(zip(*([i if z is None else at[z] for z in nexts[y]]
+                                for i, y in enumerate(ys))))
+            stab = sorted(inverse[y] for y in fixing)
+            found = self._cosets[base] = ([inverse[y] for y in ys], moves,
+                                          stab)
+        return found[0]
+
+    def coset_moves(self, base) -> tuple[tuple[int, ...], ...]:
+        """The right action of the simple reflections on W_iota\\W, read off
+        the walk of ``cosets``: W_iota x s_j is the coset at position
+        ``coset_moves(base)[j][i]`` of ``cosets(base)``, x being the one at
+        position i.
+
+        With y = x^-1, x s_j is (s_j y)^-1, the next representative of the
+        walk when alpha_j is not in y(base).  Otherwise alpha_j = y(beta)
+        for some beta in the base, so s_j y = y s_beta and x s_j = s_beta x
+        stays in W_iota x.
+        """
+        self.cosets(base)
+        return self._cosets[tuple(base)][1]
 
     def stabilizer(self, base) -> list[int]:
-        """Stab(Delta_iota), the elements mapping the base onto itself.
+        """Stab(Delta_iota), the elements mapping the base onto itself, in
+        increasing index order, the identity first.
 
         Such an element sends the positive roots of iota to positive
-        roots, so it is one of the W_iota\\W representatives.
+        roots, so it is one of the W_iota\\W representatives, and its
+        inverse, also in Stab(Delta_iota), is a y of the walk of
+        ``cosets`` with y(base) = base.
         """
-        perms = self.perms
-        return [x for x in self.cosets(base)
-                if all(perms[x][t] in base for t in base)]
+        self.cosets(base)
+        return self._cosets[tuple(base)][2]
+
+    def word(self, x: int) -> list[int]:
+        """A reduced word for element x: nodes j_1, ..., j_l with
+        x = s_j_1 ... s_j_l and l = length(x).
+
+        x s_j is shorter iff x(alpha_j) < 0, so l right descents from x
+        reach the identity; the letters are read off in reverse.
+        """
+        n = self.rs.num_roots
+        simple = self.rs.simple_indices
+        gens = [self._tables[s][:n] for s in simple]
+        perm = self.perms[x]
+        letters = []
+        for _ in range(self.length(x)):
+            j = next(j for j, s in enumerate(simple) if perm[s] < n // 2)
+            letters.append(j)
+            perm = gens[j].translate(perm + self._pad)  # perm o s_j
+        return letters[::-1]
 
     def cw_generators(self, base) -> tuple[int, ...]:
-        """Generators of C_W(iota) = W_iota x| Stab(Delta_iota).
+        """Generators of C_W(iota) = W_iota x| Stab(Delta_iota): the
+        reflections in the base, in base order, then Stab(Delta_iota)
+        without the identity.
 
         For c in C_W(iota), c(Delta_iota) is a simple system of the
         subsystem, and W_iota acts transitively on those, so c is a
         product of an element of W_iota and one that maps Delta_iota to
-        itself.  The reflections in Delta_iota generate W_iota; the
-        elements of the second kind are few, and all but the identity
-        (index 0) are listed.
+        itself.  The reflections in Delta_iota generate W_iota.
         """
         return tuple([self.reflection(t) for t in base]
                      + self.stabilizer(base)[1:])
@@ -431,27 +483,13 @@ class WeylGroup:
 
         C_W(iota) x is the union of the W_iota d x over d in
         Stab(Delta_iota), and d x is the shortest member of W_iota d x
-        when x is, so the representative is the least d x.
+        when x is, so the representative is the least d x; d = 1 gives x
+        itself, with no product.
         """
-        stab = self.stabilizer(base)
-        return sorted({min((self.mul(d, x) for d in stab),
+        stab = self.stabilizer(base)[1:]
+        return sorted({min([x, *(self.mul(d, x) for d in stab)],
                            key=lambda w: (self.length(w), w))
                        for x in self.cosets(base)})
-
-    def coset_rep(self, base, x: int) -> int:
-        """The representative in ``cosets(base)`` of W_iota x: while
-        x^-1(beta) < 0 for some beta in the base, s_beta x is shorter.  Each
-        step lowers the W_iota-length of the W_iota-component of x, so past
-        |Phi^+| steps ``base`` is not a simple system and is refused."""
-        half = self.rs.num_roots // 2
-        perm = self.perms[x]
-        for _ in range(half + 1):
-            beta = next((b for b in base if perm.index(b) < half), None)
-            if beta is None:
-                return self.index[perm]
-            perm = perm.translate(self._tables[beta])
-        raise ValueError(f"coset_rep: no representative after {half} descent "
-                         f"steps; {list(base)} is not a simple system")
 
 
 def weyl_generate(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:

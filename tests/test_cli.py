@@ -491,8 +491,12 @@ def test_config_shapes_exit_2(tmp_path, capsys):
     (b'[{"check": "nope"}]', "'check'"),
     (b'[{"check": ["brute_strata"]}]', "'check'"),
     (b'[{"check": "brute_strata", "q": 5}]', "lacks factors, lattice"),
+    (b'[{"check": "bds_cross", "type": "G2", "Q": 49}]', "unknown keys Q"),
+    (b'[{"check": "brute_strata", "factors": ["A1"], "lattice": "sc", '
+     b'"q": 5, "seed": 1, "n": 2}]', "unknown keys n, seed"),
 ], ids=["missing", "malformed", "not-utf8", "object", "entry-not-object",
-        "unknown-check", "unhashable-check", "missing-keys"])
+        "unknown-check", "unhashable-check", "missing-keys", "unknown-key",
+        "keys-of-another-check"])
 def test_bad_manifest_exits_2(tmp_path, capsys, content, key):
     manifest = tmp_path / "m.json"
     if content is not None:

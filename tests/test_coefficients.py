@@ -271,20 +271,19 @@ def test_bound_dominates_tables():
 # direct way: W_iota closed over the reflections in all its positive roots,
 # and C_W(iota) acting by every one of its elements.
 
-def reference_wiota(weyl, poset, si):
-    return reflection_closure(weyl,
-                              poset.strata[si].subsystem.positive_indices)
+def reference_wiota(weyl, sub):
+    return reflection_closure(weyl, sub.positive_indices)
 
 
-def reference_cw(weyl, poset, si):
-    return subset_stabilizer(weyl, poset.strata[si].subsystem)
+def reference_cw(weyl, sub):
+    return subset_stabilizer(weyl, sub)
 
 
-def reference_orbits(weyl, poset, si, num_finite):
-    cosets = coset_partition(weyl, reference_wiota(weyl, poset, si))
+def reference_orbits(weyl, sub, num_finite):
+    cosets = coset_partition(weyl, reference_wiota(weyl, sub))
     to_rep = {x: rep for rep, members in cosets for x in members}
     reps = [rep for rep, _ in cosets]
-    cw = reference_cw(weyl, poset, si)
+    cw = reference_cw(weyl, sub)
     out = []
     seen = set()
     for tup in itertools.product(reps, repeat=num_finite):
@@ -309,24 +308,28 @@ EQUIVALENCE_IDS = ["A2", "B2", "B3", "C3", "G2", "A2xA1"]
 @pytest.mark.parametrize("factors,lat,q", EQUIVALENCE_GRID,
                          ids=EQUIVALENCE_IDS)
 def test_coset_rules_match_partitions(factors, lat, q):
-    # the representatives from Dyer's criterion, the descent in coset_rep
-    # and the least d x for C_W(iota) against the shortest members of a
-    # partition of W into cosets
+    # the representatives from Dyer's criterion, the moves recorded by the
+    # walk and the least d x for C_W(iota) against the shortest members of
+    # a partition of W into cosets
     datum = R.make_datum(factors, lat, R.characteristic_of(q))
     poset = C.strata_poset(datum, q, "classify")
     weyl = R.weyl_generate(datum.root_system)
-    for si in range(len(poset)):
-        base = poset.strata[si].subsystem.base_indices
-        cosets = coset_partition(weyl, reference_wiota(weyl, poset, si))
+    for stratum in poset.strata:
+        sub = stratum.subsystem
+        base = sub.base_indices
+        cosets = coset_partition(weyl, reference_wiota(weyl, sub))
         for _, members in cosets:
             shortest = min(map(weyl.length, members))
             assert [weyl.length(x) for x in members].count(shortest) == 1
         assert weyl.cosets(base) == [rep for rep, _ in cosets]
         assert weyl.cosets(base) is weyl.cosets(base)  # walked once
         to_rep = {x: rep for rep, members in cosets for x in members}
-        assert all(weyl.coset_rep(base, x) == to_rep[x]
-                   for x in range(weyl.order))
-        cw = reference_cw(weyl, poset, si)
+        reps = weyl.cosets(base)
+        for j, moves in enumerate(weyl.coset_moves(base)):
+            s_j = weyl.reflection(datum.root_system.simple_indices[j])
+            assert [reps[i] for i in moves] == [
+                to_rep[weyl.mul(x, s_j)] for x in reps]
+        cw = reference_cw(weyl, sub)
         assert weyl.cw_cosets(base) == [
             rep for rep, _ in coset_partition(weyl, cw)]
         assert weyl.stabilizer(base) == [
@@ -355,14 +358,29 @@ def test_orbits_and_wiota_match_reference(factors, lat, q):
     poset = C.strata_poset(datum, q, "classify")
     weyl = R.weyl_generate(datum.root_system)
     for si in range(len(poset)):
-        base = poset.strata[si].subsystem.base_indices
-        assert reflection_closure(weyl, base) == reference_wiota(weyl, poset,
-                                                                 si)
-        cw = reference_cw(weyl, poset, si)
+        sub = poset.strata[si].subsystem
+        base = sub.base_indices
+        assert reflection_closure(weyl, base) == reference_wiota(weyl, sub)
+        cw = reference_cw(weyl, sub)
         assert generated_subgroup(weyl, weyl.cw_generators(base)) == cw
+        for nf in (0, 1, 2, 3) if factors in (["G2"], ["A2"]) else (1, 2):
+            ref = reference_orbits(weyl, sub, nf)
+            orbits = tuple_orbits(weyl, poset, si, nf)
+            assert orbits == ref
+            assert sum(len(members) for _, members in orbits) == len(
+                weyl.cosets(base)) ** nf
+
+
+@pytest.mark.parametrize("name", ["C3", "B4"])
+def test_orbits_match_reference_on_every_class(name):
+    # Stab(Delta_iota) of A1^3 in C3 and of A1^4 in B4 has elements of
+    # order 3 and 4; no stratum of EQUIVALENCE_GRID has one of order > 2
+    weyl = cached_weyl((name,))
+    for sub in class_representatives(name):
         for nf in (1, 2):
-            ref = reference_orbits(weyl, poset, si, nf)
-            assert tuple_orbits(weyl, poset, si, nf) == ref
+            assert K._tuple_orbits(weyl, sub.base_indices, nf,
+                                   K.DEFAULT_ORBIT_CAP) == reference_orbits(
+                weyl, sub, nf)
 
 
 @pytest.mark.parametrize("factors,lat,q", EQUIVALENCE_GRID,
