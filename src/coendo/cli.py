@@ -357,7 +357,7 @@ class Context:
 def cmd_classify(ctx: Context) -> dict:
     report = ctx.envelope("classify")
     rows = []
-    for cl in coendoscopy.classify(ctx.datum, ctx.q):
+    for cl in coendoscopy.classify(ctx.datum, ctx.q, ctx.candidate_cap):
         rows.append(
             {
                 "signature": cl.signature,
@@ -457,7 +457,7 @@ _CSV_COLUMNS = {
 
 def emit(report: dict, fmt: str, command: str, out) -> None:
     if fmt == "json":
-        out.write(json.dumps(report, sort_keys=True, indent=2, default=str))
+        json.dump(report, out, sort_keys=True, indent=2, default=str)
         out.write("\n")
         return
     if fmt == "csv":

@@ -227,14 +227,18 @@ def _tuple_orbits(weyl: WeylGroup, base, num_finite_places: int, cap: int):
     W_iota\\W representatives, iota having the simple roots ``base``, as
     (lex-least representative tuple, sorted member list) pairs, in order.
 
-    An orbit of a group is an orbit of any generating set, so the search
-    moves tuples by the generators c of C_W(iota) only, each sending
-    W_iota x to W_iota c^-1 x c.  For a reflection c = s_beta, beta in the
-    base, that is W_iota x s_beta; for c in Stab(Delta_iota) it is
-    W_iota (c^-1 x) c, and c^-1 x is already a representative.  Both are
-    right actions along a reduced word of c, one ``coset_moves`` table per
-    letter.  A tuple is coded as its coset positions read as base-n digits,
-    the first digit most significant, so code order is lex order.
+    C_W(iota) is generated by the reflections in the base and by
+    Stab(Delta_iota), the elements mapping the base onto itself: c in
+    C_W(iota) maps the base to a simple system of iota, and W_iota acts
+    transitively on those.  An orbit of a group is an orbit of any
+    generating set, so the search moves tuples by those generators c only,
+    each sending W_iota x to W_iota c^-1 x c.  For c = s_beta, beta in the
+    base, that is W_iota x s_beta; for c = d^-1 with d in Stab(Delta_iota),
+    a group, it is W_iota (d x) c, and d x is already a representative.
+    Both are right actions along a word of c (``RootSystem.reflection_word``,
+    or a reduced word of d reversed), one ``coset_moves`` table per letter.
+    A tuple is coded as its coset positions read as base-n digits, the
+    first digit most significant, so code order is lex order.
     """
     reps = weyl.cosets(base)
     n = len(reps)
@@ -248,15 +252,13 @@ def _tuple_orbits(weyl: WeylGroup, base, num_finite_places: int, cap: int):
     moves = weyl.coset_moves(base)
     at = {x: i for i, x in enumerate(reps)}
     typecode = "I" if total <= 1 << 32 else "q"
-    gens = weyl.cw_generators(base)
-    # W_iota c^-1 x for each x: W_iota x for the reflections, which come
-    # first, and the representative c^-1 x for c in Stab(Delta_iota)
-    starts = [range(n)] * len(base) + [
-        [at[weyl.mul(weyl.inv(c), x)] for x in reps]
-        for c in gens[len(base):]]
+    # (W_iota c^-1 x for each x, a word of c) for each generator c
+    gens = [(range(n), weyl.rs.reflection_word(t)) for t in base] + [
+        ([at[weyl.mul(d, x)] for x in reps], weyl.word(d)[::-1])
+        for d in weyl.stabilizer(base)[1:]]
     images = []
-    for c, table in zip(gens, starts):
-        for j in weyl.word(c):
+    for table, word in gens:
+        for j in word:
             table = list(map(moves[j].__getitem__, table))
         image = [0]
         for _ in range(num_finite_places):

@@ -53,22 +53,23 @@ from .torus import (
     subgroup_points,
 )
 
+DEFAULT_CANDIDATE_CAP = 10_000
+
 # ---------------------------------------------------------------------------
 # subset machinery
 
 
 def orbit_of_subset(rs: RootSystem, indices,
                     limit=math.inf) -> list[frozenset]:
-    """W-orbit of a closed, negation-stable root set, in key order, via the
-    simple-reflection permutations.  s_j fixes such a set that holds
+    """W-orbit of a closed, negation-stable root set, in search order, via
+    the simple-reflection permutations.  s_j fixes such a set that holds
     alpha_j (it is a reflection of the set's own root system), so it moves
     only members without alpha_j.  Past ``limit`` members the search stops
     at the end of a level and returns part of the orbit."""
     steps = list(zip(rs.simple_indices, rs.simple_reflection_perms))
-    orbit = closure([frozenset(indices)], lambda s: [
+    return list(closure([frozenset(indices)], lambda s: [
         frozenset(map(perm.__getitem__, s)) for a, perm in steps
-        if a not in s], limit)
-    return sorted(orbit, key=lambda s: tuple(sorted(s)))
+        if a not in s], limit))
 
 
 def keyed_orbit(rs: RootSystem, indices,
@@ -76,7 +77,7 @@ def keyed_orbit(rs: RootSystem, indices,
     """Every member of the W-orbit of a root subset (part of it past
     ``limit``), mapped to the least member, as a sorted tuple."""
     orbit = orbit_of_subset(rs, indices, limit)
-    return dict.fromkeys(orbit, tuple(sorted(orbit[0])))
+    return dict.fromkeys(orbit, tuple(min(map(sorted, orbit))))
 
 
 def canonical_subset(rs: RootSystem, indices) -> tuple[int, ...]:
@@ -85,13 +86,29 @@ def canonical_subset(rs: RootSystem, indices) -> tuple[int, ...]:
     return keyed_orbit(rs, indices)[indices]
 
 
-def class_keys(rs: RootSystem, sets) -> list[tuple[int, ...]]:
-    """canonical_subset of each frozenset, one orbit search per W-class:
-    every member of a searched orbit is keyed at once."""
+def _key_orbit(rs: RootSystem, s, keys: dict, cap) -> dict:
+    """Key the W-orbit of the full-rank closed subsystem s into ``keys``
+    and return it; CapExceeded once ``keys`` holds more than ``cap``
+    members.  A new orbit is disjoint from those keyed before it, so its
+    search stops once it passes what the cap leaves."""
+    orbit = keyed_orbit(rs, s, cap - len(keys))
+    keys.update(orbit)
+    if len(keys) > cap:
+        raise CapExceeded(
+            f"full-rank closed subsystems exceed cap {cap} "
+            "(caps.candidates)", order=len(keys))
+    return orbit
+
+
+def class_keys(rs: RootSystem, sets,
+               cap=math.inf) -> list[tuple[int, ...]]:
+    """canonical_subset of each full-rank closed subsystem, one orbit
+    search per W-class: every member of a searched orbit is keyed at once.
+    CapExceeded is raised once the orbits hold more than ``cap`` members."""
     keys = {}
     for s in sets:
         if s not in keys:
-            keys.update(keyed_orbit(rs, s))
+            _key_orbit(rs, s, keys, cap)
     return [keys[s] for s in sets]
 
 
@@ -136,7 +153,9 @@ class CoendoscopicClass:
         return f"CoendoscopicClass({self.signature}, node={tag})"
 
 
-def borel_de_siebenthal(rs: RootSystem) -> list[CoendoscopicClass]:
+def borel_de_siebenthal(
+        rs: RootSystem,
+        cap: int = DEFAULT_CANDIDATE_CAP) -> list[CoendoscopicClass]:
     """Nontrivial coendoscopic classes: the prime-node deletions of the
     whole system, W-conjugate ones merged, combined over factors.
 
@@ -145,7 +164,8 @@ def borel_de_siebenthal(rs: RootSystem) -> list[CoendoscopicClass]:
     one factor that share a signature are searched for conjugates.  A
     deletion in one factor leaves the others whole, so choosing a
     deletion in each of several factors gives the intersection of their
-    subsystems.
+    subsystems.  The conjugacy search keys at most ``cap`` subsystems
+    (CapExceeded past it).
     """
     whole = Subsystem(rs, range(len(rs.roots)))
     base = whole.base_indices
@@ -153,7 +173,7 @@ def borel_de_siebenthal(rs: RootSystem) -> list[CoendoscopicClass]:
               sub) for t, h, sub in _prime_steps(rs, whole)]
     sigs = Counter((f, sub.signature) for f, _, _, sub in steps)
     keys = iter(class_keys(rs, [sub.indices for f, _, _, sub in steps
-                                if sigs[f, sub.signature] > 1]))
+                                if sigs[f, sub.signature] > 1], cap))
     merged = {}
     for f, node, h, sub in steps:
         key = next(keys) if sigs[f, sub.signature] > 1 else None
@@ -180,8 +200,11 @@ def borel_de_siebenthal(rs: RootSystem) -> list[CoendoscopicClass]:
     return classes
 
 
-def classify(datum: GroupDatum, q: int) -> list[CoendoscopicClass]:
-    """All coendoscopic classes (whole group first) with rationality flags.
+def classify(
+        datum: GroupDatum, q: int,
+        cap: int = DEFAULT_CANDIDATE_CAP) -> list[CoendoscopicClass]:
+    """All coendoscopic classes (whole group first) with rationality flags;
+    ``cap`` bounds the conjugacy search of ``borel_de_siebenthal``.
 
     A class is rational over F_q iff (q-1) times its representative point
     lies in X_*(T): it has (q-1)/h at each chosen node, and X_* lies in
@@ -194,7 +217,7 @@ def classify(datum: GroupDatum, q: int) -> list[CoendoscopicClass]:
     )
     whole.rational_over_fq = True
     out = [whole]
-    for cl in borel_de_siebenthal(rs):
+    for cl in borel_de_siebenthal(rs, cap):
         chosen = [c for c in cl.choices if c is not None]
         scaled = [0] * rs.rank
         for node, h in chosen:
@@ -252,9 +275,6 @@ def _prime_steps(rs: RootSystem, sub: Subsystem) -> list[tuple[int, int, Subsyst
     return out
 
 
-DEFAULT_CANDIDATE_CAP = 10_000
-
-
 class Candidates(list):
     """The full-rank closed subsystems in key order, with ``class_keys``:
     the class key of each, recorded by the orbit search that found it."""
@@ -271,8 +291,7 @@ def equal_rank_subsystems(rs: RootSystem,
     Closure of the whole system under prime-node deletion steps and the
     Weyl action, one orbit search per W-class, which keys every member of
     the class.  CapExceeded is raised as soon as more than ``cap``
-    subsystems are found: a new orbit is disjoint from the classes keyed
-    before it, so its search stops once it passes what the cap leaves.
+    subsystems are found.
     """
     keys = {}
     worklist = [frozenset(range(len(rs.roots)))]
@@ -280,12 +299,7 @@ def equal_rank_subsystems(rs: RootSystem,
         s = worklist.pop()
         if s in keys:
             continue
-        orbit = keyed_orbit(rs, s, cap - len(keys))
-        keys.update(orbit)
-        if len(keys) > cap:
-            raise CapExceeded(
-                f"full-rank closed subsystems exceed cap {cap} "
-                "(caps.candidates)", order=len(keys))
+        orbit = _key_orbit(rs, s, keys, cap)
         worklist += [step.indices
                      for _, _, step in _prime_steps(rs, Subsystem(rs, orbit[s]))]
     subs = sorted((Subsystem(rs, s) for s in keys), key=attrgetter("key"))

@@ -259,10 +259,6 @@ class RootSystem:
         # root-index permutations of the simple reflections, in node order
         self.simple_reflection_perms = tuple(
             tuple(index_of[image(c, j)] for c in found) for j in range(r))
-        self._reflection_perms: dict[int, tuple[int, ...]] = {}
-        for s, perm in zip(self.simple_indices, self.simple_reflection_perms):
-            self._reflection_perms[s] = self._reflection_perms[
-                self.negate[s]] = perm
 
     @property
     def num_roots(self) -> int:
@@ -272,25 +268,24 @@ class RootSystem:
     def dim_g(self) -> int:
         return len(self.roots) + self.rank
 
-    def reflection_perm(self, root_index: int) -> tuple[int, ...]:
-        """Root-index permutation of the reflection in the given root.
+    def reflection_word(self, root_index: int) -> list[int]:
+        """The reflection in the given root as a word in the simple
+        reflections (node indices): the palindrome j_1 ... j_k t j_k ... j_1.
 
-        s_beta = s_-beta, so both share one entry.  A positive root beta
-        that is not simple has a simple root alpha_j with
-        <beta, alpha_j^vee> > 0, so gamma = s_j beta is a positive root of
-        smaller height (a smaller index, roots being sorted by height), and
-        s_beta = s_j s_gamma s_j: two compositions of tuples, memoised.
+        s_beta = s_-beta.  A positive root beta that is not simple has a
+        node j with <beta, alpha_j^vee> > 0, so gamma = s_j beta is a
+        positive root of smaller height (a smaller index, roots being
+        sorted by height), and s_beta = s_j s_gamma s_j (Bourbaki, Lie VI
+        §1.6).  The descent j_1, ..., j_k ends at a simple root alpha_t.
         """
-        cached = self._reflection_perms.get(root_index)
-        if cached is None:
-            beta = max(root_index, self.negate[root_index])  # the positive one
-            s = next(p for p in self.simple_reflection_perms
-                     if p[beta] < beta)
-            gamma = self.reflection_perm(s[beta])
-            cached = tuple(map(s.__getitem__, map(gamma.__getitem__, s)))
-            self._reflection_perms[beta] = self._reflection_perms[
-                self.negate[beta]] = cached
-        return cached
+        beta = max(root_index, self.negate[root_index])  # the positive one
+        simple, perms = self.simple_indices, self.simple_reflection_perms
+        descent = []
+        while beta not in simple:
+            j = next(j for j, p in enumerate(perms) if p[beta] < beta)
+            descent.append(j)
+            beta = perms[j][beta]
+        return descent + [simple.index(beta)] + descent[::-1]
 
     def __repr__(self):
         return "x".join(map(repr, self.simple_factors))
@@ -347,6 +342,10 @@ class WeylGroup:
         self.order = len(self.perms)
         self._lengths = tuple(lengths)
         self._pad = bytes(256 - rs.num_roots)
+        # the simple reflections as translate tables, in node order:
+        # p.translate(table) is s_j o p
+        self._simple = tuple(bytes(p) + self._pad
+                             for p in rs.simple_reflection_perms)
         self._cosets: dict[tuple[int, ...], list[int]] = {}
 
     def mul(self, i: int, j: int) -> int:
@@ -354,25 +353,10 @@ class WeylGroup:
         b.translate(a + pad), with zeros padding a to 256 bytes, is a o b."""
         return self.index[self.perms[j].translate(self.perms[i] + self._pad)]
 
-    def inv(self, i: int) -> int:
-        n = self.rs.num_roots  # maketrans(perm, identity) sends perm[k] to k
-        return self.index[bytes.maketrans(self.perms[i], self.perms[0])[:n]]
-
     def length(self, i: int) -> int:
         """Coxeter length: the number of positive roots sent to negative
         ones, equal to the BFS depth at which the element was enumerated."""
         return self._lengths[i]
-
-    @cached_property
-    def _tables(self) -> list[bytes]:
-        """The reflection s_beta of each root as a translate table
-        (s_beta padded to 256 bytes): p.translate(table) is s_beta o p."""
-        return [bytes(self.rs.reflection_perm(i)) + self._pad
-                for i in range(self.rs.num_roots)]
-
-    def reflection(self, root_index: int) -> int:
-        """Element index of the reflection in the given root."""
-        return self.index[self._tables[root_index][:self.rs.num_roots]]
 
     def cosets(self, base) -> list[int]:
         """Minimal-length representatives of the right cosets W_iota\\W, in
@@ -395,7 +379,7 @@ class WeylGroup:
         if found is None:
             n = self.rs.num_roots
             ident = self.perms[0]
-            steps = [(s, self._tables[s]) for s in self.rs.simple_indices]
+            steps = list(zip(self.rs.simple_indices, self._simple))
             image = itemgetter(*base, base[0])  # a tuple for any base
             baseset = set(base)
             nexts, fixing = {}, []
@@ -455,7 +439,7 @@ class WeylGroup:
         """
         n = self.rs.num_roots
         simple = self.rs.simple_indices
-        gens = [self._tables[s][:n] for s in simple]
+        gens = [table[:n] for table in self._simple]
         perm = self.perms[x]
         letters = []
         for _ in range(self.length(x)):
@@ -463,19 +447,6 @@ class WeylGroup:
             letters.append(j)
             perm = gens[j].translate(perm + self._pad)  # perm o s_j
         return letters[::-1]
-
-    def cw_generators(self, base) -> tuple[int, ...]:
-        """Generators of C_W(iota) = W_iota x| Stab(Delta_iota): the
-        reflections in the base, in base order, then Stab(Delta_iota)
-        without the identity.
-
-        For c in C_W(iota), c(Delta_iota) is a simple system of the
-        subsystem, and W_iota acts transitively on those, so c is a
-        product of an element of W_iota and one that maps Delta_iota to
-        itself.  The reflections in Delta_iota generate W_iota.
-        """
-        return tuple([self.reflection(t) for t in base]
-                     + self.stabilizer(base)[1:])
 
     def cw_cosets(self, base) -> list[int]:
         """Canonical representatives of C_W(iota)\\W, the members of least

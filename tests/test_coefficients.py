@@ -16,7 +16,8 @@ from coendo import torus as T
 from test_intlinalg import matmul
 from test_rootsys import cached_weyl, cochar_data
 from test_torus import (coset_partition, generated_subgroup,
-                        reflection_closure, subset_stabilizer, weyl_matrix)
+                        reflection_closure, subset_stabilizer, weyl_inverse,
+                        weyl_matrix, weyl_reflection)
 
 
 def setup_group(name, lat, q):
@@ -95,7 +96,7 @@ def test_act_character_matches_rational_conjugation(datum, data):
     assert all(type(x) is int for x in got)
     # (w.lambda)(x) = lambda(w^-1 x): the row lambda B^-1 M B, with M the
     # matrix of w^-1 on the coweight space
-    m = sympy.Matrix(weyl_matrix(weyl, weyl.inv(i)))
+    m = sympy.Matrix(weyl_matrix(weyl, weyl_inverse(weyl, i)))
     b = sympy.Matrix(b)
     assert list(got) == list(sympy.Matrix([lam]) * b.inv() * m * b)
 
@@ -290,7 +291,8 @@ def reference_orbits(weyl, sub, num_finite):
         if tup in seen:
             continue
         orbit = {
-            tuple(to_rep[weyl.mul(weyl.mul(weyl.inv(c), g), c)] for g in tup)
+            tuple(to_rep[weyl.mul(weyl.mul(weyl_inverse(weyl, c), g), c)]
+                  for g in tup)
             for c in cw
         }
         seen |= orbit
@@ -326,7 +328,7 @@ def test_coset_rules_match_partitions(factors, lat, q):
         to_rep = {x: rep for rep, members in cosets for x in members}
         reps = weyl.cosets(base)
         for j, moves in enumerate(weyl.coset_moves(base)):
-            s_j = weyl.reflection(datum.root_system.simple_indices[j])
+            s_j = weyl_reflection(weyl, datum.root_system.simple_indices[j])
             assert [reps[i] for i in moves] == [
                 to_rep[weyl.mul(x, s_j)] for x in reps]
         cw = reference_cw(weyl, sub)
@@ -357,12 +359,21 @@ def test_orbits_and_wiota_match_reference(factors, lat, q):
     datum = R.make_datum(factors, lat, R.characteristic_of(q))
     poset = C.strata_poset(datum, q, "classify")
     weyl = R.weyl_generate(datum.root_system)
+    rs = datum.root_system
+    simple = [weyl_reflection(weyl, s) for s in rs.simple_indices]
     for si in range(len(poset)):
         sub = poset.strata[si].subsystem
         base = sub.base_indices
         assert reflection_closure(weyl, base) == reference_wiota(weyl, sub)
         cw = reference_cw(weyl, sub)
-        assert generated_subgroup(weyl, weyl.cw_generators(base)) == cw
+        # the generators that _tuple_orbits follows, each multiplied out
+        # from its word: the reflections in the base, and d^-1 for d in
+        # Stab(Delta_iota) other than 1
+        words = [rs.reflection_word(t) for t in base] + [
+            weyl.word(d)[::-1] for d in weyl.stabilizer(base)[1:]]
+        gens = [functools.reduce(weyl.mul, [simple[j] for j in word], 0)
+                for word in words]
+        assert generated_subgroup(weyl, gens) == cw
         for nf in (0, 1, 2, 3) if factors in (["G2"], ["A2"]) else (1, 2):
             ref = reference_orbits(weyl, sub, nf)
             orbits = tuple_orbits(weyl, poset, si, nf)

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coendo import cli
 from coendo import coendoscopy as C
 from coendo import intlinalg as il
 from coendo import oracle as O
@@ -757,9 +759,8 @@ def test_descent_coordinates_match_adjugate(factors):
 def unpruned_orbit(rs, indices, limit=math.inf):
     """The W-orbit search with every simple reflection at every member."""
     perms = rs.simple_reflection_perms
-    orbit = R.closure([frozenset(indices)], lambda s: [
-        frozenset(perm[i] for i in s) for perm in perms], limit)
-    return sorted(orbit, key=lambda s: tuple(sorted(s)))
+    return set(R.closure([frozenset(indices)], lambda s: [
+        frozenset(perm[i] for i in s) for perm in perms], limit))
 
 
 # The W-orbits of E8's full-rank closed subsystems hold 132,462 sets, and
@@ -773,7 +774,7 @@ def test_pruned_orbits_match_unpruned(name):
     rs = R.build_root_system(name.split(","))
     limit = 300 if "E8" in name else math.inf
     for sub in class_representatives(rs):
-        assert C.orbit_of_subset(rs, sub.indices, limit) == \
+        assert set(C.orbit_of_subset(rs, sub.indices, limit)) == \
             unpruned_orbit(rs, sub.indices, limit)
 
 
@@ -783,7 +784,7 @@ def test_prime_steps_use_no_inverse_and_no_reflection(monkeypatch):
         raise AssertionError("an inverse or a reflection was built")
 
     monkeypatch.setattr(il, "adjugate", refuse)
-    monkeypatch.setattr(R.RootSystem, "reflection_perm", refuse)
+    monkeypatch.setattr(R.RootSystem, "reflection_word", refuse)
     for factors in STEP_TYPES:
         rs = R.build_root_system(factors)
         for sub in class_representatives(rs):
@@ -814,3 +815,39 @@ def test_candidate_cap_binds_during_the_orbit_search(monkeypatch):
         assert str(err.value) == (f"full-rank closed subsystems exceed cap "
                                   f"{cap} (caps.candidates)")
         assert len(built) <= cap * rs.rank
+
+
+def test_classify_conjugacy_search_stops_at_the_candidate_cap(
+        monkeypatch, capsys, tmp_path):
+    # D20's options D_k x D_(20-k) and D_(20-k) x D_k are conjugate, and
+    # their orbits pass the default cap; the search builds at most cap * r
+    # subsets before the one-line error, as equal_rank_subsystems does.
+    # The subsets are counted, not kept (66,060 of them hold about 2 GB),
+    # and an unbounded search fails at the bound
+    bound = C.DEFAULT_CANDIDATE_CAP * 20
+    built = [0]
+    search = C.closure
+
+    def counting(seeds, neighbours, *limit):
+        def counted(x):
+            out = neighbours(x)
+            built[0] += len(out)
+            assert built[0] <= bound
+            return out
+        return search(seeds, counted, *limit)
+
+    monkeypatch.setattr(C, "closure", counting)
+    assert cli.main(["classify", "--type", "D20", "--q", "7"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: full-rank closed subsystems exceed cap "
+                   f"{C.DEFAULT_CANDIDATE_CAP} (caps.candidates)\n")
+    # the configured cap reaches the search: D8 keys 84 subsystems
+    for cap, code in [(30, 1), (100, 0)]:
+        cfg = tmp_path / f"cap{cap}.json"
+        cfg.write_text(json.dumps({"caps": {"candidates": cap}}))
+        assert cli.main(["classify", "--type", "D8", "--q", "7",
+                         "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else "error: full-rank closed "
+                       f"subsystems exceed cap {cap} (caps.candidates)\n")

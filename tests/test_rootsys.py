@@ -13,7 +13,8 @@ from coendo import coendoscopy as C
 from coendo import intlinalg as il
 from coendo import rootsys as R
 from test_intlinalg import matmul
-from test_torus import intermediate_data, weyl_matrix
+from test_torus import (intermediate_data, reflection_by_formula,
+                        weyl_inverse, weyl_matrix, weyl_reflection)
 
 ALL_SIMPLE = (
     [f"A{r}" for r in range(1, 9)]
@@ -193,7 +194,7 @@ def test_weyl_group_structure():
     for i in range(w.order):
         perm = w.perms[i]
         assert sorted(perm) == list(range(rs.num_roots))
-        assert w.mul(i, w.inv(i)) == 0
+        assert w.mul(i, weyl_inverse(w, i)) == 0
     lengths = sorted(w.length(i) for i in range(w.order))
     assert lengths[0] == 0 and lengths[-1] == len(rs.positive_indices)
 
@@ -284,7 +285,7 @@ def test_weyl_permutation_representation(data):
     j = data.draw(st.integers(0, w.order - 1))
     mi = weyl_matrix(w, i)
     assert weyl_matrix(w, w.mul(i, j)) == matmul(mi, weyl_matrix(w, j))
-    assert w.mul(i, w.inv(i)) == 0
+    assert w.mul(i, weyl_inverse(w, i)) == 0
     positive = set(rs.positive_indices)
     by_coroot = {rt.coroot_ambient: rt.index for rt in rs.roots}
     images = [by_coroot[il.matvec(mi, rt.coroot_ambient)] for rt in rs.roots]
@@ -326,7 +327,7 @@ def test_weyl_products_and_inverses_match_tuples(data):
     a, b = tuple(w.perms[i]), tuple(w.perms[j])
     # itemgetter(*b)(a) is a o b: root k goes to a[b[k]]
     assert tuple(w.perms[w.mul(i, j)]) == itemgetter(*b)(a)
-    assert tuple(w.perms[w.inv(i)]) == tuple_inverse(a)
+    assert tuple(w.perms[weyl_inverse(w, i)]) == tuple_inverse(a)
 
 
 def coset_rep(w, base, x):
@@ -337,7 +338,7 @@ def coset_rep(w, base, x):
     perm = w.perms[x]
     while (beta := next((b for b in base if perm.index(b) < half),
                         None)) is not None:
-        table = bytes(w.rs.reflection_perm(beta)).ljust(256, b"\0")
+        table = bytes(reflection_by_formula(w.rs, beta)).ljust(256, b"\0")
         perm = perm.translate(table)  # s_beta o perm
     return w.index[perm]
 
@@ -361,7 +362,7 @@ def test_weyl_cosets_match_tuple_scan_and_descent(data):
     perm = tuple(w.perms[x])
     while (beta := next((b for b in base if tuple_inverse(perm)[b] < half),
                         None)) is not None:
-        refl = rs.reflection_perm(beta)
+        refl = reflection_by_formula(rs, beta)
         perm = tuple(refl[k] for k in perm)
     rep = coset_rep(w, base, x)
     assert tuple(w.perms[rep]) == perm
@@ -377,7 +378,7 @@ def test_weyl_cosets_match_tuple_scan_and_descent(data):
 @pytest.mark.parametrize("name", ["G2", "B3", "C3"])
 def test_words_are_reduced_and_multiply_back(name):
     w = cached_weyl((name,))
-    gens = [w.reflection(s) for s in w.rs.simple_indices]
+    gens = [weyl_reflection(w, s) for s in w.rs.simple_indices]
     for x in range(w.order):
         word = w.word(x)
         assert len(word) == w.length(x)
@@ -429,22 +430,19 @@ def test_weyl_reflection_lookup():
     rs = R.build_root_system(["B3"])
     w = R.weyl_generate(rs)
     for t in range(rs.num_roots):
-        s = w.reflection(t)
+        s = weyl_reflection(w, t)
         assert w.mul(s, s) == 0
         assert w.perms[s][t] == rs.negate[t]
-    assert [w.reflection(s) for s in rs.simple_indices] == [1, 2, 3]
+    assert [weyl_reflection(w, s) for s in rs.simple_indices] == [1, 2, 3]
 
 
-def reflection_by_formula(rs, root_index):
-    """s_beta(alpha) = alpha - <alpha, beta^vee> beta, root by root."""
-    mirror = rs.roots[root_index]
-    out = []
-    for rt in rs.roots:
-        pair = sum(a * b for a, b in zip(rt.coeffs, mirror.coroot_ambient))
-        out.append(rs.index_of[
-            tuple(c - pair * m for c, m in zip(rt.coeffs, mirror.coeffs))
-        ])
-    return tuple(out)
+def compose_word(rs, word):
+    """The root permutation of s_j_1 ... s_j_k, composed from the simple
+    reflection permutations: root i goes to s_j_1(... s_j_k(i))."""
+    perm = tuple(range(rs.num_roots))
+    for j in word:
+        perm = itemgetter(*rs.simple_reflection_perms[j])(perm)
+    return perm
 
 
 @pytest.mark.parametrize("factors", [[name] for name in ALL_SIMPLE]
@@ -452,10 +450,25 @@ def reflection_by_formula(rs, root_index):
 def test_reflections_by_conjugation_match_formula(factors):
     # E8 x A4 has 260 roots, more than a byte can index
     rs = R.build_root_system(factors)
+    half = rs.num_roots // 2
     for i in range(rs.num_roots):
-        assert rs.reflection_perm(i) == reflection_by_formula(rs, i)
+        word = rs.reflection_word(i)
+        refl = compose_word(rs, word)
+        assert word == word[::-1]
+        assert refl == reflection_by_formula(rs, i)
+        # reduced: as long as the number of positive roots s_beta negates
+        assert len(word) == sum(refl[k] < half for k in rs.positive_indices)
     assert rs.simple_reflection_perms == tuple(
         reflection_by_formula(rs, s) for s in rs.simple_indices)
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C4", "D5", "F4", "E6",
+                                  "A2,B2"])
+def test_reflection_words_are_reduced(name):
+    # as long as s_beta is deep in the breadth-first enumeration of W
+    w = cached_weyl(tuple(name.split(",")))
+    for i in range(w.rs.num_roots):
+        assert len(w.rs.reflection_word(i)) == w.length(weyl_reflection(w, i))
 
 
 def pair_closure(factors):

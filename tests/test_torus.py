@@ -36,13 +36,37 @@ def is_elliptic(datum, q, point):
             == datum.root_system.rank)
 
 
+def reflection_by_formula(rs, root_index):
+    """s_beta(alpha) = alpha - <alpha, beta^vee> beta, root by root."""
+    mirror = rs.roots[root_index]
+    out = []
+    for rt in rs.roots:
+        pair = sum(a * b for a, b in zip(rt.coeffs, mirror.coroot_ambient))
+        out.append(rs.index_of[
+            tuple(c - pair * m for c, m in zip(rt.coeffs, mirror.coeffs))
+        ])
+    return tuple(out)
+
+
+def weyl_reflection(weyl, root_index):
+    """Element index of the reflection in the given root, by the formula."""
+    return weyl.index[bytes(reflection_by_formula(weyl.rs, root_index))]
+
+
+def weyl_inverse(weyl, i):
+    """Element index of the inverse of element i: maketrans(perm, identity)
+    sends perm[k] to k."""
+    table = bytes.maketrans(weyl.perms[i], weyl.perms[0])
+    return weyl.index[table[:weyl.rs.num_roots]]
+
+
 def weyl_matrix(weyl, i):
     """Integer matrix of element i on the ambient coweight space.
 
     Row j is the functional alpha_j o w^-1, i.e. the coefficients of the
     root w^-1(alpha_j).
     """
-    back = weyl.perms[weyl.inv(i)]
+    back = weyl.perms[weyl_inverse(weyl, i)]
     return tuple(weyl.rs.roots[back[s]].coeffs for s in weyl.rs.simple_indices)
 
 
@@ -77,7 +101,7 @@ def generated_subgroup(weyl, gens):
 
 def reflection_closure(weyl, roots):
     """The subgroup generated by the reflections in the given roots."""
-    return generated_subgroup(weyl, [weyl.reflection(k) for k in roots])
+    return generated_subgroup(weyl, [weyl_reflection(weyl, k) for k in roots])
 
 
 def subset_stabilizer(weyl, sub):
@@ -531,7 +555,7 @@ def reference_type(cartan):
 
 def subsystem_from_base(rs, base_indices):
     """Closed subsystem generated by a simple system, by reflection closure."""
-    perms = [rs.reflection_perm(b) for b in base_indices]
+    perms = [reflection_by_formula(rs, b) for b in base_indices]
     seen = R.closure(base_indices, lambda i: [perm[i] for perm in perms])
     return T.Subsystem(rs, [*seen, *(rs.negate[i] for i in seen)])
 
