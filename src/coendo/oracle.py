@@ -127,23 +127,35 @@ def _stratum_residues(poset: StrataPoset, stratum_index: int):
     return [point_from_index(poset.q, r, idx) for idx in st.s_points]
 
 
-def direct_stratum_sum(lam, poset: StrataPoset, stratum_index: int):
-    """Character sum over the listed points of S_iota, cyclotomic route."""
-    m = poset.q - 1
+def _exponent_sum(lam, points, m: int):
+    """sum over the residue vectors v of zeta_m^<lam, v>, when an integer."""
     hist: dict[int, int] = {}
-    for v in _stratum_residues(poset, stratum_index):
+    for v in points:
         e = sum(a * b for a, b in zip(lam, v)) % m
         hist[e] = hist.get(e, 0) + 1
     return exponent_sum_as_integer(hist, m)
 
 
+def direct_stratum_sum(lam, poset: StrataPoset, stratum_index: int):
+    """Character sum over the listed points of S_iota, cyclotomic route."""
+    return _exponent_sum(lam, _stratum_residues(poset, stratum_index),
+                         poset.q - 1)
+
+
 def cyclotomic_sum_check(lam, poset: StrataPoset, stratum_index: int) -> Verdict:
     """Möbius-route stratum sum against the direct cyclotomic evaluation."""
+    return _sum_verdict(lam, poset, stratum_index,
+                        _stratum_residues(poset, stratum_index))
+
+
+def _sum_verdict(lam, poset: StrataPoset, stratum_index: int,
+                 points) -> Verdict:
+    """cyclotomic_sum_check, given the stratum's decoded points."""
     inst = (
         f"{poset.datum.root_system}@q={poset.q}/"
         f"{poset.strata[stratum_index].signature}"
     )
-    direct = direct_stratum_sum(lam, poset, stratum_index)
+    direct = _exponent_sum(lam, points, poset.q - 1)
     routed = stratum_sum(lam, poset, stratum_index)
     if direct is None:
         return Verdict("cyclotomic_sum", inst, False,
@@ -225,9 +237,15 @@ def brute_strata_check(datum: GroupDatum, q: int) -> Verdict:
     (a) maximal proper elliptic strata are exactly the W-translates of the
         rational node-deletion classes;
     (b) the partition identity for every Z_iota(F_q) (Reeder);
-    (c) every stratum is closed, negation-stable, of full rank, and its
+    (c) every stratum is closed, negation-stable and of full rank, and its
         first point's directly recomputed centralizer matches;
     (d) the classify-route poset is identical to the enumerated one.
+
+    In (c), closedness, negation-stability and rank are W-invariant, so
+    they are tested once per class key, on the first stratum carrying it:
+    the keys come from an exact orbit search of each stratum's own roots,
+    so equal keys mean W-conjugate root sets.  The centralizer comparison
+    tests the sweep's output point by point, so it runs on every stratum.
 
     None of these enumerates W.
     """
@@ -258,13 +276,17 @@ def brute_strata_check(datum: GroupDatum, q: int) -> Verdict:
         return Verdict("brute_strata", inst, False,
                        witness={"reeder": reeder.witness})
 
-    # (c) structural re-verification, independent of the sweep kernel
-    for st in poset.strata:
+    # (c) structural re-verification, independent of the sweep kernel:
+    # the W-invariant tests once per class, the centralizer per stratum
+    tested = set()
+    for st, key in zip(poset.strata, poset.class_keys):
         sub = st.subsystem
-        if sub.rank != rs.rank or not sub.is_closed():
-            return Verdict("brute_strata", inst, False,
-                           witness={"stratum": st.signature,
-                                    "reason": "not closed or not full rank"})
+        if key not in tested:
+            tested.add(key)
+            if sub.rank != rs.rank or not sub.is_closed():
+                return Verdict("brute_strata", inst, False,
+                               witness={"stratum": st.signature,
+                                        "reason": "not closed or not full rank"})
         v = point_from_index(q, rs.rank, st.s_points[0])
         if centralizer_subsystem(datum, q, v).indices != sub.indices:
             return Verdict("brute_strata", inst, False,
@@ -290,7 +312,10 @@ def brute_strata_check(datum: GroupDatum, q: int) -> Verdict:
 
 
 def bds_cross_check(t: SimpleType | str, q: int | None = None) -> Verdict:
-    """Node-deletion class types against brute-enumerated maximal strata."""
+    """Node-deletion class types against brute-enumerated maximal strata.
+
+    The maximal strata's types are read from ``class_signatures``, one
+    Dynkin-diagram typing per W-class: conjugate strata have one type."""
     if isinstance(t, str):
         t = SimpleType.parse(t)
     if q is None:
@@ -301,9 +326,8 @@ def bds_cross_check(t: SimpleType | str, q: int | None = None) -> Verdict:
     p = characteristic_of(q)
     datum = make_datum([repr(t)], "sc", p)
     poset = strata_poset(datum, q, "enumerate")
-    enumerated = {
-        poset.strata[i].signature for i in _maximal_proper_strata(poset)
-    }
+    signatures = poset.class_signatures()
+    enumerated = {signatures[i] for i in _maximal_proper_strata(poset)}
     classified = {cl.signature for cl in borel_de_siebenthal(datum.root_system)}
     ok = enumerated == classified
     return Verdict(
@@ -466,10 +490,12 @@ def cyclotomic_grid_check(inst: dict) -> Verdict:
     rng = random.Random(inst["seed"])
     rank = datum.root_system.rank
     name = f"{datum.root_system}@q={q}"
+    # each stratum's points are decoded once, not once per sample
+    points = [_stratum_residues(poset, si) for si in range(len(poset.strata))]
     for _ in range(inst["samples"]):
         lam = tuple(rng.randint(-2 * q, 2 * q) for _ in range(rank))
-        for si in range(len(poset.strata)):
-            sub = cyclotomic_sum_check(lam, poset, si)
+        for si, pts in enumerate(points):
+            sub = _sum_verdict(lam, poset, si, pts)
             if not sub:
                 return Verdict("cyclotomic_grid", name, False,
                                witness=sub.witness)

@@ -213,12 +213,15 @@ def identify_cartan(cartan) -> SimpleType:
 
 def centralizer_subsystem(datum: GroupDatum, q: int, residues) -> Subsystem:
     """Roots alpha with <alpha, v> = 0 mod q-1, i.e. alpha(s) = 1, for the
-    point s with residue vector v; one dot product per root, no sweep."""
+    point s with residue vector v; one dot product per positive root, no
+    sweep.  The functional of -alpha is minus that of alpha, so -alpha
+    kills s exactly when alpha does."""
     m = q - 1
-    return Subsystem(datum.root_system, [
-        i for i, row in enumerate(datum.root_functionals)
-        if sum(map(mul, row, residues)) % m == 0
-    ])
+    rs = datum.root_system
+    funcs = datum.root_functionals
+    pos = [i for i in rs.positive_indices
+           if sum(map(mul, funcs[i], residues)) % m == 0]
+    return Subsystem(rs, pos + [rs.negate[i] for i in pos])
 
 
 def subgroup_points(datum: GroupDatum, q: int, sub: Subsystem) -> FiniteAbelianGroup:

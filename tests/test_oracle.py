@@ -7,6 +7,7 @@ from coendo import coendoscopy as C
 from coendo import coefficients as K
 from coendo import oracle as O
 from coendo import rootsys as R
+from coendo import torus as T
 
 
 def test_cyclotomic_polynomials():
@@ -46,8 +47,12 @@ def test_brute_strata_check_grid():
         assert verdict.passed, (verdict.instance, verdict.witness)
 
 
-@pytest.mark.parametrize("name,q", [("B2", 31), ("G2", 31), ("A2", 31),
-                                    ("A3", 61), ("D4", 11), ("C3", 19)])
+COMPOSITE_Q_GRID = pytest.mark.parametrize(
+    "name,q", [("B2", 31), ("G2", 31), ("A2", 31), ("A3", 61), ("D4", 11),
+               ("C3", 19)])
+
+
+@COMPOSITE_Q_GRID
 @pytest.mark.parametrize("lat", ["sc", "ad"])
 def test_brute_strata_check_composite_q_minus_1(name, q, lat):
     # q-1 has two or three prime factors, so the sweep joins its parts and
@@ -55,6 +60,80 @@ def test_brute_strata_check_composite_q_minus_1(name, q, lat):
     datum = R.make_datum([name], lat, R.characteristic_of(q))
     verdict = O.brute_strata_check(datum, q)
     assert verdict.passed, (verdict.instance, verdict.witness)
+
+
+@COMPOSITE_Q_GRID
+@pytest.mark.parametrize("lat", ["sc", "ad"])
+def test_every_stratum_closed_and_full_rank(name, q, lat):
+    # check (c) tests these once per W-class; here every stratum is tested
+    datum = R.make_datum([name], lat, R.characteristic_of(q))
+    poset = C.strata_poset(datum, q, "enumerate")
+    for st in poset.strata:
+        sub = T.Subsystem(datum.root_system, st.subsystem.indices)
+        assert sub.is_closed() and sub.rank == datum.root_system.rank, st
+
+
+def count_calls(monkeypatch, owner, name, calls):
+    """Replace owner.name by a wrapper that appends its first argument to
+    ``calls`` before calling the original."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def capture_poset(monkeypatch):
+    """Record the posets the oracle layer builds, in a returned list."""
+    posets = []
+    build = O.strata_poset
+
+    def recording(*args, **kwargs):
+        posets.append(build(*args, **kwargs))
+        return posets[-1]
+
+    monkeypatch.setattr(O, "strata_poset", recording)
+    return posets
+
+
+def test_brute_strata_tests_closedness_once_per_class(monkeypatch):
+    # F4 sc at q=25: 44 strata in 5 W-classes
+    closed, centralizers = [], []
+    count_calls(monkeypatch, T.Subsystem, "is_closed", closed)
+    count_calls(monkeypatch, O, "centralizer_subsystem", centralizers)
+    posets = capture_poset(monkeypatch)
+    datum = R.make_datum(["F4"], "sc", 5)
+    assert O.brute_strata_check(datum, 25).passed
+    poset = posets[0]
+    assert (len(poset.strata), len(set(poset.class_keys))) == (44, 5)
+    assert len(closed) == 5 and len(centralizers) == 44
+    assert len({sub.indices for sub in closed}) == 5
+
+
+def test_bds_cross_types_one_stratum_per_class(monkeypatch):
+    # signature is recomputed on every access, so accesses count typings
+    typed = []
+    signature = T.Subsystem.signature.func
+    monkeypatch.setattr(T.Subsystem, "signature", property(
+        lambda sub: typed.append(sub) or signature(sub)))
+    posets = capture_poset(monkeypatch)
+    assert O.bds_cross_check("F4", 7).passed
+    strata = {id(st.subsystem) for st in posets[0].strata}
+    assert len(strata) == 32
+    assert len([sub for sub in typed if id(sub) in strata]) \
+        == len(set(posets[0].class_keys))
+
+
+def test_cyclotomic_grid_decodes_each_point_once(monkeypatch):
+    decoded = []
+    count_calls(monkeypatch, O, "point_from_index", decoded)
+    posets = capture_poset(monkeypatch)
+    assert O.cyclotomic_grid_check(
+        {"factors": ["B2"], "lattice": "sc", "q": 5, "samples": 7,
+         "seed": 11}).passed
+    assert len(decoded) == sum(len(st.s_points) for st in posets[0].strata)
 
 
 def refuse_weyl(monkeypatch):

@@ -164,6 +164,44 @@ def test_point_equality_mod_q_minus_1():
         T.centralizer_subsystem(sp4, 5, (1, 1))
 
 
+def centralizer_by_all_roots(datum, q, residues):
+    """The roots killing the point, one dot product per root, negative
+    roots included: the reference for ``centralizer_subsystem``."""
+    m = q - 1
+    return frozenset(
+        i for i, row in enumerate(datum.root_functionals)
+        if sum(a * b for a, b in zip(row, residues)) % m == 0
+    )
+
+
+# (factors, lattice) pairs; the last is (Spin5 x SL2)/mu2, whose X_* is
+# not a product of lattices of the two factors
+CENTRALIZER_DATA = [
+    (["A1"], "sc"), (["A2"], "ad"), (["B2"], "sc"), (["B2"], "ad"),
+    (["G2"], "ad"), (["C3"], "sc"), (["D4"], "ad"), (["F4"], "sc"),
+    (["A2", "A1"], "sc"), (["B2", "A1"], [[1, 0, 0], [0, 1, 0], [1, 0, 2]]),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CENTRALIZER_DATA),
+       st.sampled_from([7, 11, 13, 25, 31, 61]), st.data())
+def test_centralizer_subsystem_matches_all_roots(data_pair, q, data):
+    # q-1 = 6, 10, 12, 24, 30, 60: composite, several prime factors.  A
+    # point of order dividing d kills more roots the smaller d is, so the
+    # points range from elliptic ones to ones killing no root
+    factors, lat = data_pair
+    datum = R.make_datum(factors, lat, R.characteristic_of(q))
+    m = q - 1
+    d = data.draw(st.sampled_from([k for k in range(1, m + 1) if m % k == 0]))
+    r = datum.root_system.rank
+    residues = [m // d * x + m * y for x, y in data.draw(st.lists(
+        st.tuples(st.integers(0, d - 1), st.integers(-1, 1)),
+        min_size=r, max_size=r))]
+    sub = T.centralizer_subsystem(datum, q, residues)
+    assert sub.indices == centralizer_by_all_roots(datum, q, residues)
+
+
 def test_centralizer_examples():
     sl2 = R.make_datum(["A1"], "sc", 5)
     assert T.centralizer_subsystem(sl2, 5, (0,)).signature == "A1"
