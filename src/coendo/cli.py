@@ -357,7 +357,7 @@ class Context:
 def cmd_classify(ctx: Context) -> dict:
     report = ctx.envelope("classify")
     rows = []
-    for cl in coendoscopy.classify(ctx.datum, ctx.q, ctx.candidate_cap):
+    for cl in coendoscopy.classify(ctx.datum, ctx.q):
         rows.append(
             {
                 "signature": cl.signature,

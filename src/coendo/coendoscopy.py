@@ -100,15 +100,13 @@ def _key_orbit(rs: RootSystem, s, keys: dict, cap) -> dict:
     return orbit
 
 
-def class_keys(rs: RootSystem, sets,
-               cap=math.inf) -> list[tuple[int, ...]]:
+def class_keys(rs: RootSystem, sets) -> list[tuple[int, ...]]:
     """canonical_subset of each full-rank closed subsystem, one orbit
-    search per W-class: every member of a searched orbit is keyed at once.
-    CapExceeded is raised once the orbits hold more than ``cap`` members."""
+    search per W-class: every member of a searched orbit is keyed at once."""
     keys = {}
     for s in sets:
         if s not in keys:
-            _key_orbit(rs, s, keys, cap)
+            keys.update(keyed_orbit(rs, s))
     return [keys[s] for s in sets]
 
 
@@ -153,33 +151,33 @@ class CoendoscopicClass:
         return f"CoendoscopicClass({self.signature}, node={tag})"
 
 
-def borel_de_siebenthal(
-        rs: RootSystem,
-        cap: int = DEFAULT_CANDIDATE_CAP) -> list[CoendoscopicClass]:
+def borel_de_siebenthal(rs: RootSystem) -> list[CoendoscopicClass]:
     """Nontrivial coendoscopic classes: the prime-node deletions of the
     whole system, W-conjugate ones merged, combined over factors.
 
     W is the product of the factors' Weyl groups, so options in different
-    factors or of different types are never W-conjugate: only options of
-    one factor that share a signature are searched for conjugates.  A
+    factors or of different types are never W-conjugate.  Options of one
+    factor that share a signature always are, so they merge with no orbit
+    search.  In C_n and D_n, nodes i and n-i give C_i x C_(n-i)
+    (D_i x D_(n-i)) on complementary coordinate blocks, and W holds every
+    coordinate permutation.  In E6 (three A1xA5 nodes) and E7 (two A1xD6,
+    two A2xA5) the nodes are swapped by automorphisms of the extended
+    diagram from Ω ≅ P^∨/Q^∨ (Bourbaki, Lie VI §2.3; N. Iwahori and
+    H. Matsumoto, Publ. IHÉS 25, 1965), whose linear parts lie in W.
+    B_n, F4, G2 and E8 never have two options of one signature.  A
     deletion in one factor leaves the others whole, so choosing a
     deletion in each of several factors gives the intersection of their
-    subsystems.  The conjugacy search keys at most ``cap`` subsystems
-    (CapExceeded past it).
+    subsystems.
     """
     whole = Subsystem(rs, range(len(rs.roots)))
     base = whole.base_indices
-    steps = [(rs.roots[base[t]].factor, rs.simple_indices.index(base[t]), h,
-              sub) for t, h, sub in _prime_steps(rs, whole)]
-    sigs = Counter((f, sub.signature) for f, _, _, sub in steps)
-    keys = iter(class_keys(rs, [sub.indices for f, _, _, sub in steps
-                                if sigs[f, sub.signature] > 1], cap))
     merged = {}
-    for f, node, h, sub in steps:
-        key = next(keys) if sigs[f, sub.signature] > 1 else None
-        merged.setdefault((f, sub.signature, key), []).append((node, h, sub))
+    for t, h, sub in _prime_steps(rs, whole):
+        factor = rs.roots[base[t]].factor
+        node = rs.simple_indices.index(base[t])
+        merged.setdefault((factor, sub.signature), []).append((node, h, sub))
     per_factor = [[None] for _ in rs.simple_factors]
-    for (factor, _, _), group in merged.items():
+    for (factor, _), group in merged.items():
         node, h, sub = min(group, key=itemgetter(0))
         nodes = tuple(sorted(n for n, _, _ in group))
         per_factor[factor].append(((node, h), sub, nodes))
@@ -200,11 +198,8 @@ def borel_de_siebenthal(
     return classes
 
 
-def classify(
-        datum: GroupDatum, q: int,
-        cap: int = DEFAULT_CANDIDATE_CAP) -> list[CoendoscopicClass]:
-    """All coendoscopic classes (whole group first) with rationality flags;
-    ``cap`` bounds the conjugacy search of ``borel_de_siebenthal``.
+def classify(datum: GroupDatum, q: int) -> list[CoendoscopicClass]:
+    """All coendoscopic classes (whole group first) with rationality flags.
 
     A class is rational over F_q iff (q-1) times its representative point
     lies in X_*(T): it has (q-1)/h at each chosen node, and X_* lies in
@@ -217,7 +212,7 @@ def classify(
     )
     whole.rational_over_fq = True
     out = [whole]
-    for cl in borel_de_siebenthal(rs, cap):
+    for cl in borel_de_siebenthal(rs):
         chosen = [c for c in cl.choices if c is not None]
         scaled = [0] * rs.rank
         for node, h in chosen:

@@ -61,6 +61,35 @@ def test_classify_past_255_roots(capsys):
         assert [c[key] for c in product] == [c[key] for c in e8]
 
 
+def test_classify_reads_no_candidate_cap(monkeypatch, capsys, tmp_path):
+    # options of one factor that share a signature merge with no W-orbit
+    # search, so D_n and C_n whose option orbits pass caps.candidates
+    # print a report, and the cap leaves the report as it is
+    def refuse(*args):
+        raise AssertionError("a W-orbit search ran")
+
+    monkeypatch.setattr(coendoscopy, "orbit_of_subset", refuse)
+    for name, count, first in [("D20", 10, [[1, 17]]), ("C30", 16, [[0, 28]]),
+                               ("D40", 20, [[1, 37]])]:
+        code, out, err = run(["classify", "--type", name, "--q", "7"], capsys)
+        assert code == 0 and err == ""
+        classes = json.loads(out)["classes"]
+        assert len(classes) == count
+        assert next(c["equivalent_nodes"] for c in classes
+                    if c["equivalent_nodes"]) == first
+    cfg = tmp_path / "cap1.json"
+    cfg.write_text(json.dumps({"caps": {"candidates": 1}}))
+    argv = ["classify", "--type", "D8", "--q", "7"]
+    code, plain, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    code, capped, err = run(argv + ["--config", str(cfg)], capsys)
+    assert code == 0 and err == ""
+    plain, capped = plain.splitlines(), capped.splitlines()
+    assert len(plain) == len(capped)
+    changed = [line for line, other in zip(plain, capped) if line != other]
+    assert len(changed) == 1 and changed[0].startswith('  "config_hash": ')
+
+
 def test_malformed_type_exits_2(capsys):
     code, _, err = run(["classify", "--type", "Z9", "--q", "5"], capsys)
     assert code == 2

@@ -80,25 +80,21 @@ def test_bds_product_combinations():
         assert not cl.is_whole_group
 
 
-@pytest.mark.parametrize("name,visited", [("C3", 3), ("E7", 399),
-                                          ("E8", 0)])
-def test_bds_searches_within_one_factor(monkeypatch, name, visited):
-    # W is the product of the factors' Weyl groups, so on a square the
-    # conjugacy search visits exactly the orbit members of each factor
-    counts = []
-    orbit_of_subset = C.orbit_of_subset
+@pytest.fixture
+def no_orbit_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a W-orbit search ran")
 
-    def counted(rs, indices, *limit):
-        orbit = orbit_of_subset(rs, indices, *limit)
-        counts.append(len(orbit))
-        return orbit
+    monkeypatch.setattr(C, "orbit_of_subset", refuse)
 
-    monkeypatch.setattr(C, "orbit_of_subset", counted)
-    C.borel_de_siebenthal(R.build_root_system([name]))
-    assert sum(counts) == visited
-    counts.clear()
-    C.borel_de_siebenthal(R.build_root_system([name, name]))
-    assert sum(counts) == 2 * visited
+
+@pytest.mark.parametrize("name", ["C3", "E7", "E8"])
+def test_bds_runs_no_orbit_search(no_orbit_search, name):
+    # options merge by (factor, signature); on a square each factor keeps
+    # its own classes, so the nontrivial classes number (k + 1)^2 - 1
+    single = C.borel_de_siebenthal(R.build_root_system([name]))
+    square = C.borel_de_siebenthal(R.build_root_system([name, name]))
+    assert len(square) == (len(single) + 1) ** 2 - 1
 
 
 def representative_point(cl):
@@ -700,31 +696,87 @@ def test_strata_solve_one_smith_form_per_class(monkeypatch, route):
         assert len(calls) == len(classes) < len(poset.strata)
 
 
-def test_bds_searches_only_options_that_share_a_signature(monkeypatch):
-    calls = []
-    search = C.orbit_of_subset
-
-    def counting(rs, indices, *limit):
-        calls.append(indices)
-        return search(rs, indices, *limit)
-
-    monkeypatch.setattr(C, "orbit_of_subset", counting)
-    # E8's five options have five types, so no W-orbit search runs
+def test_bds_merges_options_by_signature(no_orbit_search):
+    # E8's five options have five types, so nothing merges
     e8 = C.borel_de_siebenthal(R.build_root_system(["E8"]))
-    assert calls == []
     assert [cl.equivalent_nodes for cl in e8] == [()] * 5
     # in D_n, deleting node k or n-k gives conjugate D_k x D_(n-k)
     # (a D_2 reads A1xA1, a D_3 reads A3); D4xD4 has no partner
-    for name, searches, nodes in [
-            ("D4", 0, [()]),
-            ("D5", 1, [((1, 2),)]),
-            ("D6", 1, [((1, 3),), ()]),
-            ("D7", 2, [((1, 4),), ((2, 3),)]),
-            ("D8", 2, [((1, 5),), ((2, 4),), ()])]:
-        calls.clear()
+    for name, nodes in [
+            ("D4", [()]),
+            ("D5", [((1, 2),)]),
+            ("D6", [((1, 3),), ()]),
+            ("D7", [((1, 4),), ((2, 3),)]),
+            ("D8", [((1, 5),), ((2, 4),), ()])]:
         cls = C.borel_de_siebenthal(R.build_root_system([name]))
-        assert len(calls) == searches
         assert [cl.equivalent_nodes for cl in cls] == nodes
+
+
+BDS_TYPES = ([f"B{n}" for n in range(2, 13)] + [f"C{n}" for n in range(3, 13)]
+             + [f"D{n}" for n in range(4, 13)]
+             + ["E6", "E7", "E8", "F4", "G2", "D8,D8", "E7,E7"])
+
+
+@pytest.mark.parametrize("name", BDS_TYPES)
+def test_bds_merge_matches_orbit_classes(name):
+    # canonical_subset is the reference: the options of one factor that
+    # share a signature are one W-class, and no two such groups share a
+    # class.  Options of different factors are never conjugate (W is the
+    # product of the factors' Weyl groups), so on a square the groups are
+    # per factor, and merging by signature alone would join them
+    rs = R.build_root_system(name.split(","))
+    whole = T.Subsystem(rs, range(len(rs.roots)))
+    base = whole.base_indices
+    groups = {}
+    for t, _, sub in C._prime_steps(rs, whole):
+        group = groups.setdefault((rs.roots[base[t]].factor, sub.signature),
+                                  {"nodes": [], "keys": set()})
+        group["nodes"].append(rs.simple_indices.index(base[t]))
+        group["keys"].add(C.canonical_subset(rs, sub.indices))
+    assert all(len(g["keys"]) == 1 for g in groups.values())
+    assert len({key for g in groups.values() for key in g["keys"]}) == \
+        len(groups)
+    merged = [cl.equivalent_nodes[0] if cl.equivalent_nodes
+              else (cl.deleted_node,)
+              for cl in C.borel_de_siebenthal(rs)
+              if sum(c is not None for c in cl.choices) == 1]
+    assert sorted(merged) == sorted(tuple(sorted(g["nodes"]))
+                                    for g in groups.values())
+
+
+PRODUCT_FACTORS = (["A1", "A2", "A3", "A4", "B2", "B3", "B4", "B5", "B6",
+                    "C3", "C4", "C5", "C6", "D4", "D5", "D6", "D7",
+                    "E6", "F4", "G2"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(PRODUCT_FACTORS), min_size=1, max_size=3),
+       st.sampled_from(["sc", "ad"]), st.sampled_from([7, 13, 31]))
+def test_classify_on_products_combines_single_factor_classes(factors,
+                                                            lattice, q):
+    # a class picks a single-factor class, or none, in each factor; its
+    # merged nodes are that factor's, shifted by the factor's first node,
+    # and on these lattices it is rational iff each picked class is
+    single = {}
+    for f in set(factors):
+        single[f] = {cl.deleted_node: cl for cl in C.classify(
+            datum_for(f, lattice, q), q)[1:]}
+    datum = R.make_datum(factors, lattice, R.characteristic_of(q))
+    rs = datum.root_system
+    classes = C.classify(datum, q)
+    assert len(classes) == math.prod(len(single[f]) + 1 for f in factors)
+    assert classes[0].is_whole_group
+    offsets = [sum(rs.simple_factors[g].rank for g in range(f))
+               for f in range(len(factors))]
+    for cl in classes[1:]:
+        assert cl.subsystem.is_closed() and cl.subsystem.rank == rs.rank
+        picked = [(f, c[0] - offsets[f])
+                  for f, c in enumerate(cl.choices) if c is not None]
+        parts = [single[factors[f]][node] for f, node in picked]
+        assert cl.equivalent_nodes == tuple(
+            tuple(n + offsets[f] for n in part.equivalent_nodes[0])
+            for (f, _), part in zip(picked, parts) if part.equivalent_nodes)
+        assert cl.rational_over_fq == all(p.rational_over_fq for p in parts)
 
 
 def class_representatives(rs):
@@ -815,39 +867,3 @@ def test_candidate_cap_binds_during_the_orbit_search(monkeypatch):
         assert str(err.value) == (f"full-rank closed subsystems exceed cap "
                                   f"{cap} (caps.candidates)")
         assert len(built) <= cap * rs.rank
-
-
-def test_classify_conjugacy_search_stops_at_the_candidate_cap(
-        monkeypatch, capsys, tmp_path):
-    # D20's options D_k x D_(20-k) and D_(20-k) x D_k are conjugate, and
-    # their orbits pass the default cap; the search builds at most cap * r
-    # subsets before the one-line error, as equal_rank_subsystems does.
-    # The subsets are counted, not kept (66,060 of them hold about 2 GB),
-    # and an unbounded search fails at the bound
-    bound = C.DEFAULT_CANDIDATE_CAP * 20
-    built = [0]
-    search = C.closure
-
-    def counting(seeds, neighbours, *limit):
-        def counted(x):
-            out = neighbours(x)
-            built[0] += len(out)
-            assert built[0] <= bound
-            return out
-        return search(seeds, counted, *limit)
-
-    monkeypatch.setattr(C, "closure", counting)
-    assert cli.main(["classify", "--type", "D20", "--q", "7"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == ("error: full-rank closed subsystems exceed cap "
-                   f"{C.DEFAULT_CANDIDATE_CAP} (caps.candidates)\n")
-    # the configured cap reaches the search: D8 keys 84 subsystems
-    for cap, code in [(30, 1), (100, 0)]:
-        cfg = tmp_path / f"cap{cap}.json"
-        cfg.write_text(json.dumps({"caps": {"candidates": cap}}))
-        assert cli.main(["classify", "--type", "D8", "--q", "7",
-                         "--config", str(cfg)]) == code
-        err = capsys.readouterr().err
-        assert err == ("" if code == 0 else "error: full-rank closed "
-                       f"subsystems exceed cap {cap} (caps.candidates)\n")
