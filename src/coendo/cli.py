@@ -285,8 +285,7 @@ class Context:
             self.datum = rootsys.make_datum(
                 factors, group.get("lattice", "sc"), self.p
             )
-        except (rootsys.IllegalType, rootsys.NotASublattice,
-                rootsys.BadCharacteristic, ValueError) as exc:
+        except ValueError as exc:  # the rootsys datum errors subclass it
             raise ConfigError(f"invalid group datum: {exc}") from exc
         self.convention = cfg["convention"]
         if self.convention not in coefficients.CONVENTIONS:

@@ -380,9 +380,7 @@ def bound_constant(datum: GroupDatum, num_places: int,
     if candidates is None:
         candidates = equal_rank_subsystems(rs)
     total = 0
-    for sub, key in zip(candidates, candidates.class_keys):
-        if sub.key != key:
-            continue
+    for sub in dict.fromkeys(candidates.values()):
         z_geo = geometric_center_order(datum, sub)
         total += (w_order ** num_places) * (sub.weyl_order ** num_places) * z_geo
     return total

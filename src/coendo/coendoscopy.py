@@ -12,12 +12,15 @@ subsystems:
   coefficient, a filter on base coordinates by Kac's rule, closing under
   the Weyl action) and recovers the stratum
   sizes from the partition identity |Z_c(F_q)| = sum of |S_d| over the
-  subsystems d containing c (M. Reeder, Enseign. Math. 2010).  Walking the
-  candidates from the most roots to the fewest, |S_c| = |Z_c| minus the
-  sizes of the strata already found that properly contain c: Möbius
-  inversion done by back-substitution, with no candidate-level order
-  matrix.  On E7 at q = 5 (1,516 candidates, 730 strata) the classify-route
-  `strata` command takes 0.26-0.36 s on a 2-vCPU machine.
+  subsystems d containing c (M. Reeder, Enseign. Math. 2010).  Each
+  candidate maps to its W-class representative, and |S_c| is class data.
+  Walking the candidates from the most roots to the fewest, at the first
+  member of each class |S_c| = |Z_c| minus the sizes of the strata already
+  found that properly contain the representative: Möbius inversion done by
+  back-substitution once per class, with no candidate-level order matrix.
+  On E7 at q = 5 (1,516 candidates in 7 classes, 730 strata) the
+  classify-route `strata` command takes 0.17-0.29 s on a 2-vCPU machine
+  with Python 3.11.
 
 Both routes read subsystem structure off the roots' integer keys and
 solve one Smith form per W-class, for its representative:
@@ -84,20 +87,6 @@ def canonical_subset(rs: RootSystem, indices) -> tuple[int, ...]:
     """Lexicographically least member of the W-orbit, as a sorted tuple."""
     indices = frozenset(indices)
     return keyed_orbit(rs, indices)[indices]
-
-
-def _key_orbit(rs: RootSystem, s, keys: dict, cap) -> dict:
-    """Key the W-orbit of the full-rank closed subsystem s into ``keys``
-    and return it; CapExceeded once ``keys`` holds more than ``cap``
-    members.  A new orbit is disjoint from those keyed before it, so its
-    search stops once it passes what the cap leaves."""
-    orbit = keyed_orbit(rs, s, cap - len(keys))
-    keys.update(orbit)
-    if len(keys) > cap:
-        raise CapExceeded(
-            f"full-rank closed subsystems exceed cap {cap} "
-            "(caps.candidates)", order=len(keys))
-    return orbit
 
 
 def class_keys(rs: RootSystem, sets) -> list[tuple[int, ...]]:
@@ -270,23 +259,17 @@ def _prime_steps(rs: RootSystem, sub: Subsystem) -> list[tuple[int, int, Subsyst
     return out
 
 
-class Candidates(list):
-    """The full-rank closed subsystems in key order, with ``class_keys``:
-    the class key of each, recorded by the orbit search that found it."""
-
-    def __init__(self, subsystems, class_keys):
-        super().__init__(subsystems)
-        self.class_keys = class_keys
-
-
-def equal_rank_subsystems(rs: RootSystem,
-                          cap: int = DEFAULT_CANDIDATE_CAP) -> Candidates:
-    """Every full-rank closed subsystem, as explicit root subsets.
+def equal_rank_subsystems(
+        rs: RootSystem,
+        cap: int = DEFAULT_CANDIDATE_CAP) -> dict[Subsystem, Subsystem]:
+    """Every full-rank closed subsystem, in key order, mapped to its class
+    representative: the member whose key is the class key.
 
     Closure of the whole system under prime-node deletion steps and the
     Weyl action, one orbit search per W-class, which keys every member of
     the class.  CapExceeded is raised as soon as more than ``cap``
-    subsystems are found.
+    subsystems are found: a new orbit is disjoint from those keyed before
+    it, so its search stops once it passes what the cap leaves.
     """
     keys = {}
     worklist = [frozenset(range(len(rs.roots)))]
@@ -294,11 +277,17 @@ def equal_rank_subsystems(rs: RootSystem,
         s = worklist.pop()
         if s in keys:
             continue
-        orbit = _key_orbit(rs, s, keys, cap)
+        orbit = keyed_orbit(rs, s, cap - len(keys))
+        keys.update(orbit)
+        if len(keys) > cap:
+            raise CapExceeded(
+                f"full-rank closed subsystems exceed cap {cap} "
+                "(caps.candidates)", order=len(keys))
         worklist += [step.indices
                      for _, _, step in _prime_steps(rs, Subsystem(rs, orbit[s]))]
     subs = sorted((Subsystem(rs, s) for s in keys), key=attrgetter("key"))
-    return Candidates(subs, [keys[sub.indices] for sub in subs])
+    reps = {sub.key: sub for sub in subs if sub.key == keys[sub.indices]}
+    return {sub: reps[keys[sub.indices]] for sub in subs}
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +340,6 @@ class Stratum:
         return (
             f"Stratum({self.signature}, |Z|={self.z_order}, |S|={self.s_size})"
         )
-
-
-def _class_groups(datum: GroupDatum, q: int, subs,
-                  keys) -> dict[tuple[int, ...], FiniteAbelianGroup]:
-    """Z(F_q) of each W-class among the subsystems, keyed by class key:
-    one Smith form per class, solved for its representative."""
-    return {key: subgroup_points(datum, q, sub)
-            for sub, key in zip(subs, keys) if sub.key == key}
 
 
 class StrataPoset:
@@ -481,7 +462,9 @@ def _strata_by_enumeration(datum, q, point_cap) -> StrataPoset:
         indices += [rs.negate[i] for i in indices]
         subs.append(Subsystem(rs, indices))
     keys = class_keys(rs, [sub.indices for sub in subs])
-    z_of = _class_groups(datum, q, subs, keys)
+    # one Smith form per W-class, solved for its representative
+    z_of = {key: subgroup_points(datum, q, sub)
+            for sub, key in zip(subs, keys) if sub.key == key}
     strata = [Stratum(datum, q, sub, key, z_of[key], len(pts), tuple(pts))
               for sub, key, pts in zip(subs, keys, groups.values())]
     poset = StrataPoset(datum, q, "enumerate", strata)
@@ -492,20 +475,25 @@ def _strata_by_enumeration(datum, q, point_cap) -> StrataPoset:
 
 def _strata_by_classification(datum, q, cands) -> StrataPoset:
     rs = datum.root_system
-    z_of = _class_groups(datum, q, cands, cands.class_keys)
     # Möbius inversion of |Z_c| = sum of |S_d| over d >= c, by
-    # back-substitution: a candidate with more roots comes first, so every
-    # stratum above c is already known, and only nonempty ones count
+    # back-substitution once per W-class: a candidate with more roots comes
+    # first, and no two members of a class contain each other, so at the
+    # first member of a class every stratum above its representative is
+    # already known; only nonempty strata count
     strata = []
-    for cand, key in sorted(zip(cands, cands.class_keys),
+    class_data = {}
+    for cand, rep in sorted(cands.items(),
                             key=lambda pair: -len(pair[0].indices)):
-        z = z_of[key]
-        size = z.order - sum(st.s_size for st in strata
-                             if cand.indices < st.subsystem.indices)
-        if size < 0:
-            raise AssertionError("negative stratum size from inversion")
+        if rep not in class_data:
+            z = subgroup_points(datum, q, rep)
+            size = z.order - sum(st.s_size for st in strata
+                                 if rep.indices < st.subsystem.indices)
+            if size < 0:
+                raise AssertionError("negative stratum size from inversion")
+            class_data[rep] = z, size
+        z, size = class_data[rep]
         if size > 0:
-            strata.append(Stratum(datum, q, cand, key, z, size))
+            strata.append(Stratum(datum, q, cand, rep.key, z, size))
     warnings = []
     for t in rs.simple_factors:
         need = car_divisor(t)

@@ -346,7 +346,7 @@ def centers_stable(datum: GroupDatum, q: int, subs=None) -> bool:
     return all(
         subgroup_points(datum, q, sub).order
         == geometric_center_order(datum, sub)
-        for sub, key in zip(subs, subs.class_keys) if sub.key == key
+        for sub in dict.fromkeys(subs.values())
     )
 
 

@@ -193,17 +193,7 @@ def assemble_prediction(
             exponent = -n_h
         if coeff:
             terms[exponent] = terms.get(exponent, 0) + coeff
-        rows.append(
-            {
-                "stratum_type": row.stratum.signature,
-                "orbit_rep": list(row.orbit_rep),
-                "orbit_size": row.orbit_size,
-                "n": row.n,
-                "n_sum": row.n_sum,
-                "components": pi1_h,
-                "exponent": str(n_h),
-                "count": count,
-            }
-        )
+        rows.append({**row.to_record(), "components": pi1_h,
+                     "exponent": str(n_h), "count": count})
     mode = "approximate" if approx else "exact-counts"
     return PredictionReport(datum, q, curve, mode, rows, terms, caveats, dims)

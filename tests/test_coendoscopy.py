@@ -535,6 +535,53 @@ def test_class_keys_match_orbit_search(factors, lattice, route):
             for st in poset.strata]
 
 
+MAPPING_TYPES = CLASS_KEY_TYPES + [["E7"]]
+
+
+@pytest.mark.parametrize("factors", MAPPING_TYPES,
+                         ids=[",".join(f) for f in MAPPING_TYPES])
+def test_candidates_map_to_their_class_representative(factors):
+    # key order; the candidates mapped to a representative are its W-orbit,
+    # and it is keyed canonical_subset and maps to itself, so every
+    # candidate maps to the member keyed canonical_subset of its own orbit
+    rs = R.build_root_system(factors)
+    cands = C.equal_rank_subsystems(rs)
+    assert [sub.key for sub in cands] == sorted(sub.key for sub in cands)
+    members = {}
+    for sub, rep in cands.items():
+        members.setdefault(rep, set()).add(sub.indices)
+    for rep, orbit in members.items():
+        assert orbit == set(C.orbit_of_subset(rs, rep.indices))
+        assert rep.key == C.canonical_subset(rs, rep.indices)
+        assert cands[rep] is rep
+
+
+@pytest.mark.parametrize("name,classes", [("F4", 8), ("E6", 3), ("E7", 7),
+                                          ("B4", 5), ("D5", 2)])
+def test_candidate_class_counts(name, classes):
+    rs = R.build_root_system([name])
+    cands = C.equal_rank_subsystems(rs)
+    assert len(set(cands.values())) == classes
+
+
+def test_classify_inversion_refuses_a_negative_stratum_size(monkeypatch):
+    # Sp4 at q = 13: the central stratum has |S| = |Z(G)(F_q)| = 2, so a
+    # trivial Z for the largest proper class would leave it |S| = -1
+    datum = R.make_datum(["B2"], "sc", 13)
+    solve = C.subgroup_points
+    whole = len(datum.root_system.roots)
+
+    def too_small(datum, q, sub):
+        if len(sub.indices) < whole:
+            return R.FiniteAbelianGroup((), ())
+        return solve(datum, q, sub)
+
+    assert C.strata_poset(datum, 13, "classify").strata[0].s_size == 2
+    monkeypatch.setattr(C, "subgroup_points", too_small)
+    with pytest.raises(AssertionError, match="negative stratum size"):
+        C.strata_poset(datum, 13, "classify")
+
+
 @pytest.mark.parametrize("lattice", ["sc", "ad"])
 @pytest.mark.parametrize("factors", CLASS_KEY_TYPES, ids=CLASS_KEY_IDS)
 def test_enumerate_route_strata_cover_the_swept_points(factors, lattice):
@@ -692,7 +739,7 @@ def test_strata_solve_one_smith_form_per_class(monkeypatch, route):
         poset = C.strata_poset(datum, q, route)
         poset.summary()
         classes = set(poset.class_keys if route == "enumerate"
-                      else cands.class_keys)
+                      else cands.values())
         assert len(calls) == len(classes) < len(poset.strata)
 
 
@@ -780,13 +827,11 @@ def test_classify_on_products_combines_single_factor_classes(factors,
 
 
 def class_representatives(rs):
-    """One full-rank closed subsystem per W-class: the members keyed by
-    their own key, or the step closure for a type past the default cap."""
+    """One full-rank closed subsystem per W-class: the representatives the
+    candidates map to, or the step closure for a type past the default cap."""
     if "E8" in repr(rs):
         return [T.Subsystem(rs, s) for s in step_closure(rs)]
-    cands = C.equal_rank_subsystems(rs)
-    return [sub for sub, key in zip(cands, cands.class_keys)
-            if sub.key == key]
+    return list(dict.fromkeys(C.equal_rank_subsystems(rs).values()))
 
 
 @pytest.mark.parametrize("factors", STEP_TYPES,

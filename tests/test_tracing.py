@@ -48,3 +48,18 @@ def test_tracer_enters_and_exits(capsys):
     for module, names in zip(modules, before):
         assert {k: vars(module)[k] for k in names} == names
     assert dict(vars(WeylGroup)) == methods
+
+
+def test_classify_route_strata_counters(capsys):
+    # the benchmark's counters on a classify-route strata run: F4 at q = 13
+    # has 66 candidates in 8 W-classes and 44 realized strata, and solves
+    # one Smith form per class
+    tracing = load_tracing()
+    with tracing.Tracer() as tracer:
+        assert coendo.cli.main(["strata", "--type", "F4", "--q", "13",
+                                "--route", "classify"]) == 0
+    capsys.readouterr()
+    metrics = tracer.metrics()
+    assert metrics["coendoscopy.candidates"] == 66
+    assert metrics["coendoscopy.strata"] == 44
+    assert metrics["torus.subgroup_points_calls"] == 8
