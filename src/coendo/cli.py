@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import sys
+from functools import cached_property
 
 from . import coendoscopy, coefficients, oracle, predictions, rootsys, torus
 
@@ -228,9 +229,9 @@ def _check_manifest_values(inst: dict) -> None:
     except ValueError as exc:
         fail(str(exc))
     if p is not None:
-        verdict = rootsys.very_good_check(p, types)
-        if not verdict:
-            fail("; ".join(verdict.reasons))
+        reasons = rootsys.bad_characteristic_reasons(p, types)
+        if reasons:
+            fail("; ".join(reasons))
 
 
 def _check_place(place) -> None:
@@ -330,16 +331,13 @@ class Context:
         self.point_cap = caps["points"]
         self.orbit_cap = caps["orbits"]
         self.candidate_cap = caps["candidates"]
-        self._poset = None
 
-    @property
+    @cached_property
     def poset(self):
-        if self._poset is None:
-            self._poset = coendoscopy.strata_poset(
-                self.datum, self.q, self.route,
-                point_cap=self.point_cap, candidate_cap=self.candidate_cap,
-            )
-        return self._poset
+        return coendoscopy.strata_poset(
+            self.datum, self.q, self.route,
+            point_cap=self.point_cap, candidate_cap=self.candidate_cap,
+        )
 
     def envelope(self, command: str) -> dict:
         return {

@@ -89,14 +89,13 @@ def canonical_subset(rs: RootSystem, indices) -> tuple[int, ...]:
     return keyed_orbit(rs, indices)[indices]
 
 
-def class_keys(rs: RootSystem, sets) -> list[tuple[int, ...]]:
-    """canonical_subset of each full-rank closed subsystem, one orbit
-    search per W-class: every member of a searched orbit is keyed at once."""
-    keys = {}
-    for s in sets:
-        if s not in keys:
-            keys.update(keyed_orbit(rs, s))
-    return [keys[s] for s in sets]
+def _class_map(rs: RootSystem, keys) -> dict[Subsystem, Subsystem]:
+    """Every root set of ``keys`` (root sets mapped to their class keys, as
+    ``keyed_orbit`` gives them), as a Subsystem in key order, mapped to its
+    class representative: the member whose key is the class key."""
+    subs = sorted((Subsystem(rs, s) for s in keys), key=attrgetter("key"))
+    reps = {sub.key: sub for sub in subs if sub.key == keys[sub.indices]}
+    return {sub: reps[keys[sub.indices]] for sub in subs}
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +284,7 @@ def equal_rank_subsystems(
                 "(caps.candidates)", order=len(keys))
         worklist += [step.indices
                      for _, _, step in _prime_steps(rs, Subsystem(rs, orbit[s]))]
-    subs = sorted((Subsystem(rs, s) for s in keys), key=attrgetter("key"))
-    reps = {sub.key: sub for sub in subs if sub.key == keys[sub.indices]}
-    return {sub: reps[keys[sub.indices]] for sub in subs}
+    return _class_map(rs, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +295,13 @@ class Stratum:
     """An element of the elliptic stratification: a full-rank centralizer
     subsystem together with its group data at a fixed q.
 
-    ``class_key`` is the canonical key of the subsystem's W-class.  As
-    w·Z_c = Z_{w·c}, ``z_order`` and ``z_invariants`` are those of
-    ``z_class``, the group Z(F_q) of the class representative (the member
-    whose key is the class key).  ``z_group``, with generators of this
-    stratum's own group, is ``z_class`` on the representative and is
-    solved on first use on the other members.
+    ``rep`` is the representative of the subsystem's W-class, the member
+    whose key is the class key; it is ``subsystem`` itself on the
+    representative.  As w·Z_c = Z_{w·c}, ``z_order`` and ``z_invariants``
+    are those of ``z_class``, the group Z(F_q) of ``rep``, and the
+    signature is ``rep``'s, typed once per class.  ``z_group``, with
+    generators of this stratum's own group, is ``z_class`` on the
+    representative and is solved on first use on the other members.
 
     On the enumerate route ``s_points`` holds the sweep indices of the
     stratum's points (``point_from_index`` gives their residues); the
@@ -311,17 +309,17 @@ class Stratum:
     """
 
     def __init__(self, datum: GroupDatum, q: int, subsystem: Subsystem,
-                 class_key: tuple[int, ...], z_class: FiniteAbelianGroup,
+                 rep: Subsystem, z_class: FiniteAbelianGroup,
                  s_size: int, s_points=None):
         self.datum = datum
         self.q = q
         self.subsystem = subsystem
-        self.class_key = class_key
+        self.rep = rep
         self.z_order = z_class.order
         self.z_invariants = z_class.invariants
         self.s_size = s_size
         self.s_points = s_points
-        if subsystem.key == class_key:
+        if subsystem is rep:
             self.z_group = z_class
 
     @cached_property
@@ -334,7 +332,7 @@ class Stratum:
 
     @property
     def signature(self) -> str:
-        return self.subsystem.signature
+        return self.rep.signature
 
     def __repr__(self):
         return (
@@ -361,8 +359,6 @@ class StrataPoset:
         )
         self.warnings = tuple(warnings)
         sets = [st.subsystem.indices for st in self.strata]
-        # canonical_subset of each stratum: the lex-least member of its W-class
-        self.class_keys = [st.class_key for st in self.strata]
         # i <= j only if i has at least as many roots, so i <= j implies
         # index i <= index j
         self._below = [
@@ -379,34 +375,22 @@ class StrataPoset:
 
     def class_representatives(self) -> list[int]:
         """Strata that are the lex-least subset in their W-orbit."""
-        return [
-            i for i, (st, key) in enumerate(zip(self.strata, self.class_keys))
-            if st.key == key
-        ]
-
-    def class_signatures(self) -> list[str]:
-        """The signature of each stratum, computed once per W-class:
-        W-conjugate strata (equal class keys) have the same type."""
-        signatures = {}
-        for st, key in zip(self.strata, self.class_keys):
-            if key not in signatures:
-                signatures[key] = st.signature
-        return [signatures[key] for key in self.class_keys]
+        return [i for i, st in enumerate(self.strata) if st.key == st.rep.key]
 
     def summary(self) -> list[dict]:
         """One row per stratum, from class data: each class's signature is
-        computed once, and no generators of Z are solved."""
+        computed once, on its representative, and no generators of Z are
+        solved."""
         return [
             {
-                "signature": signature,
+                "signature": st.signature,
                 "roots": len(st.subsystem.indices),
                 "z_invariants": list(st.z_invariants),
                 "z_order": st.z_order,
                 "s_size": st.s_size,
-                "canonical": st.key == key,
+                "canonical": st.key == st.rep.key,
             }
-            for st, key, signature in zip(self.strata, self.class_keys,
-                                          self.class_signatures())
+            for st in self.strata
         ]
 
 
@@ -456,20 +440,27 @@ def _strata_by_enumeration(datum, q, point_cap) -> StrataPoset:
     groups: dict[int, list[int]] = {}
     for idx, mask in masks.items():
         groups.setdefault(mask, []).append(idx)
-    subs = []
-    for mask in groups:
+    points, mask_of = {}, {}
+    for mask, pts in groups.items():
         indices = [pos[b] for b in range(len(pos)) if mask >> b & 1]
-        indices += [rs.negate[i] for i in indices]
-        subs.append(Subsystem(rs, indices))
-    keys = class_keys(rs, [sub.indices for sub in subs])
+        s = frozenset(indices + [rs.negate[i] for i in indices])
+        points[s], mask_of[s] = pts, mask
+    # W permutes the strata (w·S_c = S_{w·c}), so every member of a keyed
+    # orbit is a stratum: one orbit search per W-class keys them all
+    keys = {}
+    for s in points:
+        if s not in keys:
+            keys.update(keyed_orbit(rs, s))
+    classes = _class_map(rs, keys)
     # one Smith form per W-class, solved for its representative
-    z_of = {key: subgroup_points(datum, q, sub)
-            for sub, key in zip(subs, keys) if sub.key == key}
-    strata = [Stratum(datum, q, sub, key, z_of[key], len(pts), tuple(pts))
-              for sub, key, pts in zip(subs, keys, groups.values())]
+    z_of = {rep: subgroup_points(datum, q, rep)
+            for rep in dict.fromkeys(classes.values())}
+    strata = [Stratum(datum, q, sub, rep, z_of[rep], len(points[sub.indices]),
+                      tuple(points[sub.indices]))
+              for sub, rep in classes.items()]
     poset = StrataPoset(datum, q, "enumerate", strata)
     poset._masks = masks
-    poset._mask_of = dict(zip((sub.key for sub in subs), groups))
+    poset._mask_of = mask_of
     return poset
 
 
@@ -493,7 +484,7 @@ def _strata_by_classification(datum, q, cands) -> StrataPoset:
             class_data[rep] = z, size
         z, size = class_data[rep]
         if size > 0:
-            strata.append(Stratum(datum, q, cand, rep.key, z, size))
+            strata.append(Stratum(datum, q, cand, rep, z, size))
     warnings = []
     for t in rs.simple_factors:
         need = car_divisor(t)
@@ -556,7 +547,7 @@ def reeder_partition_check(poset: StrataPoset) -> Verdict:
     masks = poset._masks
     mask_counts = Counter(masks.values())
     for i, st in enumerate(poset.strata):
-        mask_i = poset._mask_of[st.key]
+        mask_i = poset._mask_of[st.subsystem.indices]
         direct = sum(count for mk, count in mask_counts.items()
                      if mk & mask_i == mask_i)
         if direct != st.z_order:

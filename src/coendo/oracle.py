@@ -17,10 +17,10 @@ from .rootsys import (
     GroupDatum,
     SimpleType,
     WeylGroup,
+    bad_characteristic_reasons,
     characteristic_of,
     geometric_center_order,
     make_datum,
-    very_good_check,
 )
 from .torus import (
     DEFAULT_POINT_CAP,
@@ -242,10 +242,11 @@ def brute_strata_check(datum: GroupDatum, q: int) -> Verdict:
     (d) the classify-route poset is identical to the enumerated one.
 
     In (c), closedness, negation-stability and rank are W-invariant, so
-    they are tested once per class key, on the first stratum carrying it:
-    the keys come from an exact orbit search of each stratum's own roots,
-    so equal keys mean W-conjugate root sets.  The centralizer comparison
-    tests the sweep's output point by point, so it runs on every stratum.
+    they are tested once per class, on each stratum's representative: the
+    representatives come from an exact orbit search of the strata's own
+    roots, so strata sharing one are W-conjugate.  The centralizer
+    comparison tests the sweep's output point by point, so it runs on
+    every stratum.
 
     None of these enumerates W.
     """
@@ -254,8 +255,8 @@ def brute_strata_check(datum: GroupDatum, q: int) -> Verdict:
     poset = strata_poset(datum, q, "enumerate")
 
     # (a) maximal proper strata vs rational classes, as canonical subsets:
-    # the poset's class keys against a fresh orbit search per class
-    maximal = {poset.class_keys[i] for i in _maximal_proper_strata(poset)}
+    # the strata's representatives against a fresh orbit search per class
+    maximal = {poset.strata[i].rep.key for i in _maximal_proper_strata(poset)}
     rational = {
         canonical_subset(rs, cl.subsystem.indices)
         for cl in classify(datum, q)
@@ -279,16 +280,15 @@ def brute_strata_check(datum: GroupDatum, q: int) -> Verdict:
     # (c) structural re-verification, independent of the sweep kernel:
     # the W-invariant tests once per class, the centralizer per stratum
     tested = set()
-    for st, key in zip(poset.strata, poset.class_keys):
-        sub = st.subsystem
-        if key not in tested:
-            tested.add(key)
-            if sub.rank != rs.rank or not sub.is_closed():
+    for st in poset.strata:
+        if st.rep not in tested:
+            tested.add(st.rep)
+            if st.rep.rank != rs.rank or not st.rep.is_closed():
                 return Verdict("brute_strata", inst, False,
                                witness={"stratum": st.signature,
                                         "reason": "not closed or not full rank"})
         v = point_from_index(q, rs.rank, st.s_points[0])
-        if centralizer_subsystem(datum, q, v).indices != sub.indices:
+        if centralizer_subsystem(datum, q, v).indices != st.subsystem.indices:
             return Verdict("brute_strata", inst, False,
                            witness={"stratum": st.signature, "point": list(v),
                                     "reason": "kernel/direct mismatch"})
@@ -306,7 +306,7 @@ def brute_strata_check(datum: GroupDatum, q: int) -> Verdict:
         "brute_strata", inst, True,
         details={
             "strata": len(poset.strata),
-            "types": sorted(set(poset.class_signatures())),
+            "types": sorted({st.signature for st in poset.strata}),
         },
     )
 
@@ -314,8 +314,8 @@ def brute_strata_check(datum: GroupDatum, q: int) -> Verdict:
 def bds_cross_check(t: SimpleType | str, q: int | None = None) -> Verdict:
     """Node-deletion class types against brute-enumerated maximal strata.
 
-    The maximal strata's types are read from ``class_signatures``, one
-    Dynkin-diagram typing per W-class: conjugate strata have one type."""
+    Only the maximal strata are typed, each on its class representative:
+    one Dynkin-diagram typing per maximal W-class."""
     if isinstance(t, str):
         t = SimpleType.parse(t)
     if q is None:
@@ -326,8 +326,8 @@ def bds_cross_check(t: SimpleType | str, q: int | None = None) -> Verdict:
     p = characteristic_of(q)
     datum = make_datum([repr(t)], "sc", p)
     poset = strata_poset(datum, q, "enumerate")
-    signatures = poset.class_signatures()
-    enumerated = {signatures[i] for i in _maximal_proper_strata(poset)}
+    enumerated = {poset.strata[i].signature
+                  for i in _maximal_proper_strata(poset)}
     classified = {cl.signature for cl in borel_de_siebenthal(datum.root_system)}
     ok = enumerated == classified
     return Verdict(
@@ -384,7 +384,7 @@ def admissible_q(t: SimpleType, q: int) -> bool:
         p = characteristic_of(q)
     except ValueError:
         return False
-    if not very_good_check(p, [t]):
+    if bad_characteristic_reasons(p, [t]):
         return False
     need = car_divisor(t)
     if need is not None and (q - 1) % need:

@@ -46,8 +46,10 @@ class IllegalType(ValueError):
 class CapExceeded(RuntimeError):
     """Enumeration would exceed the configured cap.
 
-    ``order`` carries the exact group order computed from the degrees, so
-    callers can fall back to order-only paths.
+    ``order`` holds the exact figure that passed the cap: |W| from the
+    degrees (caps.weyl), |T(F_q)| (caps.points) or the number of coset
+    tuples (caps.orbits); for caps.candidates, the number of full-rank
+    closed subsystems found when the search stopped, a lower bound.
     """
 
     def __init__(self, message: str, order: int | None = None):
@@ -546,20 +548,9 @@ class FiniteAbelianGroup:
         return hash(self.invariants)
 
 
-class VeryGoodVerdict:
-    def __init__(self, ok: bool, reasons: list[str]):
-        self.ok = ok
-        self.reasons = tuple(reasons)
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return f"VeryGoodVerdict({self.ok}, {list(self.reasons)})"
-
-
-def very_good_check(p: int, factors) -> VeryGoodVerdict:
-    """Whether p is a very good characteristic for every simple factor."""
+def bad_characteristic_reasons(p: int, factors) -> list[str]:
+    """Why p is not a very good characteristic, one reason per simple
+    factor it fails; empty when it is very good for every factor."""
     reasons = []
     for t in factors:
         if t.family == "A":
@@ -574,7 +565,7 @@ def very_good_check(p: int, factors) -> VeryGoodVerdict:
         else:
             if p in (2, 3):
                 reasons.append(f"{t}: p in {{2,3}} for type {t.family}{t.rank}")
-    return VeryGoodVerdict(not reasons, reasons)
+    return reasons
 
 
 class GroupDatum:
@@ -587,9 +578,9 @@ class GroupDatum:
         rs = root_system
         if not all(cochar.contains(col) for col in il.columns(rs.cartan)):
             raise NotASublattice("coroot lattice not contained in X_*")
-        verdict = very_good_check(p, rs.simple_factors)
-        if not verdict:
-            raise BadCharacteristic("; ".join(verdict.reasons))
+        reasons = bad_characteristic_reasons(p, rs.simple_factors)
+        if reasons:
+            raise BadCharacteristic("; ".join(reasons))
 
     @cached_property
     def root_functionals(self) -> tuple[Vector, ...]:

@@ -686,12 +686,12 @@ def test_geometric_center_requires_full_rank():
 
 
 def test_very_good_rules():
-    v = R.very_good_check(3, [R.SimpleType("A", 2)])
-    assert not v and "p | n" in v.reasons[0]
-    assert R.very_good_check(7, [R.SimpleType("G", 2)])
-    assert not R.very_good_check(2, [R.SimpleType("B", 2)])
-    assert not R.very_good_check(5, [R.SimpleType("E", 8)])
-    assert R.very_good_check(7, [R.SimpleType("E", 8)])
+    reasons = R.bad_characteristic_reasons(3, [R.SimpleType("A", 2)])
+    assert reasons and "p | n" in reasons[0]
+    assert not R.bad_characteristic_reasons(7, [R.SimpleType("G", 2)])
+    assert R.bad_characteristic_reasons(2, [R.SimpleType("B", 2)])
+    assert R.bad_characteristic_reasons(5, [R.SimpleType("E", 8)])
+    assert not R.bad_characteristic_reasons(7, [R.SimpleType("E", 8)])
     with pytest.raises(R.BadCharacteristic):
         R.make_datum(["A2"], "sc", 3)
 

@@ -63,3 +63,18 @@ def test_classify_route_strata_counters(capsys):
     assert metrics["coendoscopy.candidates"] == 66
     assert metrics["coendoscopy.strata"] == 44
     assert metrics["torus.subgroup_points_calls"] == 8
+
+
+def test_enumerate_route_strata_counters(capsys):
+    # the sweep workload's counters on an enumerate-route strata run: F4 at
+    # q = 25 keeps 4177 elliptic points in 44 strata of 5 W-classes, and
+    # solves one Smith form per class
+    tracing = load_tracing()
+    with tracing.Tracer() as tracer:
+        assert coendo.cli.main(["strata", "--type", "F4", "--q", "25",
+                                "--route", "enumerate"]) == 0
+    capsys.readouterr()
+    metrics = tracer.metrics()
+    assert metrics["torus.points_swept"] == 4177
+    assert metrics["coendoscopy.strata"] == 44
+    assert metrics["torus.subgroup_points_calls"] == 5
