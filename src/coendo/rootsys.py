@@ -26,8 +26,10 @@ pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import cached_property
-from operator import itemgetter
+from itertools import compress
+from operator import add, itemgetter, neg
 
 from . import intlinalg as il
 from .intlinalg import Matrix, Vector
@@ -148,10 +150,7 @@ class SimpleType:
         return f"{self.family}{self.rank}"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SimpleType)
-            and (self.family, self.rank) == (other.family, other.rank)
-        )
+        return isinstance(other, SimpleType) and repr(other) == repr(self)
 
     def __hash__(self):
         return hash((self.family, self.rank))
@@ -219,48 +218,62 @@ class RootSystem:
             factor_of += [fi] * t.rank
         self.cartan = cart = tuple(cart)
         cols = tuple(zip(*cart))
+        # (i, C[j][i], C[i][j]) for the nodes i linked to node j
+        links = [[(i, a, cols[j][i]) for i, a in enumerate(row)
+                  if a and i != j] for j, row in enumerate(cart)]
 
-        # a root c (simple-root coefficients) carries its pairing row
-        # p = c C, p_j = <c, alpha_j^vee>, and its coroot x in coweight
-        # coordinates, and s_j sends (c, p, x) to
-        # (c - p_j e_j, p - p_j C[j], x - x_j C^T[j])
-        simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-        pair = dict(zip(simple, zip(cart, cols)))
-
-        def image(c, j):
-            """s_j c, recording its pairing row and coroot when new."""
-            p, x = pair[c]
-            pj = p[j]
-            if not pj:
-                return c
-            d = c[:j] + (c[j] - pj,) + c[j + 1:]
-            if d not in pair:
-                xj = x[j]
-                pair[d] = (tuple(a - pj * b for a, b in zip(p, cart[j])),
-                           tuple(a - xj * b for a, b in zip(x, cols[j])))
-            return d
-
-        found = sorted(closure(simple, lambda c: [image(c, j)
-                                                  for j in range(r)]),
-                       key=lambda c: (sum(c), c))
-        self.roots = tuple(
-            Root(c, factor_of[next(t for t, v in enumerate(c) if v)], i,
-                 pair[c][1])
-            for i, c in enumerate(found))
-        self.index_of = index_of = {c: i for i, c in enumerate(found)}
         # a root's key is its coefficients as base-32 digits, so keys add as
         # roots do; marks are at most 6, so a sum or difference of two roots
-        # (coefficients in -12..12) is a root iff its key is a root's key
-        self.keys = keys = tuple(sum(v << 5 * t for t, v in enumerate(c))
-                                 for c in found)
-        self.key_index = key_index = dict(zip(keys, range(len(keys))))
-        self.simple_indices = tuple(index_of[c] for c in simple)
-        self.positive_indices = tuple(rt.index for rt in self.roots
-                                      if rt.positive)
-        self.negate = tuple(key_index[-k] for k in keys)
-        # root-index permutations of the simple reflections, in node order
-        self.simple_reflection_perms = tuple(
-            tuple(index_of[image(c, j)] for c in found) for j in range(r))
+        # (coefficients in -12..12) is a root iff its key is a root's key.
+        # A positive root's key maps to its coefficients c, pairing row
+        # p = c C, coroot x and factor.  s_j sends key k to k - p_j 32^j, a
+        # new root taking (c - p_j e_j, p - p_j C[j], x - x_j C^T[j]) from
+        # its parent, and permutes the positive roots but alpha_j, so the
+        # closure of the simple roots finds them all (Bourbaki, Lie VI
+        # §1.6).  ``moves`` records each root's images where p_j != 0.
+        unit = [1 << 5 * j for j in range(r)]
+        data = {unit[i]: (tuple(int(i == j) for j in range(r)), cart[i],
+                          cols[i], factor_of[i]) for i in range(r)}
+        moves = {}
+
+        def step(k):
+            c, p, x, f = data[k]
+            moves[k] = out = {j: k - p[j] * unit[j]
+                              for j in compress(range(r), p)}
+            for j, d in out.items():
+                if d > 0 and d not in data:
+                    pj, xj, p2, x2 = p[j], x[j], list(p), list(x)
+                    p2[j], x2[j] = -pj, -xj
+                    for i, a, b in links[j]:
+                        p2[i] -= pj * a
+                        x2[i] -= xj * b
+                    data[d] = (c[:j] + (c[j] - pj,) + c[j + 1:], tuple(p2),
+                               tuple(x2), f)
+            return [d for d in out.values() if d > 0]
+
+        closure(unit, step)
+        pos = sorted(data, key=lambda k: (sum(data[k][0]), data[k][0]))
+        # roots sorted by (height, coefficients): the negatives are the
+        # positives negated in reverse, so root i has negative 2N - 1 - i
+        n = 2 * len(pos)
+        self.keys = keys = tuple([-k for k in reversed(pos)] + pos)
+        self.key_index = key_index = dict(zip(keys, range(n)))
+        self.roots = tuple(
+            Root(c, f, i, x) if k > 0 else
+            Root(tuple(map(neg, c)), f, i, tuple(map(neg, x)))
+            for i, k in enumerate(keys)
+            for c, _, x, f in [data[abs(k)]])
+        self.simple_indices = tuple(map(key_index.__getitem__, unit))
+        self.positive_indices = tuple(range(n // 2, n))
+        self.negate = tuple(range(n - 1, -1, -1))
+        # root-index permutations of the simple reflections, in node order;
+        # s_j(-beta) = -s_j(beta)
+        perms = [list(range(n)) for _ in range(r)]
+        for i, k in enumerate(pos, n // 2):
+            for j, d in moves[k].items():
+                perms[j][i] = t = key_index[d]
+                perms[j][n - 1 - i] = n - 1 - t
+        self.simple_reflection_perms = tuple(map(tuple, perms))
 
     @property
     def num_roots(self) -> int:
@@ -305,26 +318,16 @@ def exponents(rs: RootSystem, factor_index: int) -> tuple[int, ...]:
     The positive-root height histogram is the conjugate of the partition
     formed by the exponents; sum m_i = half the number of roots.
     """
-    heights = [rt.height for rt in rs.roots if rt.factor == factor_index and rt.positive]
-    hist = {}
-    for h in heights:
-        hist[h] = hist.get(h, 0) + 1
-    out = []
-    level = 1
-    while any(v >= level for v in hist.values()):
-        out.append(sum(1 for h, v in hist.items() if v >= level))
-        level += 1
-    out.sort()
-    return tuple(out)
+    hist = Counter(rt.height for rt in rs.roots
+                   if rt.factor == factor_index and rt.positive).values()
+    return tuple(sorted(sum(v >= level for v in hist)
+                        for level in range(1, max(hist) + 1)))
 
 
 def weyl_order(rs: RootSystem) -> int:
     """|W| as the product over factors of prod(m_i + 1)."""
-    order = 1
-    for fi in range(len(rs.simple_factors)):
-        for m in exponents(rs, fi):
-            order *= m + 1
-    return order
+    return math.prod(m + 1 for fi in range(len(rs.simple_factors))
+                     for m in exponents(rs, fi))
 
 
 class WeylGroup:
@@ -526,23 +529,15 @@ class FiniteAbelianGroup:
                 raise ValueError("invariant factors must form a divisibility chain")
         if any(d <= 1 for d in self.invariants):
             raise ValueError("invariant factors must exceed 1")
-        order = 1
-        for d in self.invariants:
-            order *= d
-        self.order = order
+        self.order = math.prod(self.invariants)
 
     def __repr__(self):
-        if not self.invariants:
-            return "FiniteAbelianGroup(trivial)"
-        return "FiniteAbelianGroup(%s)" % " x ".join(
-            f"Z/{d}" for d in self.invariants
-        )
+        return "FiniteAbelianGroup(%s)" % (" x ".join(
+            f"Z/{d}" for d in self.invariants) or "trivial")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FiniteAbelianGroup)
-            and self.invariants == other.invariants
-        )
+        return (isinstance(other, FiniteAbelianGroup)
+                and self.invariants == other.invariants)
 
     def __hash__(self):
         return hash(self.invariants)
@@ -575,18 +570,27 @@ class GroupDatum:
         self.root_system = root_system
         self.cochar = cochar
         self.p = p
-        rs = root_system
-        if not all(cochar.contains(col) for col in il.columns(rs.cartan)):
+        if not all(map(cochar.contains, il.columns(root_system.cartan))):
             raise NotASublattice("coroot lattice not contained in X_*")
-        reasons = bad_characteristic_reasons(p, rs.simple_factors)
+        reasons = bad_characteristic_reasons(p, root_system.simple_factors)
         if reasons:
             raise BadCharacteristic("; ".join(reasons))
 
     @cached_property
     def root_functionals(self) -> tuple[Vector, ...]:
-        """Every root as an integer functional on X_* coordinates."""
-        b = self.cochar.basis
-        return tuple(il.vecmat(rt.coeffs, b) for rt in self.root_system.roots)
+        """Every root as an integer functional on X_* coordinates.  A
+        positive root beta, in height order, takes that of beta - alpha_j
+        plus row j of the basis, for the first j with beta - alpha_j zero
+        or a positive root (one exists: Bourbaki, Lie VI §1.6), and -beta
+        takes minus that of beta."""
+        rs, b = self.root_system, self.cochar.basis
+        unit = [rs.keys[i] for i in rs.simple_indices]
+        func = {0: (0,) * rs.rank}
+        for k in rs.keys[rs.num_roots // 2:]:
+            j = next(j for j, u in enumerate(unit) if k - u in func)
+            func[k] = tuple(map(add, func[k - unit[j]], b[j]))
+        return tuple(func[k] if k > 0 else tuple(map(neg, func[-k]))
+                     for k in rs.keys)
 
     def __repr__(self):
         return f"GroupDatum({self.root_system!r}, {self.cochar.name}, p={self.p})"
@@ -646,10 +650,8 @@ def make_datum(factors, lattice="sc", p: int = 5) -> GroupDatum:
                 and all(isinstance(row, (list, tuple)) and len(row) == n
                         and all(type(x) is int for x in row)
                         for row in lattice)):
-            raise ValueError(
-                f'lattice must be "sc", "ad" or a {n} x {n} integer matrix, '
-                f"got {lattice!r}"
-            )
+            raise ValueError(f'lattice must be "sc", "ad" or a {n} x {n} '
+                             f"integer matrix, got {lattice!r}")
         lat = Lattice("custom", il.mat(lattice))
     return GroupDatum(rs, lat, p)
 

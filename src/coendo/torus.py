@@ -7,26 +7,27 @@ operation below is exact.  q is always an explicit parameter so that the
 same machinery runs over any extension field.
 
 The sweep (``centralizer_masks_for``) covers every point but returns masks
-only for the elliptic points, those whose centralizer has full rank.  It
-visits the points of each part (Z/f)^r of T(F_q), f a prime-power factor
-of q-1, drops a part's points whose roots have less than full rank, and
-joins the parts' remaining points, since a root kills a point iff it
-kills each part; a joined point is kept when its roots have full rank.
-Ranks are counted from simple roots (``full_rank_test``), with no
-elimination.  A point is named by its sweep index, a mixed-radix
-Chinese-remainder index over the parts; ``point_from_index`` gives its
-residue vector.  A subsystem's components are typed from their Dynkin
-diagrams (``identify_cartan``).
+only for the elliptic points, those whose centralizer has full rank.  On
+each part (Z/f)^r of T(F_q), f a prime-power factor of q-1, the kernel
+(``centralizer_masks``) builds each root's vanishing indicator over all
+f^r points by joins from the indicators of the root's shorter coefficient
+suffixes mod f, memoized for the call, so no Python code runs per point
+and one code path serves every f.  Points whose roots have less than full
+rank are dropped, counted from simple roots (``full_rank_test``), and the
+parts' remaining points are joined, since a root kills a point iff it
+kills each part.  A point is named by its sweep index, a mixed-radix
+Chinese-remainder index over the parts (``point_from_index``).  A
+subsystem's components are typed from their Dynkin diagrams.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import sys
 from array import array
 from bisect import bisect_left
 from functools import cached_property
+from itertools import compress
 from operator import mul
 
 from . import intlinalg as il
@@ -44,14 +45,12 @@ DEFAULT_POINT_CAP = 1_000_000
 def prime_power_factors(m: int) -> list[int]:
     """The prime powers p^k exactly dividing m, by increasing p; trial
     division, enough for m up to the point cap."""
-    factors = []
-    p = 2
+    factors, p = [], 2
     while p * p <= m:
         if m % p == 0:
             f = 1
             while m % p == 0:
-                m //= p
-                f *= p
+                m, f = m // p, f * p
             factors.append(f)
         p += 1
     if m > 1:
@@ -165,10 +164,7 @@ class Subsystem:
     @cached_property
     def signature(self) -> str:
         """Canonical type string, e.g. 'A1xA1xB2'; empty subsystem is '-'."""
-        if not self.indices:
-            return "-"
-        names = sorted(f"{t.family}{t.rank}" for t in self.component_types)
-        return "x".join(names)
+        return "x".join(sorted(map(repr, self.component_types))) or "-"
 
     @cached_property
     def weyl_order(self) -> int:
@@ -242,8 +238,7 @@ def subgroup_points(datum: GroupDatum, q: int, sub: Subsystem) -> FiniteAbelianG
     funcs = datum.root_functionals
     d, _, v = il.snf_transform(il.mat([funcs[i] for i in base]))
     k = len(base)
-    gens = []
-    orders = []
+    gens, orders = [], []
     for j in range(r):
         dj = d[j][j] if j < k else 0
         order = math.gcd(dj, m) if dj else m
@@ -269,40 +264,47 @@ def centralizer_masks(rows, m, least):
     set iff rows[i]·v == 0 mod m.
 
     No Python code runs per point, only per kept point.  Row i becomes a
-    byte string over all points holding ``1 << (i % 8)`` where it
-    vanishes, built coordinate by coordinate from the last one: ``ind[d]``
-    is that string over the coordinates j.. given the residue d of the dot
-    product with the ones before j, and it is the join of the m strings
-    ``ind[(d + a_j·x) % m]``.  Each group of 8 rows is OR-ed into one byte
-    plane.  A plane's popcount lanes are added to the running counts as
-    big ints, and the sum is capped at ``least`` by ``translate``: a lane
-    then never exceeds least + 8 <= 255, so it never carries into its
-    neighbour.  The masks of the kept points are read back from their
-    bytes in the planes.
+    0/1 byte string over all points, 1 where it vanishes, built from the
+    last coordinate: for the suffix (a_j, ..., a_{r-1}) of the row mod m,
+    ``ind[d]`` is that string over the coordinates j.. given the residue d
+    of the dot product with the ones before j, the join of the m strings
+    ``ind[(d + a_j·x) % m]`` of the next suffix.  The lists are memoized by
+    suffix for the call, so rows that share a suffix share every level
+    below it, and the joins hold any m.  Each group of 8 rows is OR-ed into
+    one byte plane, row i at bit i % 8.  A plane's popcount lanes are added
+    to the running counts as big ints, and the sum is capped at ``least``
+    by ``translate``: a lane then never exceeds least + 8 <= 255, so it
+    never carries into its neighbour.  The masks of the kept points are
+    read back from their bytes in the planes.
     """
     if not 0 <= least <= 247:
         raise ValueError("least must lie in 0..247")
     r = len(rows[0])
     n = m**r
-    cap = bytes(min(b, least) for b in range(256))
+    cap = bytes(range(least)) + bytes([least]) * (256 - least)
     kills = bytes(n)
     planes = []
+    memo = {(): [b"\1"] + [b"\0"] * (m - 1)}
     for g in range(0, len(rows), 8):
         plane = 0
         for i in range(g, min(g + 8, len(rows))):
-            ind = [bytes([1 << (i % 8)])] + [b"\0"] * (m - 1)
+            row = tuple(map(m.__rmod__, rows[i]))
+            ind = memo[()]
             for j in range(r - 1, -1, -1):
-                steps = [rows[i][j] * x % m for x in range(m)]
-                # ind[(d + s) % m] for s in steps, as a gather from a rotation
-                ind = [b"".join(map((ind[d:] + ind[:d]).__getitem__, steps))
-                       for d in (range(m) if j else (0,))]
-            plane |= int.from_bytes(ind[0], "little")
-        plane = plane.to_bytes(n, "little")
-        planes.append(plane)
+                below, ind = ind, memo.get(row[j:])
+                if ind is None:
+                    # below[(d + s) % m] over steps: a gather from a rotation
+                    steps = [row[j] * x % m for x in range(m)]
+                    ind = memo[row[j:]] = [
+                        b"".join(map((below[d:] + below[:d]).__getitem__,
+                                     steps)) for d in range(m if j else 1)]
+            plane |= int.from_bytes(ind[0], "little") << i % 8
+        planes.append(plane := plane.to_bytes(n, "little"))
         total = (int.from_bytes(kills, "little")
                  + int.from_bytes(plane.translate(POPCOUNT), "little"))
         kills = total.to_bytes(n, "little").translate(cap)
-    kept = [hit.start() for hit in re.finditer(re.escape(bytes([least])), kills)]
+    reached = bytes(least) + b"\1" * (256 - least)
+    kept = list(compress(range(n), kills.translate(reached)))
     # byte g of a kept point's mask is its byte in plane g; each 8 bytes
     # of it make one little-endian 64-bit word
     width = -(-len(planes) // 8)
@@ -382,15 +384,12 @@ def centralizer_masks_for(datum: GroupDatum, q: int, cap: int = DEFAULT_POINT_CA
     m = q - 1
     total = m ** r
     if total > cap:
-        raise CapExceeded(
-            f"|T(F_q)| = {total} exceeds cap {cap} (caps.points)", order=total
-        )
+        raise CapExceeded(f"|T(F_q)| = {total} exceeds cap {cap} "
+                          "(caps.points)", order=total)
     pos = rs.positive_indices
-    funcs = datum.root_functionals
-    rows = [funcs[i] for i in pos]
+    rows = [datum.root_functionals[i] for i in pos]
     full_rank = full_rank_test(rs, pos)
-    swept = []
-    masks = None
+    swept, masks = [], None
     for f in prime_power_factors(m) or [m]:
         kills, kept = centralizer_masks(rows, f, r)
         swept.append(kills)
@@ -410,8 +409,7 @@ def centralizer_masks_for(datum: GroupDatum, q: int, cap: int = DEFAULT_POINT_CA
         for x, a in masks.items():
             if a not in follow:
                 ys = sorted(y for b, group in classes.items()
-                            if full_rank(a & b)
-                            for y in group)
+                            if full_rank(a & b) for y in group)
                 follow[a] = ys, [a & kept[y] for y in ys]
             ys, ms = follow[a]
             base = x * size

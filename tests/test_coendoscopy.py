@@ -186,6 +186,21 @@ def test_routes_agree(name, q):
     assert pe.mobius_table == pc.mobius_table
 
 
+@pytest.mark.parametrize("name,lat,q", [
+    ("A1", "sc", 2187), ("A1", "ad", 2187), ("A2", "sc", 563),
+    ("A2", "ad", 563), ("B2", "sc", 587), ("G2", "sc", 587)])
+def test_routes_agree_on_parts_past_a_byte(name, lat, q):
+    # q - 1 = 2 * 1093, 2 * 281 and 2 * 293: the sweep's odd part has
+    # more than 256 points per coordinate
+    assert max(T.prime_power_factors(q - 1)) > 256
+    datum = datum_for(name, lat, q)
+    pe = C.strata_poset(datum, q, "enumerate")
+    pc = C.strata_poset(datum, q, "classify")
+    assert [(s.key, s.s_size, s.z_order) for s in pe.strata] == \
+        [(s.key, s.s_size, s.z_order) for s in pc.strata]
+    assert pe.mobius_table == pc.mobius_table
+
+
 def test_e6_routes_agree():
     # beyond the rank-4 grid: 77 strata (E6, 36 x A1A5, 40 x 3A2)
     datum = R.make_datum(["E6"], "sc", 7)

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from coendo import coendoscopy as C
 from coendo import intlinalg as il
 from coendo import rootsys as R
-from test_intlinalg import matmul
-from test_torus import (intermediate_data, reflection_by_formula,
-                        weyl_inverse, weyl_matrix, weyl_reflection)
+from test_intlinalg import matmul, random_unimodular
+from test_torus import (CENTRALIZER_DATA, intermediate_data,
+                        reflection_by_formula, root_index, weyl_inverse,
+                        weyl_matrix, weyl_reflection)
 
 ALL_SIMPLE = (
     [f"A{r}" for r in range(1, 9)]
@@ -86,7 +87,7 @@ def test_roots_negation_closed_and_sign_coherent():
         rs = R.build_root_system([name])
         for rt in rs.roots:
             neg = tuple(-x for x in rt.coeffs)
-            assert neg in rs.index_of
+            assert root_index(rs, neg) is not None
             signs = {x > 0 for x in rt.coeffs if x} | {x < 0 for x in rt.coeffs if x}
             # all coefficients of one sign
             assert all(x >= 0 for x in rt.coeffs) or all(x <= 0 for x in rt.coeffs)
@@ -97,7 +98,7 @@ def test_cartan_reconstruction():
     for name in ["A2", "B3", "G2", "F4", "D5"]:
         rs = R.build_root_system([name])
         r = rs.rank
-        simple = [rs.index_of[tuple(int(i == j) for j in range(r))] for i in range(r)]
+        simple = [root_index(rs, tuple(int(i == j) for j in range(r))) for i in range(r)]
         rebuilt = [
             [
                 sum(
@@ -412,9 +413,10 @@ def tuple_sums(rs):
     """The root-sum table by coefficient-tuple arithmetic: for each root i,
     the pairs (j, k) with root i + root j = root k."""
     return tuple(
-        tuple((j, rs.index_of[s]) for j, b in enumerate(rs.roots)
-              if (s := tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-              in rs.index_of)
+        tuple((j, k) for j, b in enumerate(rs.roots)
+              if (k := root_index(rs, tuple(x + y for x, y in
+                                            zip(a.coeffs, b.coeffs))))
+              is not None)
         for a in rs.roots
     )
 
@@ -667,20 +669,20 @@ def test_geometric_center_orders():
     for n in (2, 3, 4):
         datum = R.make_datum([f"A{n-1}"], "sc", 7)
         rs = datum.root_system
-        base = [rs.index_of[tuple(int(i == j) for j in range(rs.rank))]
+        base = [root_index(rs, tuple(int(i == j) for j in range(rs.rank)))
                 for i in range(rs.rank)]
         assert R.geometric_center_order(datum, base) == n
     # adjoint groups have trivial center
     datum = R.make_datum(["B3"], "ad", 7)
     rs = datum.root_system
-    base = [rs.index_of[tuple(int(i == j) for j in range(3))] for i in range(3)]
+    base = [root_index(rs, tuple(int(i == j) for j in range(3))) for i in range(3)]
     assert R.geometric_center_order(datum, base) == 1
 
 
 def test_geometric_center_requires_full_rank():
     datum = R.make_datum(["A2"], "sc", 5)
     rs = datum.root_system
-    one = [rs.index_of[(1, 0)]]
+    one = [root_index(rs, (1, 0))]
     with pytest.raises(R.NotFullRank):
         R.geometric_center_order(datum, one)
 
@@ -721,3 +723,94 @@ def test_table_reproduction_runtime():
         rs = R.build_root_system([name])
         highest_root_coefficients(rs, 0)
     assert time.time() - t0 < 1.0
+
+
+# Reference for the root-system build: every root, positive and negative,
+# closed under the simple reflections as a coefficient tuple carrying its
+# pairing row and coroot, with the permutations read off a second pass of
+# the reflections over the tuples.
+def tuple_closure_build(factors):
+    types = [R.SimpleType.parse(t) for t in factors]
+    r = sum(t.rank for t in types)
+    cart, factor_of = [], []
+    for fi, t in enumerate(types):
+        off = len(cart)
+        cart += [(0,) * off + row + (0,) * (r - off - t.rank)
+                 for row in t.cartan()]
+        factor_of += [fi] * t.rank
+    cart = tuple(cart)
+    cols = tuple(zip(*cart))
+    simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    # c carries p = c C and its coroot x; s_j sends (c, p, x) to
+    # (c - p_j e_j, p - p_j C[j], x - x_j C^T[j])
+    pair = dict(zip(simple, zip(cart, cols)))
+
+    def image(c, j):
+        p, x = pair[c]
+        pj = p[j]
+        if not pj:
+            return c
+        d = c[:j] + (c[j] - pj,) + c[j + 1:]
+        if d not in pair:
+            xj = x[j]
+            pair[d] = (tuple(a - pj * b for a, b in zip(p, cart[j])),
+                       tuple(a - xj * b for a, b in zip(x, cols[j])))
+        return d
+
+    found = sorted(R.closure(simple, lambda c: [image(c, j)
+                                                for j in range(r)]),
+                   key=lambda c: (sum(c), c))
+    index_of = {c: i for i, c in enumerate(found)}
+    keys = tuple(sum(v << 5 * t for t, v in enumerate(c)) for c in found)
+    key_index = dict(zip(keys, range(len(keys))))
+    return {
+        "roots": tuple((c, factor_of[next(t for t, v in enumerate(c) if v)],
+                        sum(c), i, pair[c][1]) for i, c in enumerate(found)),
+        "keys": keys,
+        "key_index": key_index,
+        "simple_indices": tuple(index_of[c] for c in simple),
+        "positive_indices": tuple(i for i, c in enumerate(found)
+                                  if sum(c) > 0),
+        "negate": tuple(key_index[-k] for k in keys),
+        "simple_reflection_perms": tuple(
+            tuple(index_of[image(c, j)] for c in found) for j in range(r)),
+        "cartan": cart,
+    }
+
+
+@pytest.mark.parametrize("name", ["A1", "A2,A1", "B2,G2", "G2,B2", "C3", "B4",
+                                  "D4", "F4", "E6", "E7", "E8", "D12", "A30"])
+def test_key_closure_matches_tuple_closure(name):
+    rs = R.build_root_system(name.split(","))
+    want = tuple_closure_build(name.split(","))
+    got = {attr: getattr(rs, attr) for attr in want if attr != "roots"}
+    got["roots"] = tuple((rt.coeffs, rt.factor, rt.height, rt.index,
+                          rt.coroot_ambient) for rt in rs.roots)
+    for attr, value in want.items():
+        assert got[attr] == value, attr
+
+
+def vecmat_functionals(datum):
+    b = datum.cochar.basis
+    return tuple(il.vecmat(rt.coeffs, b) for rt in datum.root_system.roots)
+
+
+@pytest.mark.parametrize("factors,lattice", CENTRALIZER_DATA, ids=str)
+def test_root_functionals_match_vecmat(factors, lattice):
+    # sc, ad, and (Spin5 x SL2)/mu2, whose X_* is not a product lattice
+    datum = R.make_datum(factors, lattice, 10007)
+    assert datum.root_functionals == vecmat_functionals(datum)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(ALL_SIMPLE), min_size=1, max_size=3),
+       st.sampled_from(["sc", "ad"]), st.randoms())
+def test_root_functionals_match_vecmat_on_products(factors, lattice, rng):
+    # the basis of X_* changed by a random unimodular matrix, so its rows
+    # are not those of the Cartan or identity matrix
+    sc_or_ad = R.make_datum(factors, lattice, 10007)
+    rs, b = sc_or_ad.root_system, sc_or_ad.cochar.basis
+    changed = R.GroupDatum(rs, R.Lattice("custom", matmul(
+        b, random_unimodular(rng, rs.rank))), 10007)
+    for datum in (sc_or_ad, changed):
+        assert datum.root_functionals == vecmat_functionals(datum)

@@ -36,21 +36,28 @@ def is_elliptic(datum, q, point):
             == datum.root_system.rank)
 
 
-def reflection_by_formula(rs, root_index):
+def root_index(rs, coeffs):
+    """The index of the root with these simple-root coefficients, read off
+    its key, or None when no root has them."""
+    i = rs.key_index.get(sum(c << 5 * t for t, c in enumerate(coeffs)))
+    return i if i is not None and rs.roots[i].coeffs == tuple(coeffs) else None
+
+
+def reflection_by_formula(rs, mirror_index):
     """s_beta(alpha) = alpha - <alpha, beta^vee> beta, root by root."""
-    mirror = rs.roots[root_index]
+    mirror = rs.roots[mirror_index]
     out = []
     for rt in rs.roots:
         pair = sum(a * b for a, b in zip(rt.coeffs, mirror.coroot_ambient))
-        out.append(rs.index_of[
-            tuple(c - pair * m for c, m in zip(rt.coeffs, mirror.coeffs))
-        ])
+        out.append(root_index(
+            rs, tuple(c - pair * m for c, m in zip(rt.coeffs, mirror.coeffs))
+        ))
     return tuple(out)
 
 
-def weyl_reflection(weyl, root_index):
+def weyl_reflection(weyl, mirror_index):
     """Element index of the reflection in the given root, by the formula."""
-    return weyl.index[bytes(reflection_by_formula(weyl.rs, root_index))]
+    return weyl.index[bytes(reflection_by_formula(weyl.rs, mirror_index))]
 
 
 def weyl_inverse(weyl, i):
@@ -438,7 +445,7 @@ def pair_loop_sum_closed(rs, indices):
     for a in have:
         for b in have:
             s = tuple(x + y for x, y in zip(a, b))
-            if any(s) and s in rs.index_of and s not in have:
+            if any(s) and root_index(rs, s) is not None and s not in have:
                 return False
     return True
 
@@ -728,6 +735,26 @@ def test_centralizer_masks_match_dot_products(case):
     assert kept == {idx: mask for idx, mask in enumerate(masks)
                     if counts[idx] >= least}
     assert list(kept) == sorted(kept)
+
+
+@pytest.mark.parametrize("m", [257, 281, 1093])
+def test_centralizer_masks_on_parts_past_a_byte(m):
+    # parts f > 256 occur on the sweep: f = 1093 for A1 at q = 2187 and
+    # f = 281 for A2 at q = 563.  The rows share suffixes mod m, and one
+    # is zero mod m
+    r = 1 if m > 1000 else 2
+    rng = random.Random(m)
+    rows = [tuple(rng.randrange(-2 * m, 2 * m) for _ in range(r))
+            for _ in range(4)]
+    rows += [(rows[0][0] + m,) + rows[0][1:], (3,) + rows[1][1:], (m,) * r]
+    masks = [vanishing(rows, m, v)
+             for v in itertools.product(range(m), repeat=r)]
+    counts = [bin(mask).count("1") for mask in masks]
+    for least in (1, r):
+        kills, kept = T.centralizer_masks(rows, m, least)
+        assert kills == bytes(min(c, least) for c in counts)
+        assert kept == {idx: mask for idx, mask in enumerate(masks)
+                        if counts[idx] >= least}
 
 
 def test_masks_chunked_assembly():
