@@ -156,7 +156,7 @@ def load_counts(path: str) -> dict:
 
 
 def load_manifest(path: str) -> list[dict]:
-    """The instances of a verify manifest file, each a known check."""
+    """The entries of a verify manifest file, a JSON list."""
     try:
         with open(path) as fh:
             manifest = json.load(fh)
@@ -166,72 +166,7 @@ def load_manifest(path: str) -> list[dict]:
         raise ConfigError(
             f"manifest must be a JSON list, got {type(manifest).__name__}"
         )
-    for inst in manifest:
-        check = inst.get("check") if isinstance(inst, dict) else None
-        if not isinstance(check, str) or check not in oracle.MANIFEST_CHECKS:
-            raise ConfigError(
-                f"manifest entries need a 'check' out of "
-                f"{', '.join(oracle.MANIFEST_CHECKS)}: {inst!r}"
-            )
-        required = oracle.MANIFEST_CHECKS[check]
-        missing = [key for key in required if key not in inst]
-        if missing:
-            raise ConfigError(
-                f"manifest entry {inst!r} lacks {', '.join(missing)}"
-            )
-        optional = ("q",) if check == "bds_cross" else ()
-        unknown = sorted(set(inst) - {"check", *required, *optional})
-        if unknown:
-            raise ConfigError(
-                f"manifest entry {inst!r} has unknown keys "
-                f"{', '.join(unknown)}"
-            )
-        _check_manifest_values(inst)
     return manifest
-
-
-def _check_manifest_values(inst: dict) -> None:
-    """Reject the values of a manifest entry that its check cannot run on.
-
-    The group datum itself is built only for an explicit lattice matrix:
-    for "sc" and "ad" the type names and the characteristic decide.
-    """
-    def fail(message):
-        raise ConfigError(f"manifest entry {inst!r}: {message}")
-
-    for key in ("n", "samples"):
-        if key in inst and not (_is_int(inst[key]) and inst[key] >= 1):
-            fail(f"{key} must be a positive integer")
-    if "seed" in inst and not _is_int(inst["seed"]):
-        fail("seed must be an integer")
-    q = inst.get("q")
-    p = None
-    if q is not None or inst["check"] != "bds_cross":
-        if not (_is_int(q) and q >= 3):
-            fail("q must be a prime power >= 3")
-        try:
-            p = rootsys.characteristic_of(q)
-        except ValueError as exc:
-            fail(str(exc))
-    if inst["check"] == "bds_cross":
-        factors, lattice = [inst["type"]], "sc"
-        if not isinstance(inst["type"], str):
-            fail('type must be a type name such as "B2"')
-    else:
-        factors, lattice = inst["factors"], inst["lattice"]
-        if not (isinstance(factors, list) and factors
-                and all(isinstance(f, str) for f in factors)):
-            fail('factors must be a list of type names such as ["B2"]')
-    try:
-        types = [rootsys.SimpleType.parse(f) for f in factors]
-        if p is not None and lattice not in ("sc", "ad"):
-            rootsys.make_datum(factors, lattice, p)
-    except ValueError as exc:
-        fail(str(exc))
-    if p is not None:
-        reasons = rootsys.bad_characteristic_reasons(p, types)
-        if reasons:
-            fail("; ".join(reasons))
 
 
 def _check_place(place) -> None:
@@ -425,11 +360,17 @@ def cmd_predict(ctx: Context, counts_path: str | None, approx: bool) -> dict:
 
 
 def cmd_verify(manifest_path: str) -> dict:
+    """Run a manifest file or the built-in one ("default"), each entry
+    validated by oracle.instance_check before any runs."""
     if manifest_path == "default":
         manifest = oracle.default_manifest()
     else:
         manifest = load_manifest(manifest_path)
-    verdicts = oracle.run_manifest(manifest)
+    try:
+        checks = [oracle.instance_check(inst) for inst in manifest]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    verdicts = [oracle.run_instance(check) for check in checks]
     return {
         "format_version": FORMAT_VERSION,
         "command": "verify",

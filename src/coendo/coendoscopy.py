@@ -349,11 +349,15 @@ class StrataPoset:
     """
 
     def __init__(self, datum: GroupDatum, q: int, route: str,
-                 strata: list[Stratum], warnings=(), candidates=None):
+                 strata: list[Stratum], warnings=(), candidates=None,
+                 masks=None, mask_of=None):
         self.datum = datum
         self.q = q
         self.route = route
         self.candidates = candidates  # those the classify route inverted
+        # the enumerate route's swept masks, which reeder_partition_check reads
+        self._masks = masks
+        self._mask_of = mask_of
         self.strata = sorted(
             strata, key=lambda st: (-len(st.subsystem.indices), st.key)
         )
@@ -458,10 +462,8 @@ def _strata_by_enumeration(datum, q, point_cap) -> StrataPoset:
     strata = [Stratum(datum, q, sub, rep, z_of[rep], len(points[sub.indices]),
                       tuple(points[sub.indices]))
               for sub, rep in classes.items()]
-    poset = StrataPoset(datum, q, "enumerate", strata)
-    poset._masks = masks
-    poset._mask_of = mask_of
-    return poset
+    return StrataPoset(datum, q, "enumerate", strata, masks=masks,
+                       mask_of=mask_of)
 
 
 def _strata_by_classification(datum, q, cands) -> StrataPoset:

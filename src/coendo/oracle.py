@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections.abc import Callable
 
 from .rootsys import (
     DEFAULT_WEYL_CAP,
@@ -319,7 +320,7 @@ def bds_cross_check(t: SimpleType | str, q: int | None = None) -> Verdict:
     if isinstance(t, str):
         t = SimpleType.parse(t)
     if q is None:
-        q = next((qq for qq in DEFAULT_QS if admissible_q(t, qq)), None)
+        q = first_admissible_q(t)
         if q is None:
             return Verdict("bds_cross", f"{t}", False,
                            witness="no admissible q in the default grid")
@@ -394,6 +395,11 @@ def admissible_q(t: SimpleType, q: int) -> bool:
     return t.weyl_order <= DEFAULT_WEYL_CAP
 
 
+def first_admissible_q(t: SimpleType) -> int | None:
+    """The least q of DEFAULT_QS admissible for t, or None."""
+    return next((q for q in DEFAULT_QS if admissible_q(t, q)), None)
+
+
 # ---------------------------------------------------------------------------
 # the instance manifest
 
@@ -436,8 +442,7 @@ def default_manifest() -> list[dict]:
                      "lattice": "sc", "q": q}
                 )
     for name in GRID_TYPES:
-        t = SimpleType.parse(name)
-        q = next((qq for qq in DEFAULT_QS if admissible_q(t, qq)), None)
+        q = first_admissible_q(SimpleType.parse(name))
         if q is not None:
             manifest.append({"check": "bds_cross", "type": name, "q": q})
     for inst in FIELD_EXTENSION_INSTANCES:
@@ -453,8 +458,8 @@ def default_manifest() -> list[dict]:
     return manifest
 
 
-# The keys run_instance reads from a manifest entry of each check, besides
-# "check" (bds_cross also takes an optional "q").
+# The keys a manifest entry of each check must have, besides "check"
+# (bds_cross also takes an optional "q").
 MANIFEST_CHECKS = {
     "brute_strata": ("factors", "lattice", "q"),
     "bds_cross": ("type",),
@@ -463,36 +468,81 @@ MANIFEST_CHECKS = {
 }
 
 
-def run_instance(inst: dict) -> Verdict:
-    check = inst["check"]
-    if check == "brute_strata":
-        datum = make_datum(inst["factors"], inst["lattice"],
-                           characteristic_of(inst["q"]))
-        return brute_strata_check(datum, inst["q"])
+def instance_check(inst) -> Callable[[], Verdict]:
+    """Validate one manifest entry, a ValueError naming it if bad, and bind
+    its check to the inputs built from it, the group datum among them
+    (bds_cross builds its own): a zero-argument callable."""
+    check = inst.get("check") if isinstance(inst, dict) else None
+    if not isinstance(check, str) or check not in MANIFEST_CHECKS:
+        raise ValueError(f"manifest entries need a 'check' out of "
+                         f"{', '.join(MANIFEST_CHECKS)}: {inst!r}")
+    required = MANIFEST_CHECKS[check]
+    missing = [key for key in required if key not in inst]
+    if missing:
+        raise ValueError(f"manifest entry {inst!r} lacks {', '.join(missing)}")
+    optional = ("q",) if check == "bds_cross" else ()
+    unknown = sorted(set(inst) - {"check", *required, *optional})
+    if unknown:
+        raise ValueError(f"manifest entry {inst!r} has unknown keys "
+                         f"{', '.join(unknown)}")
+    try:
+        return _bind_values(check, inst)
+    except ValueError as exc:
+        raise ValueError(f"manifest entry {inst!r}: {exc}") from exc
+
+
+def _bind_values(check: str, inst: dict) -> Callable[[], Verdict]:
+    """instance_check past the keys: each value is checked, and the inputs
+    built from them are bound to the check."""
+    for key in ("n", "samples"):
+        if key in inst and not (type(inst[key]) is int and inst[key] >= 1):
+            raise ValueError(f"{key} must be a positive integer")
+    if "seed" in inst and type(inst["seed"]) is not int:
+        raise ValueError("seed must be an integer")
+    q = inst.get("q")
+    p = None
+    if q is not None or check != "bds_cross":
+        if not (type(q) is int and q >= 3):
+            raise ValueError("q must be a prime power >= 3")
+        p = characteristic_of(q)
     if check == "bds_cross":
-        return bds_cross_check(inst["type"], inst.get("q"))
+        if not isinstance(inst["type"], str):
+            raise ValueError('type must be a type name such as "B2"')
+        t = SimpleType.parse(inst["type"])
+        if p and (reasons := bad_characteristic_reasons(p, [t])):
+            raise ValueError("; ".join(reasons))
+        return lambda: bds_cross_check(t, q)
+    factors = inst["factors"]
+    if not (isinstance(factors, list) and factors
+            and all(isinstance(f, str) for f in factors)):
+        raise ValueError('factors must be a list of type names such as ["B2"]')
+    datum = make_datum(factors, inst["lattice"], p)
+    if check == "brute_strata":
+        return lambda: brute_strata_check(datum, q)
     if check == "field_extension":
-        datum = make_datum(inst["factors"], inst["lattice"],
-                           characteristic_of(inst["q"]))
-        rng = random.Random(inst["seed"])
-        spec = random_spec(datum.root_system.rank, 2, rng)
-        return field_extension_check(datum, spec, inst["q"], inst["n"])
-    if check == "cyclotomic_grid":
-        return cyclotomic_grid_check(inst)
-    raise ValueError(f"unknown check {check!r}")
+        spec = random_spec(datum.root_system.rank, 2,
+                           random.Random(inst["seed"]))
+        n = inst["n"]
+        return lambda: field_extension_check(datum, spec, q, n)
+    samples, seed = inst["samples"], inst["seed"]
+    return lambda: cyclotomic_grid_check(datum, q, samples, seed)
 
 
-def cyclotomic_grid_check(inst: dict) -> Verdict:
+def run_instance(check: Callable[[], Verdict]) -> Verdict:
+    """Run one check that instance_check bound."""
+    return check()
+
+
+def cyclotomic_grid_check(datum: GroupDatum, q: int, samples: int,
+                          seed: int) -> Verdict:
     """Randomized characters: Möbius-route sums against cyclotomic sums."""
-    q = inst["q"]
-    datum = make_datum(inst["factors"], inst["lattice"], characteristic_of(q))
     poset = strata_poset(datum, q, "enumerate")
-    rng = random.Random(inst["seed"])
+    rng = random.Random(seed)
     rank = datum.root_system.rank
     name = f"{datum.root_system}@q={q}"
     # each stratum's points are decoded once, not once per sample
     points = [_stratum_residues(poset, si) for si in range(len(poset.strata))]
-    for _ in range(inst["samples"]):
+    for _ in range(samples):
         lam = tuple(rng.randint(-2 * q, 2 * q) for _ in range(rank))
         for si, pts in enumerate(points):
             sub = _sum_verdict(lam, poset, si, pts)
@@ -500,10 +550,12 @@ def cyclotomic_grid_check(inst: dict) -> Verdict:
                 return Verdict("cyclotomic_grid", name, False,
                                witness=sub.witness)
     return Verdict("cyclotomic_grid", name, True,
-                   details={"samples": inst["samples"]})
+                   details={"samples": samples})
 
 
 def run_manifest(manifest: list[dict] | None = None) -> list[Verdict]:
+    """Validate every entry, then run each; a bad entry runs nothing."""
     if manifest is None:
         manifest = default_manifest()
-    return [run_instance(inst) for inst in manifest]
+    checks = [instance_check(inst) for inst in manifest]
+    return [run_instance(check) for check in checks]

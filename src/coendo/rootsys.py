@@ -506,9 +506,10 @@ class Lattice:
     def __init__(self, name: str, basis: Matrix):
         self.name = name
         self.basis = il.mat(basis)
-        if not il.det(self.basis):
-            raise ValueError("lattice basis is singular")
-        self.adjugate = il.adjugate(self.basis)
+        try:
+            self.adjugate = il.adjugate(self.basis)
+        except ValueError:
+            raise ValueError("lattice basis is singular") from None
 
     def contains(self, vector) -> bool:
         adj, d = self.adjugate

@@ -571,6 +571,63 @@ def test_bad_manifest_values_exit_2(tmp_path, capsys, entry, key):
     assert err.count("\n") == 1
 
 
+def test_singular_lattice_is_one_config_error(tmp_path, capsys):
+    # through a config and through a manifest entry
+    singular = [[1, 1], [1, 1]]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": {"factors": ["B2"],
+                                         "lattice": singular}}))
+    code, out, err = run(["coeffs", "--q", "5", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err == ("config error: invalid group datum: "
+                   "lattice basis is singular\n")
+    entry = {"check": "brute_strata", "factors": ["B2"], "lattice": singular,
+             "q": 5}
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([entry]))
+    code, out, err = run(["verify", "--manifest", str(manifest)], capsys)
+    assert code == 2 and out == ""
+    assert err == (f"config error: manifest entry {entry!r}: "
+                   "lattice basis is singular\n")
+
+
+def test_verify_builds_each_datum_once(tmp_path, capsys, monkeypatch):
+    # the entry's datum is built when it is validated and reused to run
+    calls = []
+    build = rootsys.make_datum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for module in (rootsys, cli.oracle):
+        monkeypatch.setattr(module, "make_datum", counting)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([
+        {"check": "brute_strata", "factors": ["B2"],
+         "lattice": [[1, 1], [0, 1]], "q": 5},
+    ]))
+    code, out, err = run(["verify", "--manifest", str(manifest)], capsys)
+    assert code == 0, err
+    assert json.loads(out)["failures"] == 0
+    assert calls == [(["B2"], [[1, 1], [0, 1]], 5)]
+
+
+def test_verify_error_while_running_exits_1(tmp_path, capsys, monkeypatch):
+    # entries are validated before any runs; a ValueError from a running
+    # check is a computation error, not a config error
+    def fail(*args):
+        raise ValueError("check failed to run")
+
+    monkeypatch.setattr(cli.oracle, "brute_strata_check", fail)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([
+        {"check": "brute_strata", "factors": ["A1"], "lattice": "sc", "q": 5},
+    ]))
+    code, out, err = run(["verify", "--manifest", str(manifest)], capsys)
+    assert (code, out, err) == (1, "", "error: check failed to run\n")
+
+
 def test_manifest_values_accepted(tmp_path, capsys):
     # bds_cross may leave q out or null; an explicit lattice matrix is built
     manifest = tmp_path / "m.json"

@@ -1,5 +1,7 @@
+import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,9 @@ from coendo import coefficients as K
 from coendo import oracle as O
 from coendo import rootsys as R
 from coendo import torus as T
+
+VERIFY_MANIFEST = (Path(__file__).resolve().parents[1] / "perfbench"
+                   / "verify_manifest.json")
 
 
 def test_cyclotomic_polynomials():
@@ -130,9 +135,9 @@ def test_cyclotomic_grid_decodes_each_point_once(monkeypatch):
     decoded = []
     count_calls(monkeypatch, O, "point_from_index", decoded)
     posets = capture_poset(monkeypatch)
-    assert O.cyclotomic_grid_check(
-        {"factors": ["B2"], "lattice": "sc", "q": 5, "samples": 7,
-         "seed": 11}).passed
+    assert O.instance_check(
+        {"check": "cyclotomic_grid", "factors": ["B2"], "lattice": "sc",
+         "q": 5, "samples": 7, "seed": 11})().passed
     assert len(decoded) == sum(len(st.s_points) for st in posets[0].strata)
 
 
@@ -158,9 +163,9 @@ def test_strata_oracles_never_enumerate_weyl(monkeypatch):
     datum = R.make_datum(["B2"], "sc", 5)
     assert O.brute_strata_check(datum, 5).passed
     assert O.bds_cross_check("G2", 7).passed
-    assert O.cyclotomic_grid_check(
-        {"factors": ["G2"], "lattice": "ad", "q": 7, "samples": 5,
-         "seed": 12}).passed
+    assert O.instance_check(
+        {"check": "cyclotomic_grid", "factors": ["G2"], "lattice": "ad",
+         "q": 7, "samples": 5, "seed": 12})().passed
 
 
 def test_bds_cross_examples():
@@ -260,9 +265,15 @@ def test_manifest_deterministic_and_passing():
     assert all(v.passed for v in verdicts)
 
 
+def test_builtin_manifests_pass_validation():
+    frozen = json.loads(VERIFY_MANIFEST.read_text())
+    for inst in O.default_manifest() + frozen:
+        assert callable(O.instance_check(inst)), inst
+
+
 def test_run_instance_unknown_check():
     with pytest.raises(ValueError):
-        O.run_instance({"check": "nope"})
+        O.instance_check({"check": "nope"})
 
 
 def test_field_extension_enumerates_candidates_once(monkeypatch):

@@ -646,6 +646,23 @@ def test_lattice_contains_matches_rational_solve(data):
     assert R.Lattice("l", basis).contains(il.matvec(basis, c))
 
 
+def test_lattice_build_runs_one_elimination(monkeypatch):
+    # the adjugate carries the determinant: no separate det elimination
+    calls = []
+    eliminate = il._eliminate
+
+    def counting(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(il, "_eliminate", counting)
+    lat = R.Lattice("l", [[2, 1], [1, 1]])
+    assert len(calls) == 1 and lat.adjugate == (((1, -1), (-1, 2)), 1)
+    with pytest.raises(ValueError, match="^lattice basis is singular$"):
+        R.Lattice("l", [[1, 2], [2, 4]])
+    assert len(calls) == 2
+
+
 def test_pi1_orders():
     assert R.pi1_order(R.make_datum(["A1"], "sc", 5)) == 1
     assert R.pi1_order(R.make_datum(["A1"], "ad", 5)) == 2

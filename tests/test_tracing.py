@@ -3,6 +3,7 @@ program: it patches coendo functions by name, so a renamed or removed
 target would break a traced benchmark run (``--trace 1``)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import coendo
@@ -78,3 +79,23 @@ def test_enumerate_route_strata_counters(capsys):
     assert metrics["torus.points_swept"] == 4177
     assert metrics["coendoscopy.strata"] == 44
     assert metrics["torus.subgroup_points_calls"] == 5
+
+
+def test_verify_counters(tmp_path, capsys):
+    # one instance per entry, each timed in its check's span
+    tracing = load_tracing()
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([
+        {"check": "bds_cross", "type": "B2", "q": 5},
+        {"check": "brute_strata", "factors": ["A1"], "lattice": "sc", "q": 5},
+        {"check": "cyclotomic_grid", "factors": ["B2"], "lattice": "sc",
+         "q": 5, "samples": 3, "seed": 1},
+    ]))
+    with tracing.Tracer() as tracer:
+        assert coendo.cli.main(["verify", "--manifest", str(manifest)]) == 0
+    capsys.readouterr()
+    metrics = tracer.metrics()
+    assert metrics["oracle.instances"] == 3
+    for check in ("bds_cross", "brute_strata", "cyclotomic_grid"):
+        assert metrics[f"oracle.{check}_s"] > 0, check
+    assert metrics["oracle.field_extension_s"] == 0
