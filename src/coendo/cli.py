@@ -360,14 +360,14 @@ def cmd_predict(ctx: Context, counts_path: str | None, approx: bool) -> dict:
 
 
 def cmd_verify(manifest_path: str) -> dict:
-    """Run a manifest file or the built-in one ("default"), each entry
-    validated by oracle.instance_check before any runs."""
+    """Run a manifest file or the built-in one ("default"), every entry
+    validated by oracle.bind_manifest before any runs."""
     if manifest_path == "default":
         manifest = oracle.default_manifest()
     else:
         manifest = load_manifest(manifest_path)
     try:
-        checks = [oracle.instance_check(inst) for inst in manifest]
+        checks = oracle.bind_manifest(manifest)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     verdicts = [oracle.run_instance(check) for check in checks]

@@ -108,15 +108,28 @@ class CoendoscopicClass:
     ``choices[f]`` is None (factor untouched) or (global_node, h) with h the
     prime highest-root coefficient at that node.  The representative torsion
     point is the sum over chosen nodes of (fundamental coweight)/h.
+    ``parts`` holds, per factor, (choice, merged nodes, root set, component
+    types) of the chosen option or the untouched factor.  Given a datum and
+    q, the class is rational over F_q iff (q-1) times its representative
+    point lies in X_*(T): it has (q-1)/h at each chosen node, and X_* lies
+    in Z^r, so this is h | q-1 at each chosen node plus a membership test.
     """
 
-    def __init__(self, rs: RootSystem, choices, subsystem: Subsystem,
-                 equivalent_nodes=()):
+    def __init__(self, rs: RootSystem, parts, datum=None, q=None):
         self.rs = rs
-        self.choices = tuple(choices)
-        self.subsystem = subsystem
-        self.equivalent_nodes = tuple(equivalent_nodes)
+        self.choices, nodes, self._root_sets, types = zip(*parts)
+        self.equivalent_nodes = tuple(n for n in nodes if len(n) > 1)
+        self.signature = "x".join(sorted(itertools.chain(*types)))
         self.rational_over_fq = None
+        if datum is not None:
+            h = dict(c for c in self.choices if c is not None)
+            scaled = [(q - 1) // h[j] if j in h else 0 for j in range(rs.rank)]
+            self.rational_over_fq = (all((q - 1) % d == 0 for d in h.values())
+                                     and datum.cochar.contains(scaled))
+
+    @cached_property
+    def subsystem(self) -> Subsystem:
+        return Subsystem(self.rs, frozenset().union(*self._root_sets))
 
     @property
     def is_whole_group(self) -> bool:
@@ -125,90 +138,59 @@ class CoendoscopicClass:
     @property
     def deleted_node(self):
         """The chosen node, a tuple of them for several, None for G."""
-        nodes = [c[0] for c in self.choices if c is not None]
-        if not nodes:
-            return None
-        return nodes[0] if len(nodes) == 1 else tuple(nodes)
-
-    @property
-    def signature(self) -> str:
-        return self.subsystem.signature
+        nodes = tuple(c[0] for c in self.choices if c is not None)
+        return nodes[0] if len(nodes) == 1 else nodes or None
 
     def __repr__(self):
         tag = "G" if self.is_whole_group else str(self.deleted_node)
         return f"CoendoscopicClass({self.signature}, node={tag})"
 
 
-def borel_de_siebenthal(rs: RootSystem) -> list[CoendoscopicClass]:
-    """Nontrivial coendoscopic classes: the prime-node deletions of the
-    whole system, W-conjugate ones merged, combined over factors.
+def _classes(rs: RootSystem, datum=None, q=None) -> list[CoendoscopicClass]:
+    """Every coendoscopic class, whole group first: one part per factor,
+    the factor untouched or one of its merged prime-node deletions.
 
-    W is the product of the factors' Weyl groups, so options in different
-    factors or of different types are never W-conjugate.  Options of one
-    factor that share a signature always are, so they merge with no orbit
-    search.  In C_n and D_n, nodes i and n-i give C_i x C_(n-i)
-    (D_i x D_(n-i)) on complementary coordinate blocks, and W holds every
-    coordinate permutation.  In E6 (three A1xA5 nodes) and E7 (two A1xD6,
-    two A2xA5) the nodes are swapped by automorphisms of the extended
-    diagram from Ω ≅ P^∨/Q^∨ (Bourbaki, Lie VI §2.3; N. Iwahori and
-    H. Matsumoto, Publ. IHÉS 25, 1965), whose linear parts lie in W.
-    B_n, F4, G2 and E8 never have two options of one signature.  A
-    deletion in one factor leaves the others whole, so choosing a
-    deletion in each of several factors gives the intersection of their
-    subsystems.
+    W is the product of the factors' Weyl groups (Bourbaki, Lie VI
+    §1.2), so options in different factors or of different types are
+    never W-conjugate.  Options of one factor that share a signature
+    always are, so they merge with no orbit search.  In C_n and D_n,
+    nodes i and n-i give C_i x C_(n-i) (D_i x D_(n-i)) on complementary
+    coordinate blocks, and W holds every coordinate permutation.  In E6
+    (three A1xA5 nodes) and E7 (two A1xD6, two A2xA5) the nodes are
+    swapped by automorphisms of the extended diagram from Ω ≅ P^∨/Q^∨
+    (Bourbaki, Lie VI §2.3; N. Iwahori and H. Matsumoto, Publ. IHÉS 25,
+    1965), whose linear parts lie in W.  B_n, F4, G2 and E8 never have
+    two options of one signature.  Options sorted by node, after the
+    untouched factor, list the classes in order of their chosen nodes.
     """
-    whole = Subsystem(rs, range(len(rs.roots)))
-    base = whole.base_indices
-    merged = {}
-    for t, h, sub in _prime_steps(rs, whole):
-        factor = rs.roots[base[t]].factor
-        node = rs.simple_indices.index(base[t])
-        merged.setdefault((factor, sub.signature), []).append((node, h, sub))
-    per_factor = [[None] for _ in rs.simple_factors]
-    for (factor, _), group in merged.items():
-        node, h, sub = min(group, key=itemgetter(0))
-        nodes = tuple(sorted(n for n, _, _ in group))
-        per_factor[factor].append(((node, h), sub, nodes))
-    classes = []
-    for combo in itertools.product(*per_factor):
-        chosen = [c for c in combo if c is not None]
-        if not chosen:
-            continue
-        indices = frozenset.intersection(*(sub.indices for _, sub, _ in chosen))
-        classes.append(CoendoscopicClass(
-            rs, [None if c is None else c[0] for c in combo],
-            Subsystem(rs, indices),
-            tuple(nodes for _, _, nodes in chosen if len(nodes) > 1),
-        ))
-    classes.sort(
-        key=lambda cl: tuple(-1 if c is None else c[0] for c in cl.choices)
-    )
-    return classes
+    per_factor = []
+    for f, t in enumerate(rs.simple_factors):
+        whole = Subsystem(rs, [i for i, rt in enumerate(rs.roots)
+                               if rt.factor == f])
+        merged = {}
+        for pos, h, sub in _prime_steps(rs, whole):
+            node = rs.simple_indices.index(whole.base_indices[pos])
+            merged.setdefault(sub.signature, []).append((node, h, sub))
+        options = []
+        for group in merged.values():
+            node, h, sub = min(group, key=itemgetter(0))
+            options.append(((node, h), tuple(sorted(n for n, _, _ in group)),
+                            sub.indices, tuple(map(repr, sub.component_types))))
+        per_factor.append([(None, (), whole.indices, (repr(t),))]
+                          + sorted(options, key=itemgetter(0)))
+    return [CoendoscopicClass(rs, parts, datum, q)
+            for parts in itertools.product(*per_factor)]
+
+
+def borel_de_siebenthal(rs: RootSystem) -> list[CoendoscopicClass]:
+    """Nontrivial coendoscopic classes: per factor, its prime-node
+    deletions, W-conjugate ones merged, combined over factors."""
+    return _classes(rs)[1:]
 
 
 def classify(datum: GroupDatum, q: int) -> list[CoendoscopicClass]:
-    """All coendoscopic classes (whole group first) with rationality flags.
-
-    A class is rational over F_q iff (q-1) times its representative point
-    lies in X_*(T): it has (q-1)/h at each chosen node, and X_* lies in
-    Z^r, so this is h | q-1 at each chosen node plus a membership test.
-    """
-    rs = datum.root_system
-    whole = CoendoscopicClass(
-        rs, [None] * len(rs.simple_factors),
-        Subsystem(rs, range(len(rs.roots))),
-    )
-    whole.rational_over_fq = True
-    out = [whole]
-    for cl in borel_de_siebenthal(rs):
-        chosen = [c for c in cl.choices if c is not None]
-        scaled = [0] * rs.rank
-        for node, h in chosen:
-            scaled[node] = (q - 1) // h
-        cl.rational_over_fq = (all((q - 1) % h == 0 for _, h in chosen)
-                               and datum.cochar.contains(scaled))
-        out.append(cl)
-    return out
+    """All coendoscopic classes (whole group first) with rationality flags."""
+    return _classes(datum.root_system, datum, q)
 
 
 # ---------------------------------------------------------------------------

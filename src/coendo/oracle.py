@@ -258,11 +258,8 @@ def brute_strata_check(datum: GroupDatum, q: int) -> Verdict:
     # (a) maximal proper strata vs rational classes, as canonical subsets:
     # the strata's representatives against a fresh orbit search per class
     maximal = {poset.strata[i].rep.key for i in _maximal_proper_strata(poset)}
-    rational = {
-        canonical_subset(rs, cl.subsystem.indices)
-        for cl in classify(datum, q)
-        if not cl.is_whole_group and cl.rational_over_fq
-    }
+    rational = {canonical_subset(rs, cl.subsystem.indices)
+                for cl in classify(datum, q)[1:] if cl.rational_over_fq}
     if maximal != rational:
         return Verdict(
             "brute_strata", inst, False,
@@ -312,13 +309,12 @@ def brute_strata_check(datum: GroupDatum, q: int) -> Verdict:
     )
 
 
-def bds_cross_check(t: SimpleType | str, q: int | None = None) -> Verdict:
+def bds_cross_check(t: str, q: int | None = None) -> Verdict:
     """Node-deletion class types against brute-enumerated maximal strata.
 
     Only the maximal strata are typed, each on its class representative:
     one Dynkin-diagram typing per maximal W-class."""
-    if isinstance(t, str):
-        t = SimpleType.parse(t)
+    t = SimpleType.parse(t)
     if q is None:
         q = first_admissible_q(t)
         if q is None:
@@ -472,6 +468,19 @@ def instance_check(inst) -> Callable[[], Verdict]:
     """Validate one manifest entry, a ValueError naming it if bad, and bind
     its check to the inputs built from it, the group datum among them
     (bds_cross builds its own): a zero-argument callable."""
+    return bind_manifest([inst])[0]
+
+
+def bind_manifest(manifest) -> list[Callable[[], Verdict]]:
+    """Every entry bound as instance_check binds one, all keys and values
+    checked before any datum is built: an error only make_datum raises (a
+    bad type name, lattice or characteristic) may follow earlier builds."""
+    checked = [(inst, _checked(inst)) for inst in manifest]
+    return [_bind(inst, p) for inst, p in checked]
+
+
+def _checked(inst) -> int | None:
+    """A manifest entry's keys and values checked: the characteristic of q."""
     check = inst.get("check") if isinstance(inst, dict) else None
     if not isinstance(check, str) or check not in MANIFEST_CHECKS:
         raise ValueError(f"manifest entries need a 'check' out of "
@@ -485,15 +494,18 @@ def instance_check(inst) -> Callable[[], Verdict]:
     if unknown:
         raise ValueError(f"manifest entry {inst!r} has unknown keys "
                          f"{', '.join(unknown)}")
+    return _naming(inst, _check_values, check, inst)
+
+
+def _naming(inst: dict, step, *args):
+    """step(*args), a ValueError from it naming the manifest entry."""
     try:
-        return _bind_values(check, inst)
+        return step(*args)
     except ValueError as exc:
         raise ValueError(f"manifest entry {inst!r}: {exc}") from exc
 
 
-def _bind_values(check: str, inst: dict) -> Callable[[], Verdict]:
-    """instance_check past the keys: each value is checked, and the inputs
-    built from them are bound to the check."""
+def _check_values(check: str, inst: dict) -> int | None:
     for key in ("n", "samples"):
         if key in inst and not (type(inst[key]) is int and inst[key] >= 1):
             raise ValueError(f"{key} must be a positive integer")
@@ -511,12 +523,20 @@ def _bind_values(check: str, inst: dict) -> Callable[[], Verdict]:
         t = SimpleType.parse(inst["type"])
         if p and (reasons := bad_characteristic_reasons(p, [t])):
             raise ValueError("; ".join(reasons))
-        return lambda: bds_cross_check(t, q)
+        return p
     factors = inst["factors"]
     if not (isinstance(factors, list) and factors
             and all(isinstance(f, str) for f in factors)):
         raise ValueError('factors must be a list of type names such as ["B2"]')
-    datum = make_datum(factors, inst["lattice"], p)
+    return p
+
+
+def _bind(inst: dict, p: int | None) -> Callable[[], Verdict]:
+    """A checked entry's check, bound to the inputs built from it."""
+    check, q = inst["check"], inst.get("q")
+    if check == "bds_cross":
+        return lambda: bds_cross_check(inst["type"], q)
+    datum = _naming(inst, make_datum, inst["factors"], inst["lattice"], p)
     if check == "brute_strata":
         return lambda: brute_strata_check(datum, q)
     if check == "field_extension":
@@ -529,7 +549,7 @@ def _bind_values(check: str, inst: dict) -> Callable[[], Verdict]:
 
 
 def run_instance(check: Callable[[], Verdict]) -> Verdict:
-    """Run one check that instance_check bound."""
+    """Run one check that bind_manifest bound."""
     return check()
 
 
@@ -555,7 +575,5 @@ def cyclotomic_grid_check(datum: GroupDatum, q: int, samples: int,
 
 def run_manifest(manifest: list[dict] | None = None) -> list[Verdict]:
     """Validate every entry, then run each; a bad entry runs nothing."""
-    if manifest is None:
-        manifest = default_manifest()
-    checks = [instance_check(inst) for inst in manifest]
-    return [run_instance(check) for check in checks]
+    return [run_instance(check) for check in bind_manifest(
+        default_manifest() if manifest is None else manifest)]

@@ -571,8 +571,6 @@ class GroupDatum:
         self.root_system = root_system
         self.cochar = cochar
         self.p = p
-        if not all(map(cochar.contains, il.columns(root_system.cartan))):
-            raise NotASublattice("coroot lattice not contained in X_*")
         reasons = bad_characteristic_reasons(p, root_system.simple_factors)
         if reasons:
             raise BadCharacteristic("; ".join(reasons))
@@ -654,6 +652,8 @@ def make_datum(factors, lattice="sc", p: int = 5) -> GroupDatum:
             raise ValueError(f'lattice must be "sc", "ad" or a {n} x {n} '
                              f"integer matrix, got {lattice!r}")
         lat = Lattice("custom", il.mat(lattice))
+        if not all(map(lat.contains, il.columns(rs.cartan))):
+            raise NotASublattice("coroot lattice not contained in X_*")
     return GroupDatum(rs, lat, p)
 
 

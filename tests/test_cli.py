@@ -613,6 +613,32 @@ def test_verify_builds_each_datum_once(tmp_path, capsys, monkeypatch):
     assert calls == [(["B2"], [[1, 1], [0, 1]], 5)]
 
 
+def test_verify_checks_every_entry_before_building_a_datum(tmp_path, capsys,
+                                                           monkeypatch):
+    # the second entry's unknown check is reported before the first
+    # entry's A120 datum is built
+    calls = []
+    build = rootsys.make_datum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for module in (rootsys, cli.oracle):
+        monkeypatch.setattr(module, "make_datum", counting)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([
+        {"check": "brute_strata", "factors": ["A120"], "lattice": "sc",
+         "q": 5},
+        {"check": "nope"},
+    ]))
+    code, out, err = run(["verify", "--manifest", str(manifest)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: manifest entries need a 'check'")
+    assert err.count("\n") == 1
+    assert calls == []
+
+
 def test_verify_error_while_running_exits_1(tmp_path, capsys, monkeypatch):
     # entries are validated before any runs; a ValueError from a running
     # check is a computation error, not a config error

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -879,6 +880,64 @@ def test_classify_on_products_combines_single_factor_classes(factors,
             tuple(n + offsets[f] for n in part.equivalent_nodes[0])
             for (f, _), part in zip(picked, parts) if part.equivalent_nodes)
         assert cl.rational_over_fq == all(p.rational_over_fq for p in parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(SIMPLE_TYPE_NAMES), min_size=1, max_size=3),
+       st.sampled_from(["sc", "ad"]), st.sampled_from(O.DEFAULT_QS))
+def test_product_classes_join_their_factors(factors, lattice, q):
+    # the classes are the product, over factors, of the whole factor and
+    # its options; a class's signature is the join of its parts' types,
+    # which typing its root set from scratch must reproduce
+    p = R.characteristic_of(q)
+    assume(not R.bad_characteristic_reasons(
+        p, map(R.SimpleType.parse, factors)))
+    datum = R.make_datum(factors, lattice, p)
+    rs = datum.root_system
+    single = [C.classify(R.make_datum([f], lattice, p), q) for f in factors]
+    classes = C.classify(datum, q)
+    assert len(classes) == math.prod(
+        1 + len(C.borel_de_siebenthal(R.build_root_system([f])))
+        for f in factors)
+    offsets = [sum(rs.simple_factors[g].rank for g in range(f))
+               for f in range(len(factors))]
+    for cl, parts in zip(classes, itertools.product(*single)):
+        picked = [(c[0] + off, c[1]) for part, off in zip(parts, offsets)
+                  for c in part.choices if c is not None]
+        assert [c for c in cl.choices if c is not None] == picked
+        sub = cl.subsystem
+        assert cl.signature == T.Subsystem(rs, sub.indices).signature
+        assert sub.is_closed() and sub.rank == rs.rank
+        assert cl.rational_over_fq == all(
+            part.rational_over_fq for part in parts)
+        # and, from scratch, iff (q-1) times the representative point
+        # lies in X_*
+        point = [(q - 1) * x for x in representative_point(cl)]
+        adj, d = datum.cochar.adjugate
+        coords = [sum(map(Fraction.__mul__, point, row)) / d for row in adj]
+        assert cl.rational_over_fq == all(
+            x.denominator == 1 for x in point + coords)
+
+
+@pytest.mark.parametrize("name,k", [("G2", 4), ("E8", 3)])
+def test_classify_types_each_factor_once(monkeypatch, name, k):
+    # a class's type joins its factors' types, so the Dynkin typing runs
+    # per factor option, not per class: k copies cost k times one
+    calls = []
+    identify = T.identify_cartan
+
+    def counting(cartan):
+        calls.append(cartan)
+        return identify(cartan)
+
+    monkeypatch.setattr(T, "identify_cartan", counting)
+    counts = []
+    for factors in ([name], [name] * k):
+        datum = R.make_datum(factors, "sc", 7)
+        calls.clear()
+        [cl.signature for cl in C.classify(datum, 7)]
+        counts.append(len(calls))
+    assert counts[1] == k * counts[0]
 
 
 def class_representatives(rs):

@@ -716,11 +716,9 @@ def test_very_good_rules():
 
 
 def test_datum_lattice_validation():
-    rs = R.build_root_system(["A1"])
     with pytest.raises(R.NotASublattice):
-        # 2 * coweight lattice does not contain the coroot lattice... it does;
-        # use a lattice strictly between nothing: index-3 sublattice of coroot
-        R.GroupDatum(rs, R.Lattice("bad", ((6,),)), 5)
+        # 6Z, of index 3 in the coroot lattice 2Z, does not contain it
+        R.make_datum(["A1"], [[6]], 5)
 
 
 def test_deterministic_construction():
