@@ -274,6 +274,13 @@ class Context:
             point_cap=self.point_cap, candidate_cap=self.candidate_cap,
         )
 
+    @cached_property
+    def table(self):
+        return coefficients.n_table(
+            self.datum, self.q, self.spec, self.poset, self.convention,
+            orbit_cap=self.orbit_cap, weyl_cap=self.weyl_cap,
+        )
+
     def envelope(self, command: str) -> dict:
         return {
             "format_version": FORMAT_VERSION,
@@ -322,10 +329,7 @@ def cmd_strata(ctx: Context) -> dict:
 
 def cmd_coeffs(ctx: Context) -> dict:
     report = ctx.envelope("coeffs")
-    table = coefficients.n_table(
-        ctx.datum, ctx.q, ctx.spec, ctx.poset, ctx.convention,
-        orbit_cap=ctx.orbit_cap, weyl_cap=ctx.weyl_cap,
-    )
+    table = ctx.table
     report["central_product_trivial"] = coefficients.central_product_test(
         ctx.spec, ctx.datum, ctx.q
     )
@@ -345,12 +349,8 @@ def cmd_predict(ctx: Context, counts_path: str | None, approx: bool) -> dict:
         counts = predictions.LEADING_TERM_APPROX
     else:
         counts = load_counts(counts_path)
-    table = coefficients.n_table(
-        ctx.datum, ctx.q, ctx.spec, ctx.poset, ctx.convention,
-        orbit_cap=ctx.orbit_cap, weyl_cap=ctx.weyl_cap,
-    )
     pred = predictions.assemble_prediction(
-        ctx.datum, ctx.q, ctx.curve, table, counts
+        ctx.datum, ctx.q, ctx.curve, ctx.table, counts
     )
     report["prediction"] = pred.to_record()
     lead = predictions.leading_term(ctx.datum, ctx.q, ctx.curve)

@@ -111,8 +111,9 @@ class CoendoscopicClass:
     ``parts`` holds, per factor, (choice, merged nodes, root set, component
     types) of the chosen option or the untouched factor.  Given a datum and
     q, the class is rational over F_q iff (q-1) times its representative
-    point lies in X_*(T): it has (q-1)/h at each chosen node, and X_* lies
-    in Z^r, so this is h | q-1 at each chosen node plus a membership test.
+    point, v, lies in X_*(T), which lies in Z^r: v is (q-1)/h at each chosen
+    node, so this is h | q-1 there and adj(B) v = 0 mod det B, a sum over
+    the chosen nodes alone (``Lattice.adjugate``).
     """
 
     def __init__(self, rs: RootSystem, parts, datum=None, q=None):
@@ -123,9 +124,11 @@ class CoendoscopicClass:
         self.rational_over_fq = None
         if datum is not None:
             h = dict(c for c in self.choices if c is not None)
-            scaled = [(q - 1) // h[j] if j in h else 0 for j in range(rs.rank)]
-            self.rational_over_fq = (all((q - 1) % d == 0 for d in h.values())
-                                     and datum.cochar.contains(scaled))
+            adj, d = datum.cochar.adjugate
+            self.rational_over_fq = (
+                all((q - 1) % n == 0 for n in h.values())
+                and all(sum(row[j] * ((q - 1) // h[j]) for j in h) % d == 0
+                        for row in adj))
 
     @cached_property
     def subsystem(self) -> Subsystem:

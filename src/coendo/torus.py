@@ -13,11 +13,11 @@ each part (Z/f)^r of T(F_q), f a prime-power factor of q-1, the kernel
 f^r points by joins from the indicators of the root's shorter coefficient
 suffixes mod f, memoized for the call, so no Python code runs per point
 and one code path serves every f.  Points whose roots have less than full
-rank are dropped, counted from simple roots (``full_rank_test``), and the
-parts' remaining points are joined, since a root kills a point iff it
-kills each part.  A point is named by its sweep index, a mixed-radix
-Chinese-remainder index over the parts (``point_from_index``).  A
-subsystem's components are typed from their Dynkin diagrams.
+rank are dropped, counted from simple roots (``full_rank_test``).  A root
+kills a point iff it kills each part, so the elliptic points are the
+tuples of part points whose masks AND to a full-rank set.  A point is
+named by its sweep index, a mixed-radix Chinese-remainder index over the
+parts (``point_from_index``).  Subsystems are typed by Dynkin diagram.
 """
 
 from __future__ import annotations
@@ -374,10 +374,11 @@ def centralizer_masks_for(datum: GroupDatum, q: int, cap: int = DEFAULT_POINT_CA
     of q-1, with ``least`` the rank, and ``full_rank_test`` drops the kept
     points of the part whose roots have less than full rank.  A point's
     mask is the AND of its parts' masks, a subset of each, so a dropped
-    part point has no elliptic point over it.  The kept sets are joined
-    one factor at a time by mask class, and a joined mask a & b is kept
-    only when it has full rank, each distinct one tested once.  ``kills``
-    concatenates the parts' ``kills``, one byte per point visited.
+    part point has no elliptic point over it.  From the one-point empty
+    product, killed by every root, each part joins a point x so far and a
+    kept part point y into x·f^r + y, of mask a & b, kept when that has
+    full rank; x and y ascend and y < f^r, so the indices do too.
+    ``kills`` concatenates the parts' ``kills``, one byte per point visited.
     """
     rs = datum.root_system
     r = rs.rank
@@ -389,31 +390,12 @@ def centralizer_masks_for(datum: GroupDatum, q: int, cap: int = DEFAULT_POINT_CA
     pos = rs.positive_indices
     rows = [datum.root_functionals[i] for i in pos]
     full_rank = full_rank_test(rs, pos)
-    swept, masks = [], None
-    for f in prime_power_factors(m) or [m]:
+    swept, masks = [], {0: (1 << len(pos)) - 1}
+    for f in prime_power_factors(m):
         kills, kept = centralizer_masks(rows, f, r)
         swept.append(kills)
-        full = set(filter(full_rank, set(kept.values())))
-        kept = {y: b for y, b in kept.items() if b in full}
-        if masks is None:
-            masks = kept
-            continue
+        kept = [(y, b) for y, b in kept.items() if full_rank(b)]
         size = f**r
-        classes = {}
-        for y, b in kept.items():
-            classes.setdefault(b, []).append(y)
-        # the kept y of this factor that can follow a point of mask a,
-        # in increasing order, and the masks of the joined points
-        follow = {}
-        joined, joined_masks = [], []
-        for x, a in masks.items():
-            if a not in follow:
-                ys = sorted(y for b, group in classes.items()
-                            if full_rank(a & b) for y in group)
-                follow[a] = ys, [a & kept[y] for y in ys]
-            ys, ms = follow[a]
-            base = x * size
-            joined += [base + y for y in ys]
-            joined_masks += ms
-        masks = dict(zip(joined, joined_masks))
+        masks = {x * size + y: a & b for x, a in masks.items()
+                 for y, b in kept if full_rank(a & b)}
     return b"".join(swept), masks, pos

@@ -1026,3 +1026,32 @@ def test_candidate_cap_binds_during_the_orbit_search(monkeypatch):
         assert str(err.value) == (f"full-rank closed subsystems exceed cap "
                                   f"{cap} (caps.candidates)")
         assert len(built) <= cap * rs.rank
+
+
+def test_classify_rationality_makes_no_lattice_product(monkeypatch):
+    # each class's membership test sums adj(B) over its chosen nodes
+    # alone, with no r x r product: G2 x 4 has 81 classes and makes no
+    # Lattice.contains call.  The flags match contains on the scaled
+    # representative point, also on a lattice that is no product; B3 sc
+    # at q = 7 and E7 sc at q = 31 each have a class with h | q-1 that
+    # the lattice test rejects.
+    contains = R.Lattice.contains
+    data = [(R.make_datum(["G2"] * 4, "sc", 7), 7),
+            (R.make_datum(["B3"], "sc", 7), 7),
+            (R.make_datum(["E7"], "sc", 31), 31)] + [
+        (R.make_datum(["B2", "A1"], [[1, 0, 0], [0, 1, 0], [1, 0, 2]],
+                      R.characteristic_of(q)), q) for q in (5, 7, 13, 25)]
+    calls = []
+    monkeypatch.setattr(R.Lattice, "contains",
+                        lambda self, v: calls.append(v) or contains(self, v))
+    classes = [C.classify(datum, q) for datum, q in data]
+    assert calls == []
+    assert len(classes[0]) == 81
+    for (datum, q), found in zip(data, classes):
+        for cl in found:
+            h = dict(c for c in cl.choices if c is not None)
+            scaled = [(q - 1) // h[j] if j in h else 0
+                      for j in range(datum.root_system.rank)]
+            assert cl.rational_over_fq == (
+                all((q - 1) % n == 0 for n in h.values())
+                and contains(datum.cochar, scaled))

@@ -158,6 +158,21 @@ def test_point_counts():
             assert len(kills) == len(points)
 
 
+def test_f4_sweep_at_q25_visits_part_points_and_keeps_elliptic_ones():
+    # q-1 = 24 = 8·3: the sweep covers all 331,776 points by visiting the
+    # 8^4 + 3^4 = 4,177 points of its parts and keeps the 72 elliptic
+    # points; each kept mask is the point's centralizer by dot products
+    datum = R.make_datum(["F4"], "sc", 5)
+    kills, masks, pos = T.centralizer_masks_for(datum, 25)
+    assert len(kills) == 4177
+    assert len(masks) == 72
+    for idx, mask in masks.items():
+        sub = T.centralizer_subsystem(datum, 25, T.point_from_index(25, 4, idx))
+        assert sub.positive_indices == tuple(
+            i for b, i in enumerate(pos) if mask >> b & 1)
+        assert sub.rank == 4
+
+
 def test_enumeration_cap():
     d4 = R.make_datum(["D4"], "sc", 7)
     with pytest.raises(R.CapExceeded):
@@ -801,6 +816,9 @@ def factored_sweeps(draw):
 @given(factored_sweeps())
 @example((R.make_datum(["G2"], "ad", 61), 61))
 @example((R.make_datum(["A3"], "sc", 11), 11))
+# q-1 = 210 = 2·3·5·7, four parts
+@example((R.make_datum(["A2"], "sc", 211), 211))
+@example((R.make_datum(["A1", "A1"], "sc", 211), 211))
 def test_factored_sweep_matches_dot_products(case):
     datum, q = case
     m = q - 1

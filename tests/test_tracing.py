@@ -68,8 +68,8 @@ def test_classify_route_strata_counters(capsys):
 
 def test_enumerate_route_strata_counters(capsys):
     # the sweep workload's counters on an enumerate-route strata run: F4 at
-    # q = 25 keeps 4177 elliptic points in 44 strata of 5 W-classes, and
-    # solves one Smith form per class
+    # q = 25 visits 4177 part points (8^4 + 3^4), keeps 72 elliptic points
+    # in 44 strata of 5 W-classes, and solves one Smith form per class
     tracing = load_tracing()
     with tracing.Tracer() as tracer:
         assert coendo.cli.main(["strata", "--type", "F4", "--q", "25",
